@@ -21,7 +21,7 @@ print(f"block-structured square: n={n}, block size m={m}, k=n/m={k} blocks per c
 
 graph = halving.build_block_multigraph(square, blocks)
 left_deg, right_deg = graph.degrees()
-print(f"block multigraph: {len(graph.edges)} edges, "
+print(f"block multigraph: {graph.left.size} edges, "
       f"column degrees all {left_deg[0]}, symbol degrees all {right_deg[0]}")
 
 matchings = bipartite.decompose_regular(graph, k)

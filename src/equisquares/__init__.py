@@ -13,7 +13,6 @@ from .squares import (
     write_transversal,
 )
 from .constructions import (
-    Block,
     BlockStructure,
     BoxPairing,
     CertificateReport,

@@ -2,14 +2,15 @@
 decomposition into matchings, maximum matching, path/cycle components of
 matching unions, and component capping.
 
-Matchings are frozensets of edge labels; the graph resolves labels to
-endpoints.  All operations are pure and deterministic.
+An edge's label is its index 0 ... E-1; the graph stores the left and right
+endpoint of every edge as two parallel arrays.  Matchings are frozensets of
+labels.  All operations are pure and deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,58 +30,81 @@ class NotAMatching(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BipartiteMultigraph:
-    """Labelled multi-edges between a left and a right vertex class."""
+    """Multi-edges between a left and a right vertex class.
+
+    Edge e joins left vertex left[e] to right vertex right[e]; its label is e.
+    """
 
     left_size: int
     right_size: int
-    edges: tuple[tuple[int, int, object], ...]  # (left, right, label)
+    left: np.ndarray
+    right: np.ndarray
 
     def __post_init__(self):
-        labels = set()
-        for u, v, lab in self.edges:
-            if not (0 <= u < self.left_size and 0 <= v < self.right_size):
-                raise ValueError(f"edge ({u}, {v}) endpoint out of range")
-            if lab in labels:
-                raise ValueError(f"duplicate edge label {lab!r}")
-            labels.add(lab)
+        left = np.asarray(self.left, dtype=np.int64)
+        right = np.asarray(self.right, dtype=np.int64)
+        if left.ndim != 1 or left.shape != right.shape:
+            raise ValueError("left and right must be 1-D arrays of equal length")
+        bad = np.flatnonzero((left < 0) | (left >= self.left_size)
+                             | (right < 0) | (right >= self.right_size))
+        if bad.size:
+            e = int(bad[0])
+            raise ValueError(f"edge ({left[e]}, {right[e]}) endpoint out of range")
+        for name, arr in (("left", left), ("right", right)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
-    @cached_property
+    @property
     def by_label(self) -> dict:
-        return {lab: (u, v) for u, v, lab in self.edges}
+        """label -> (left, right) for every edge."""
+        return dict(enumerate(zip(self.left.tolist(), self.right.tolist())))
 
     def endpoints(self, label) -> tuple[int, int]:
-        return self.by_label[label]
+        if not 0 <= label < self.left.size:
+            raise KeyError(label)
+        return int(self.left[label]), int(self.right[label])
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        left = np.zeros(self.left_size, dtype=np.int64)
-        right = np.zeros(self.right_size, dtype=np.int64)
-        for u, v, _ in self.edges:
-            left[u] += 1
-            right[v] += 1
-        return left, right
+        return (np.bincount(self.left, minlength=self.left_size),
+                np.bincount(self.right, minlength=self.right_size))
 
 
 def make_graph(left_size: int, right_size: int, pairs) -> BipartiteMultigraph:
     """Build a multigraph from (left, right) pairs, labelling edges 0, 1, ..."""
-    edges = tuple((int(u), int(v), i) for i, (u, v) in enumerate(pairs))
-    return BipartiteMultigraph(left_size, right_size, edges)
+    arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return BipartiteMultigraph(left_size, right_size, arr[:, 0], arr[:, 1])
+
+
+def _labels(graph: BipartiteMultigraph, labels) -> np.ndarray:
+    """Labels as an int64 array; NotAMatching if one is not an edge of graph."""
+    arr = np.array(list(labels))
+    if arr.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise NotAMatching("edge labels must be integers")
+    bad = np.flatnonzero((arr < 0) | (arr >= graph.left.size))
+    if bad.size:
+        raise NotAMatching(f"label {arr[bad[0]]} is not an edge of the graph "
+                           f"(labels are 0..{graph.left.size - 1})")
+    return arr.astype(np.int64, copy=False)
 
 
 def is_matching(graph: BipartiteMultigraph, labels) -> bool:
-    seen_left: set[int] = set()
-    seen_right: set[int] = set()
-    for lab in labels:
-        u, v = graph.endpoints(lab)
-        if u in seen_left or v in seen_right:
-            return False
-        seen_left.add(u)
-        seen_right.add(v)
-    return True
+    idx = _labels(graph, labels)
+    return all(np.bincount(ends, minlength=1).max() <= 1
+               for ends in (graph.left[idx], graph.right[idx]))
 
 
 def _require_matching(graph: BipartiteMultigraph, labels, name: str) -> None:
     if not is_matching(graph, labels):
         raise NotAMatching(f"{name} is not a matching")
+
+
+def _match_array(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """Hopcroft-Karp via scipy: entry i is the column matched to row i, or -1."""
+    data = np.ones(len(rows), dtype=np.int8)
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
+    return maximum_bipartite_matching(mat, perm_type="column")
 
 
 def matching_pairs_from_arrays(
@@ -92,10 +116,24 @@ def matching_pairs_from_arrays(
     """
     if len(rows) == 0 or n_rows == 0 or n_cols == 0:
         return []
-    data = np.ones(len(rows), dtype=np.int8)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
-    match = maximum_bipartite_matching(mat, perm_type="column")
-    return [(int(i), int(match[i])) for i in range(n_rows) if match[i] >= 0]
+    match = _match_array(rows, cols, n_rows, n_cols)
+    matched = np.flatnonzero(match >= 0)
+    return list(zip(matched.tolist(), match[matched].tolist()))
+
+
+def _matched_edges(graph: BipartiteMultigraph, idx: np.ndarray) -> np.ndarray:
+    """Maximum matching of the subgraph on the ascending edge labels idx.
+
+    Parallel edges are collapsed; the smallest label of each matched
+    (left, right) pair is reported, so output is deterministic.
+    """
+    if idx.size == 0 or graph.left_size == 0 or graph.right_size == 0:
+        return np.empty(0, dtype=np.int64)
+    u, v = graph.left[idx], graph.right[idx]
+    match = _match_array(u, v, graph.left_size, graph.right_size)
+    hit = match[u] == v
+    _, first = np.unique(u[hit], return_index=True)
+    return idx[hit][first]
 
 
 def max_matching(graph: BipartiteMultigraph) -> frozenset:
@@ -104,33 +142,20 @@ def max_matching(graph: BipartiteMultigraph) -> frozenset:
     Parallel edges are collapsed; the smallest label of each matched
     (left, right) pair is reported, so output is deterministic.
     """
-    if not graph.edges:
-        return frozenset()
-    rows = np.fromiter((u for u, _, _ in graph.edges), dtype=np.int64, count=len(graph.edges))
-    cols = np.fromiter((v for _, v, _ in graph.edges), dtype=np.int64, count=len(graph.edges))
-    pairs = matching_pairs_from_arrays(rows, cols, graph.left_size, graph.right_size)
-    best_label: dict[tuple[int, int], object] = {}
-    for u, v, lab in graph.edges:
-        key = (u, v)
-        if key not in best_label or _label_key(lab) < _label_key(best_label[key]):
-            best_label[key] = lab
-    return frozenset(best_label[p] for p in pairs)
+    return frozenset(_matched_edges(graph, np.arange(graph.left.size)).tolist())
 
 
-def _label_key(lab):
-    # Orders int labels numerically and everything else by repr: stable ties.
-    return (0, lab) if isinstance(lab, int) else (1, repr(lab))
+def _check_degrees(graph: BipartiteMultigraph, k: int, exact: bool) -> None:
+    """NotRegular unless every degree is k (exact) or at most k."""
+    for side, deg in zip(("left", "right"), graph.degrees()):
+        bad = np.flatnonzero(deg != k if exact else deg > k)
+        if bad.size:
+            raise NotRegular((side, int(bad[0])), int(deg[bad[0]]))
 
 
 def regular_perfect_matching(graph: BipartiteMultigraph, k: int) -> frozenset:
     """Perfect matching of a k-regular bipartite multigraph (exists by Hall)."""
-    left, right = graph.degrees()
-    for i, d in enumerate(left):
-        if d != k:
-            raise NotRegular(("left", i), int(d))
-    for j, d in enumerate(right):
-        if d != k:
-            raise NotRegular(("right", j), int(d))
+    _check_degrees(graph, k, exact=True)
     m = max_matching(graph)
     if len(m) != graph.left_size:
         raise AssertionError("regular multigraph lacked a perfect matching")
@@ -138,15 +163,15 @@ def regular_perfect_matching(graph: BipartiteMultigraph, k: int) -> frozenset:
 
 
 def _pad_to_regular(graph: BipartiteMultigraph, k: int) -> BipartiteMultigraph:
-    """Embed a max-degree-k multigraph into a k-regular one with dummy edges."""
+    """Embed a max-degree-k multigraph into a k-regular one with dummy edges.
+
+    The dummy edges get the labels E, E+1, ... after the E real ones.
+    """
     n = max(graph.left_size, graph.right_size)
-    left = np.zeros(n, dtype=np.int64)
-    right = np.zeros(n, dtype=np.int64)
-    for u, v, _ in graph.edges:
-        left[u] += 1
-        right[v] += 1
-    edges = list(graph.edges)
-    counter = 0
+    left = np.bincount(graph.left, minlength=n)
+    right = np.bincount(graph.right, minlength=n)
+    pad_left: list[int] = []
+    pad_right: list[int] = []
     i = j = 0
     while i < n:
         if left[i] >= k:
@@ -154,50 +179,35 @@ def _pad_to_regular(graph: BipartiteMultigraph, k: int) -> BipartiteMultigraph:
             continue
         while right[j] >= k:
             j += 1
-        add = min(k - left[i], k - right[j])
-        for _ in range(add):
-            edges.append((i, j, ("_pad", counter)))
-            counter += 1
+        add = int(min(k - left[i], k - right[j]))
+        pad_left += [i] * add
+        pad_right += [j] * add
         left[i] += add
         right[j] += add
-    return BipartiteMultigraph(n, n, tuple(edges))
+    return BipartiteMultigraph(n, n, np.concatenate([graph.left, pad_left]),
+                               np.concatenate([graph.right, pad_right]))
 
 
 def decompose_regular(graph: BipartiteMultigraph, k: int, embed: bool = False) -> list[frozenset]:
     """Partition E(G) into k matchings; each perfect when G is k-regular.
 
+    Round t takes a maximum matching of the edges no earlier round took.
     With ``embed`` the graph may have max degree <= k: it is padded to a
     k-regular supergraph, decomposed, and the dummy edges stripped.
     """
-    left, right = graph.degrees()
-    if embed:
-        for i, d in enumerate(left):
-            if d > k:
-                raise NotRegular(("left", i), int(d))
-        for j, d in enumerate(right):
-            if d > k:
-                raise NotRegular(("right", j), int(d))
-        work = _pad_to_regular(graph, k)
-    else:
-        for i, d in enumerate(left):
-            if d != k:
-                raise NotRegular(("left", i), int(d))
-        for j, d in enumerate(right):
-            if d != k:
-                raise NotRegular(("right", j), int(d))
-        work = graph
-
-    real = set(graph.by_label)
-    remaining = list(work.edges)
+    _check_degrees(graph, k, exact=not embed)
+    work = _pad_to_regular(graph, k) if embed else graph
+    real = graph.left.size
+    alive = np.ones(work.left.size, dtype=bool)
     out = []
     for _ in range(k):
-        sub = BipartiteMultigraph(work.left_size, work.right_size, tuple(remaining))
-        m = max_matching(sub)
-        if len(m) != work.left_size:
+        m = _matched_edges(work, np.flatnonzero(alive))
+        if m.size != work.left_size:
             raise AssertionError("extraction round lacked a perfect matching")
-        out.append(frozenset(lab for lab in m if lab in real))
-        remaining = [e for e in remaining if e[2] not in m]
-    assert not remaining
+        alive[m] = False
+        out.append(frozenset(m[m < real].tolist()))
+    if alive.any():
+        raise AssertionError(f"{int(alive.sum())} edges left after {k} perfect matchings")
     return out
 
 
@@ -231,6 +241,23 @@ class PathCycleDecomposition:
         }
 
 
+def _partners(ends: np.ndarray, size: int) -> np.ndarray:
+    """For each edge, the other edge at the same endpoint, or -1.
+
+    NotAMatching if some endpoint has degree above 2.
+    """
+    deg = np.bincount(ends, minlength=size)
+    if deg.size and deg.max() > 2:
+        raise NotAMatching("a vertex has degree above 2 in the union of two matchings")
+    order = np.argsort(ends, kind="stable")
+    same = ends[order[1:]] == ends[order[:-1]]
+    a, b = order[:-1][same], order[1:][same]
+    partner = np.full(ends.size, -1, dtype=np.int64)
+    partner[a] = b
+    partner[b] = a
+    return partner
+
+
 def union_components(
     graph: BipartiteMultigraph, m_a, m_b
 ) -> PathCycleDecomposition:
@@ -238,72 +265,76 @@ def union_components(
 
     Every vertex has degree <= 2, so components are paths or even cycles
     whose edges alternate between the two matchings.  A label present in
-    both matchings forms its own single-edge component.  Components are
-    ordered by minimum edge label.
+    both matchings forms its own single-edge component.  Paths are walked
+    from their smaller end (left vertices before right ones), cycles from
+    the left end of their minimum label.  Components are ordered by
+    minimum edge label.
     """
     m_a = frozenset(m_a)
     m_b = frozenset(m_b)
     _require_matching(graph, m_a, "m_a")
     _require_matching(graph, m_b, "m_b")
-    labels = sorted(m_a | m_b, key=_label_key)
+    labels = np.array(sorted(m_a | m_b), dtype=np.int64)
+    u, v = graph.left[labels], graph.right[labels]
+    # Edges are handled by position in `labels`; at[side][p] is the other
+    # edge at p's endpoint on that side (0 = left, 1 = right).
+    partners = (_partners(u, graph.left_size), _partners(v, graph.right_size))
+    at = tuple(p.tolist() for p in partners)
+    visited = [False] * labels.size
 
-    adj: dict[tuple[str, int], list] = {}
-    for lab in labels:
-        u, v = graph.endpoints(lab)
-        adj.setdefault(("L", u), []).append(lab)
-        adj.setdefault(("R", v), []).append(lab)
-    for inc in adj.values():
-        assert len(inc) <= 2  # two matchings: degree at most 2
-        inc.sort(key=_label_key)
-
-    def other_end(lab, vertex):
-        u, v = graph.endpoints(lab)
-        return ("R", v) if vertex == ("L", u) else ("L", u)
-
-    visited: set = set()
-    components: list[Component] = []
-
-    def walk(start_vertex, first_lab, closed: bool):
+    def walk(p: int, side: int) -> list[int]:
+        """Edge positions from p on, leaving p through its end on `side`."""
         seq = []
-        vertex, lab = start_vertex, first_lab
-        while True:
-            seq.append(lab)
-            visited.add(lab)
-            vertex = other_end(lab, vertex)
-            nxt = [e for e in adj[vertex] if e not in visited]
-            if not nxt:
-                break
-            lab = nxt[0]
-        if closed and len(seq) > 1:
-            assert vertex == start_vertex, "cycle traversal did not close"
-            return Component(tuple(seq), "cycle")
-        return Component(tuple(seq), "path")
+        here, there = at[side], at[1 - side]
+        while p >= 0 and not visited[p]:
+            visited[p] = True
+            seq.append(p)
+            p = here[p]
+            here, there = there, here
+        return seq
 
+    walks: list[tuple[list[int], str]] = []
     # Paths start from degree-1 endpoints, smaller vertex first.
-    endpoints = sorted(v for v, inc in adj.items() if len(inc) == 1)
-    for vtx in endpoints:
-        lab = adj[vtx][0]
-        if lab in visited:
-            continue
-        components.append(walk(vtx, lab, closed=False))
+    for side, ends in ((0, u), (1, v)):
+        lone = np.flatnonzero(partners[side] < 0)
+        for p in lone[np.argsort(ends[lone], kind="stable")].tolist():
+            if not visited[p]:
+                walks.append((walk(p, 1 - side), "path"))
     # The rest are cycles; canonical start is the minimum remaining label.
-    for lab in labels:
-        if lab in visited:
+    for p in range(labels.size):
+        if visited[p]:
             continue
-        u, _ = graph.endpoints(lab)
-        components.append(walk(("L", u), lab, closed=True))
+        seq = walk(p, 1)
+        if len(seq) % 2 or at[0][seq[-1]] != p:
+            raise AssertionError("cycle traversal did not close")
+        walks.append((seq, "cycle"))
 
-    for comp in components:
-        _assert_alternating(comp, m_a, m_b)
-    components.sort(key=lambda c: min(_label_key(lab) for lab in c.labels))
+    lengths = np.fromiter((len(seq) for seq, _ in walks), dtype=np.int64, count=len(walks))
+    order = labels[np.fromiter(itertools.chain.from_iterable(seq for seq, _ in walks),
+                               dtype=np.int64, count=labels.size)]
+    first = np.zeros(labels.size, dtype=bool)
+    first[np.cumsum(lengths) - lengths] = True
+    _check_alternating(graph, order, first, m_a, m_b)
+    lab = labels.tolist()
+    components = [Component(tuple(map(lab.__getitem__, seq)), kind) for seq, kind in walks]
+    components.sort(key=lambda c: min(c.labels))
     return PathCycleDecomposition(tuple(components))
 
 
-def _assert_alternating(comp: Component, m_a, m_b) -> None:
-    for e, f in zip(comp.labels, comp.labels[1:]):
-        only_a = e in m_a and e not in m_b and f in m_a and f not in m_b
-        only_b = e in m_b and e not in m_a and f in m_b and f not in m_a
-        assert not (only_a or only_b), "component does not alternate"
+def _check_alternating(graph: BipartiteMultigraph, order: np.ndarray, first: np.ndarray,
+                       m_a, m_b) -> None:
+    """NotAMatching if two consecutive edges of a component lie in one matching only.
+
+    order lists the labels of all components back to back; first marks
+    where each component starts.
+    """
+    side = np.zeros(graph.left.size, dtype=np.int8)
+    for m, bit in ((m_a, 1), (m_b, 2)):
+        side[np.fromiter(m, dtype=np.int64, count=len(m))] |= bit
+    side = side[order]
+    same = (side[1:] == side[:-1]) & (side[1:] != 3) & ~first[1:]
+    if same.any():
+        raise NotAMatching("component does not alternate between the matchings")
 
 
 @dataclass(frozen=True)
@@ -316,7 +347,7 @@ class CapResult:
     def to_json(self) -> dict:
         return {
             "format": 1,
-            "deleted": sorted(self.deleted, key=_label_key),
+            "deleted": sorted(self.deleted),
             "decomposition": self.decomposition.to_json(),
         }
 
@@ -338,21 +369,12 @@ def cap_components(decomp: PathCycleDecomposition, s: int) -> CapResult:
         if length <= s:
             pieces.append(comp)
             continue
-        if comp.kind == "cycle":
-            drop = {p for p in range(length) if p % (s + 1) == 0}
-        else:
-            drop = {p for p in range(length) if p % (s + 1) == s}
-        run: list = []
-        for p, lab in enumerate(comp.labels):
-            if p in drop:
-                deleted.add(lab)
-                if run:
-                    pieces.append(Component(tuple(run), "path"))
-                    run = []
-            else:
-                run.append(lab)
-        if run:
-            pieces.append(Component(tuple(run), "path"))
-    pieces.sort(key=lambda c: min(_label_key(l) for l in c.labels))
+        cuts = range(0 if comp.kind == "cycle" else s, length, s + 1)
+        deleted.update(comp.labels[p] for p in cuts)
+        bounds = [-1, *cuts, length]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi > lo + 1:
+                pieces.append(Component(comp.labels[lo + 1:hi], "path"))
+    pieces.sort(key=lambda c: min(c.labels))
     return CapResult(deleted=frozenset(deleted),
                      decomposition=PathCycleDecomposition(tuple(pieces)))

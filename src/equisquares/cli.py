@@ -113,7 +113,10 @@ def cmd_solve(args) -> int:
     elif args.method == "block":
         if not args.blocks:
             return _fail_usage("--blocks sidecar is required for the block method")
-        data = json.loads(Path(args.blocks).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(args.blocks).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise constructions.BlockMismatch(f"blocks sidecar is not JSON: {exc}") from None
         blocks = constructions.BlockStructure.from_json(data)
         s = args.s if args.s else halving.default_cap(n)
         t, _, _ = halving.block_transversal(

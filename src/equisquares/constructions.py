@@ -7,6 +7,7 @@ missing-colour certificate that audits the adversarial bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,68 +247,113 @@ def random_equi_square(n: int, seed) -> EquiNSquare:
     return validate_square(n, symbols.reshape(n, n))
 
 
-@dataclass(frozen=True)
-class Block:
-    """m cells of one column, all holding one symbol."""
-
-    col: int
-    symbol: int
-    rows: tuple[int, ...]
+class BlockMismatch(ValueError):
+    pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockStructure:
-    """Partition of a square's cells into single-column monochrome blocks."""
+    """Partition of a square's cells into single-column monochrome blocks.
+
+    Block b is the m cells (rows[b, i], cols[b]), i < m, all holding
+    symbols[b]; cols and symbols have shape (K,) and rows (K, m).
+    """
 
     m: int
-    blocks: tuple[Block, ...]
+    cols: np.ndarray
+    symbols: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", operator.index(self.m))
+        for name in ("cols", "symbols", "rows"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, BlockStructure):
+            return NotImplemented
+        return self.m == other.m and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("cols", "symbols", "rows")
+        )
 
     def to_json(self) -> dict:
         return {
             "format": 1,
             "m": self.m,
             "blocks": [
-                {"col": blk.col, "symbol": blk.symbol, "rows": list(blk.rows)}
-                for blk in self.blocks
+                {"col": c, "symbol": s, "rows": r}
+                for c, s, r in zip(self.cols.tolist(), self.symbols.tolist(), self.rows.tolist())
             ],
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "BlockStructure":
-        if data.get("format") != 1:
-            raise ValueError(f"unsupported blocks format {data.get('format')!r}")
-        blocks = tuple(
-            Block(col=int(d["col"]), symbol=int(d["symbol"]),
-                  rows=tuple(int(x) for x in d["rows"]))
-            for d in data["blocks"]
-        )
-        return cls(m=int(data["m"]), blocks=blocks)
+    def from_json(cls, data) -> "BlockStructure":
+        """Read a sidecar; BlockMismatch if it is malformed."""
+        if not isinstance(data, dict) or data.get("format") != 1:
+            fmt = data.get("format") if isinstance(data, dict) else None
+            raise BlockMismatch(f"unsupported blocks format {fmt!r}")
+        m, blocks = data.get("m"), data.get("blocks")
+        if not _is_int(m):
+            raise BlockMismatch(f"blocks sidecar needs an integer 'm', got {m!r}")
+        if not isinstance(blocks, list):
+            raise BlockMismatch("blocks sidecar needs a list 'blocks'")
+        try:
+            fields = [[d[key] for d in blocks] for key in ("col", "symbol", "rows")]
+        except (KeyError, TypeError) as exc:
+            raise BlockMismatch(f"every block needs 'col', 'symbol' and 'rows': {exc!r}") from None
+        for i, rows in enumerate(fields[2]):
+            if not isinstance(rows, list) or len(rows) != m:
+                got = f"{len(rows)} cells" if isinstance(rows, list) else repr(rows)
+                raise BlockMismatch(f"block {i} has {got}, expected a list of {m} rows")
+        cols, symbols, rows = (_int_array(values, key, ndim)
+                               for values, key, ndim in zip(fields, ("col", "symbol", "rows"), (1, 1, 2)))
+        return cls(m=m, cols=cols, symbols=symbols, rows=rows.reshape(len(blocks), m))
 
 
-class BlockMismatch(ValueError):
-    pass
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_array(values: list, key: str, ndim: int) -> np.ndarray:
+    """values as an ndim-D int64 array; BlockMismatch unless every entry is an integer."""
+    try:
+        arr = np.array(values)
+    except (ValueError, OverflowError):
+        arr = None
+    if arr is None or (arr.size and (arr.dtype.kind != "i" or arr.ndim != ndim)):
+        raise BlockMismatch(f"block '{key}' entries must be integers")
+    return arr.astype(np.int64)
 
 
 def validate_block_structure(square: EquiNSquare, blocks: BlockStructure) -> None:
     """Check blocks are size m, monochrome, single-column, and tile the square."""
     n = square.n
     m = blocks.m
-    if m < 1 or n * n != m * len(blocks.blocks):
-        raise BlockMismatch(f"{len(blocks.blocks)} blocks of size {m} cannot tile n={n}")
-    for blk in blocks.blocks:
-        if len(blk.rows) != m:
-            raise BlockMismatch(f"block {blk} has {len(blk.rows)} cells, expected {m}")
-    rows = np.array([blk.rows for blk in blocks.blocks], dtype=np.int64)
-    cols = np.array([blk.col for blk in blocks.blocks], dtype=np.int64)
-    syms = np.array([blk.symbol for blk in blocks.blocks], dtype=np.int64)
+    rows, cols, syms = blocks.rows, blocks.cols, blocks.symbols
+    count = len(cols)
+    if m < 1 or n * n != m * count:
+        raise BlockMismatch(f"{count} blocks of size {m} cannot tile n={n}")
+    if cols.ndim != 1 or syms.shape != cols.shape or rows.shape != (count, m):
+        raise BlockMismatch(f"block rows have shape {rows.shape}, expected ({count}, {m}) "
+                            f"for {count} columns and {syms.size} symbols")
     if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
         raise BlockMismatch("block cell out of range")
-    if not (square.grid[rows, cols[:, None]] == syms[:, None]).all():
-        mism = (square.grid[rows, cols[:, None]] != syms[:, None]).any(axis=1)
-        bad = int(np.nonzero(mism)[0][0])
-        raise BlockMismatch(f"block {blocks.blocks[bad]} does not match the grid symbols")
-    flat = (rows + n * cols[:, None]).ravel()
-    if not (np.bincount(flat, minlength=n * n) == 1).all():
+    # Cell (r, c) is entry c*n + r of the grid in column-major order, so
+    # each block reads from one contiguous column.
+    cells = n * cols[:, None] + rows
+    mism = square.grid.T.ravel()[cells] != syms[:, None]
+    if mism.any():
+        bad = int(np.flatnonzero(mism.any(axis=1))[0])
+        raise BlockMismatch(f"block {bad} (column {cols[bad]}, symbol {syms[bad]}, "
+                            f"rows {rows[bad].tolist()}) does not match the grid symbols")
+    # The blocks have n*n cells in all, so they partition the grid exactly
+    # when they cover every cell.
+    covered = np.zeros(n * n, dtype=bool)
+    covered[cells] = True
+    if not covered.all():
         raise BlockMismatch("blocks do not partition the cells")
 
 
@@ -316,7 +362,8 @@ def block_structured_square(n: int, m: int, seed) -> tuple[EquiNSquare, BlockStr
 
     Each matching round assigns every column one symbol; the round's block
     in that column takes m of the column's rows, chosen by a random
-    partition of the rows into the k blocks.
+    partition of the rows into the k blocks.  Blocks are numbered column by
+    column, round by round within a column, and list their rows ascending.
     """
     if n % m != 0:
         raise NotDivisible(n, m)
@@ -324,20 +371,16 @@ def block_structured_square(n: int, m: int, seed) -> tuple[EquiNSquare, BlockStr
     rng = np.random.default_rng(seed)
     perms = rng.random((k, n)).argsort(axis=1)  # round t: column j -> symbol
     row_orders = rng.random((n, n)).argsort(axis=1)  # per column, row shuffle
-    slot = np.repeat(np.arange(k), m)
-    block_of_row = np.empty((n, n), dtype=np.int64)  # (row, col) -> round
-    for j in range(n):
-        block_of_row[row_orders[j], j] = slot
-    grid = np.take_along_axis(perms, block_of_row, axis=0)
-    blocks = []
-    for j in range(n):
-        order = row_orders[j]
-        for t in range(k):
-            rows = np.sort(order[t * m:(t + 1) * m])
-            blocks.append(Block(col=j, symbol=int(perms[t, j]),
-                                rows=tuple(rows.tolist())))
-    square = validate_square(n, grid)
-    structure = BlockStructure(m=m, blocks=tuple(blocks))
+    rounds = np.empty((n, n), dtype=np.int64)  # (col, row) -> round
+    np.put_along_axis(rounds, row_orders, np.repeat(np.arange(k), m)[None, :], axis=1)
+    grid = np.take_along_axis(np.ascontiguousarray(perms.T), rounds, axis=1).T
+    square = validate_square(n, np.ascontiguousarray(grid))
+    structure = BlockStructure(
+        m=m,
+        cols=np.repeat(np.arange(n), k),
+        symbols=perms.T.ravel(),
+        rows=np.sort(row_orders.reshape(n, k, m), axis=2).reshape(n * k, m),
+    )
     validate_block_structure(square, structure)
     return square, structure
 

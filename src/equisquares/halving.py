@@ -129,9 +129,10 @@ def alternate_halve(
         flip = int(rng.integers(0, 2))
         flips.append(flip)
         side = m_b if flip else m_a
-        kept.update(lab for lab in comp.labels if lab in side)
+        kept.update(side.intersection(comp.labels))
     out = frozenset(kept)
-    assert bipartite.is_matching(graph, out)
+    if not bipartite.is_matching(graph, out):
+        raise bipartite.NotAMatching("halving produced a non-matching")
     trace = PairTrace(matching_a=m_a, matching_b=m_b, cap=cap,
                       flips=tuple(flips), output=out)
     return out, trace
@@ -175,10 +176,7 @@ def iterated_halving(
 
 def build_block_multigraph(square: EquiNSquare, blocks: BlockStructure) -> BipartiteMultigraph:
     """Column-symbol multigraph with one edge per block, labelled by block index."""
-    edges = tuple(
-        (blk.col, blk.symbol, idx) for idx, blk in enumerate(blocks.blocks)
-    )
-    return BipartiteMultigraph(square.n, square.n, edges)
+    return BipartiteMultigraph(square.n, square.n, blocks.cols, blocks.symbols)
 
 
 def block_transversal(
@@ -218,15 +216,10 @@ def block_transversal(
 
     # Bipartite row-column graph: edge (i, j) iff column j's selected block
     # covers row i.  A matching here is a transversal of the square.
-    sel = sorted(selected)
-    if sel:
-        rows = np.concatenate([np.asarray(blocks.blocks[lab].rows) for lab in sel])
-        cols = np.concatenate(
-            [np.full(blocks.m, blocks.blocks[lab].col) for lab in sel]
-        )
-        pairs = bipartite.matching_pairs_from_arrays(rows, cols, n, n)
-    else:
-        pairs = []
+    sel = _index(selected)
+    rows = blocks.rows[sel].ravel()
+    cols = np.repeat(blocks.cols[sel], blocks.m)
+    pairs = bipartite.matching_pairs_from_arrays(rows, cols, n, n)
     cells = [Cell(i, j) for i, j in pairs]
     transversal = validate_transversal(square, cells)
     loads = row_loads(trace, blocks, "final", n_rows=n)
@@ -258,11 +251,14 @@ def _complete(graph: BipartiteMultigraph, matching: frozenset, perfect: frozense
     return out
 
 
+def _index(labels) -> np.ndarray:
+    """Block labels, ascending, as an index array."""
+    return np.array(sorted(labels), dtype=np.int64)
+
+
 def _loads_for_matching(blocks: BlockStructure, matching, n_rows: int) -> RowLoads:
-    rows = [r for lab in matching for r in blocks.blocks[lab].rows]
-    loads = np.bincount(np.asarray(rows, dtype=np.int64), minlength=n_rows) \
-        if rows else np.zeros(n_rows, dtype=np.int64)
-    return RowLoads(loads=loads)
+    rows = blocks.rows[_index(matching)].ravel()
+    return RowLoads(loads=np.bincount(rows, minlength=n_rows))
 
 
 def row_loads(
@@ -274,7 +270,7 @@ def row_loads(
     from 1 as in the trace levels.
     """
     if n_rows is None:
-        n_rows = math.isqrt(blocks.m * len(blocks.blocks))
+        n_rows = math.isqrt(blocks.m * len(blocks.cols))
     if selector == "final":
         return _loads_for_matching(blocks, trace.final, n_rows)
     if isinstance(selector, tuple) and len(selector) == 2 and selector[0] == "initial":
@@ -310,6 +306,18 @@ def mcdiarmid_bound(c, t: float) -> float:
     return min(1.0, 2.0 * math.exp(-(t * t) / denom))
 
 
+def _coin_components(trace: HalvingTrace) -> tuple[np.ndarray, np.ndarray, int]:
+    """(labels, component ids, number of components) over every coin of the trace.
+
+    Components are numbered in coin order: level by level, pair by pair.
+    """
+    comps = [comp.labels for level in trace.levels for pair in level
+             for comp in pair.cap.decomposition.components]
+    sizes = np.fromiter(map(len, comps), dtype=np.int64, count=len(comps))
+    labels = np.fromiter((lab for c in comps for lab in c), dtype=np.int64, count=int(sizes.sum()))
+    return labels, np.repeat(np.arange(len(comps)), sizes), len(comps)
+
+
 def realized_effect_vector(
     trace: HalvingTrace, blocks: BlockStructure, row: int
 ) -> np.ndarray:
@@ -318,27 +326,19 @@ def realized_effect_vector(
     For each kept component at each level, the effect of its coin on the
     row load is at most the number of its edges whose block covers the row.
     """
-    effects = []
-    for level in trace.levels:
-        for pair in level:
-            for comp in pair.cap.decomposition.components:
-                cnt = 0
-                for lab in comp.labels:
-                    if row in blocks.blocks[lab].rows:
-                        cnt += 1
-                effects.append(cnt)
-    return np.asarray(effects, dtype=np.float64)
+    labels, comp, count = _coin_components(trace)
+    covers = (blocks.rows[labels] == row).any(axis=1)
+    return np.bincount(comp, weights=covers, minlength=count).astype(np.float64)
 
 
 def realized_effect_squares(trace: HalvingTrace, blocks: BlockStructure, n_rows: int) -> np.ndarray:
     """sum of squared per-coin effects, for every row at once."""
-    sumsq = np.zeros(n_rows, dtype=np.float64)
-    for level in trace.levels:
-        for pair in level:
-            for comp in pair.cap.decomposition.components:
-                rows = np.concatenate(
-                    [np.asarray(blocks.blocks[lab].rows) for lab in comp.labels]
-                )
-                cnt = np.bincount(rows, minlength=n_rows)
-                sumsq += cnt.astype(np.float64) ** 2
-    return sumsq
+    labels, comp, _ = _coin_components(trace)
+    if labels.size and blocks.rows[labels].max() >= n_rows:
+        raise InvalidParam(f"a block covers a row >= n_rows = {n_rows}")
+    # One key per (component, covered row) incidence; its multiplicity is the
+    # component's effect on that row.
+    keys = (comp[:, None] * n_rows + blocks.rows[labels]).ravel()
+    pairs, effect = np.unique(keys, return_counts=True)
+    return np.bincount(pairs % n_rows, weights=effect.astype(np.float64) ** 2,
+                       minlength=n_rows)

@@ -184,6 +184,15 @@ def test_union_components_rejects_non_matching():
         union_components(g, frozenset({0, 1}), frozenset())
 
 
+@pytest.mark.parametrize("label", [-1, 2, 7, "0"])
+def test_labels_outside_graph_rejected(label):
+    g = make_graph(2, 2, [(0, 0), (1, 1)])
+    with pytest.raises(NotAMatching):
+        is_matching(g, {label})
+    with pytest.raises(NotAMatching):
+        union_components(g, frozenset({0}), frozenset({label}))
+
+
 def test_union_components_degree_bound_random():
     rng = np.random.default_rng(9)
     for trial in range(20):

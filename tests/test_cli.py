@@ -107,6 +107,25 @@ def test_solve_block_requires_sidecar(tmp_path, capsys):
     validate_transversal(read_square(square_file), cells)
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda d: json.dumps({"format": 1}),
+    lambda d: json.dumps({**d, "blocks": [{**d["blocks"][0], "rows": d["blocks"][0]["rows"][:1]}]
+                          + d["blocks"][1:]}),
+    lambda d: json.dumps(d)[:-5],
+])
+def test_solve_block_malformed_sidecar_exits_1(tmp_path, capsys, corrupt):
+    square_file = tmp_path / "b.txt"
+    run_cli(["generate", "--kind", "block", "--n", "8", "--m", "2",
+             "--seed", "1", "--out", str(square_file)], capsys)
+    sidecar = tmp_path / "b.blocks.json"
+    sidecar.write_text(corrupt(json.loads(sidecar.read_text())))
+    code, _, err = run_cli(
+        ["solve", "--method", "block", "--in", str(square_file), "--blocks", str(sidecar)], capsys
+    )
+    assert code == 1
+    assert "BlockMismatch" in err
+
+
 def test_solve_deterministic_outputs(tmp_path, capsys):
     square_file = tmp_path / "r.txt"
     run_cli(["generate", "--kind", "random", "--n", "12", "--seed", "4",

@@ -7,6 +7,7 @@ import pytest
 
 from equisquares.constructions import (
     BlockMismatch,
+    BlockStructure,
     BoxPairing,
     CertificateViolation,
     NotDivisible,
@@ -149,18 +150,15 @@ def test_random_equi_square_examples():
 def test_block_structured_square_m1():
     square, blocks = block_structured_square(4, 1, seed=3)
     assert blocks.m == 1
-    assert len(blocks.blocks) == 16
+    assert len(blocks.cols) == 16
     validate_block_structure(square, blocks)
 
 
 def test_block_structured_square_n8_m2():
     square, blocks = block_structured_square(8, 2, seed=1)
-    assert len(blocks.blocks) == 32
-    per_col = {}
-    for blk in blocks.blocks:
-        per_col[blk.col] = per_col.get(blk.col, 0) + 1
-        assert len(blk.rows) == 2
-    assert all(v == 4 for v in per_col.values())
+    assert len(blocks.cols) == len(blocks.symbols) == 32
+    assert blocks.rows.shape == (32, 2)
+    assert (np.bincount(blocks.cols, minlength=8) == 4).all()
     counts = np.bincount(square.grid.ravel(), minlength=8)
     assert (counts == 8).all()
 
@@ -179,6 +177,42 @@ def test_block_validation_catches_corruption():
     other = random_equi_square(8, 99)
     with pytest.raises(BlockMismatch):
         validate_block_structure(other, blocks)
+    short = BlockStructure(m=2, cols=blocks.cols, symbols=blocks.symbols, rows=blocks.rows[:, :1])
+    with pytest.raises(BlockMismatch):
+        validate_block_structure(square, short)
+
+
+def test_block_structure_json_round_trip():
+    square, blocks = block_structured_square(8, 2, seed=1)
+    data = json.loads(json.dumps(blocks.to_json()))
+    assert data["blocks"][0] == {"col": 0, "symbol": int(blocks.symbols[0]),
+                                 "rows": blocks.rows[0].tolist()}
+    again = BlockStructure.from_json(data)
+    assert again == blocks
+    validate_block_structure(square, again)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.pop("blocks"),
+    lambda d: d.pop("m"),
+    lambda d: d.update(m="2"),
+    lambda d: d.update(format=2),
+    lambda d: d["blocks"][3].pop("col"),
+    lambda d: d["blocks"][3].update(rows=5),
+    lambda d: d["blocks"][3]["rows"].pop(),
+    lambda d: [b.update(rows=b["rows"][:1]) for b in d["blocks"]],
+    lambda d: d["blocks"][3]["rows"].__setitem__(0, 1.5),
+    lambda d: d["blocks"][3].update(symbol="x"),
+    lambda d: d["blocks"][3].update(col=[0, 1]),
+    lambda d: d["blocks"][3]["rows"].__setitem__(1, [1]),
+    lambda d: d["blocks"].__setitem__(0, [0, 0, [0, 1]]),
+])
+def test_block_structure_from_json_rejects_malformed(mutate):
+    _, blocks = block_structured_square(8, 2, seed=1)
+    data = blocks.to_json()
+    mutate(data)
+    with pytest.raises(BlockMismatch):
+        BlockStructure.from_json(data)
 
 
 def test_cyclic_latin_is_latin_and_equi():

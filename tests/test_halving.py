@@ -15,6 +15,7 @@ from equisquares.halving import (
     default_cap,
     iterated_halving,
     mcdiarmid_bound,
+    realized_effect_squares,
     realized_effect_vector,
     row_loads,
 )
@@ -203,7 +204,7 @@ def test_row_loads_empty_final():
     lr = row_loads(trace, blocks, "final", n_rows=4)
     manual = np.zeros(4, dtype=np.int64)
     for lab in trace.final:
-        for r in blocks.blocks[lab].rows:
+        for r in blocks.rows[lab]:
             manual[r] += 1
     assert (lr.loads == manual).all()
 
@@ -271,3 +272,20 @@ def test_realized_effect_vector_caps_at_s():
     for row in range(16):
         effects = realized_effect_vector(trace, blocks, row)
         assert (effects <= 3).all()
+
+
+def test_realized_effects_match_per_component_loop():
+    sq, blocks = block_structured_square(32, 4, seed=5)
+    _, trace, _ = block_transversal(sq, blocks, 3, np.random.default_rng(5))
+    per_coin = []  # reference: one row-count vector per coin, block by block
+    for level in trace.levels:
+        for pair in level:
+            for comp in pair.cap.decomposition.components:
+                cnt = np.zeros(32, dtype=np.int64)
+                for lab in comp.labels:
+                    cnt[blocks.rows[lab]] += 1
+                per_coin.append(cnt)
+    per_coin = np.array(per_coin)
+    assert (realized_effect_squares(trace, blocks, 32) == (per_coin ** 2).sum(axis=0)).all()
+    for row in (0, 13, 31):
+        assert (realized_effect_vector(trace, blocks, row) == per_coin[:, row]).all()
