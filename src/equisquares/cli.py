@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
@@ -33,6 +34,14 @@ def _say(msg: str) -> None:
 def _fail_usage(msg: str) -> int:
     _say(f"error: {msg}")
     return 2
+
+
+def _read_json(path, error: type[Exception], what: str):
+    """The JSON document in path; `error` if the file is not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{what} is not JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------- generate
@@ -113,11 +122,8 @@ def cmd_solve(args) -> int:
     elif args.method == "block":
         if not args.blocks:
             return _fail_usage("--blocks sidecar is required for the block method")
-        try:
-            data = json.loads(Path(args.blocks).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise constructions.BlockMismatch(f"blocks sidecar is not JSON: {exc}") from None
-        blocks = constructions.BlockStructure.from_json(data)
+        blocks = constructions.BlockStructure.from_json(
+            _read_json(args.blocks, constructions.BlockMismatch, "blocks sidecar"))
         s = args.s if args.s else halving.default_cap(n)
         t, _, _ = halving.block_transversal(
             square, blocks, s, stream(args.seed, "block"), rng_seed=args.seed
@@ -156,11 +162,10 @@ def cmd_verify(args) -> int:
             return 1
 
     if args.pairing:
-        pairing = constructions.BoxPairing.from_json(
-            json.loads(Path(args.pairing).read_text(encoding="utf-8"))
-        )
         target = transversal if transversal is not None else squares.Transversal(())
         try:
+            pairing = constructions.BoxPairing.from_json(_read_json(
+                args.pairing, constructions.PairingMismatch, "pairing sidecar"))
             cert = constructions.missing_colour_certificate(square, pairing, target)
             report["certificate"] = {
                 "passed": cert.passed,
@@ -262,6 +267,7 @@ def _trial_peel(params: tuple) -> dict:
 
 
 def _run_trials(fn, param_list, workers: int) -> list[dict]:
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(fn, param_list))
@@ -275,6 +281,8 @@ def cmd_experiment(args) -> int:
     name = args.name
     if name not in EXPERIMENTS:
         return _fail_usage(f"unknown experiment {name!r}")
+    if args.parallel < 1:
+        return _fail_usage(f"--parallel must be at least 1, got {args.parallel}")
     trials = range(args.trials)
     if name == "missing-colour":
         params = [(args.n, args.seed, t) for t in trials]
@@ -375,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--min-size", type=int, default=None)
     e.add_argument("--trials", type=int, default=100)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--parallel", type=int, default=1)
+    e.add_argument("--parallel", type=int, default=1,
+                   help="worker processes: at least 1, and capped at the CPU count")
     e.add_argument("--csv", required=True)
     e.set_defaults(fn=cmd_experiment)
 

@@ -116,16 +116,33 @@ class BoxPairing:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "BoxPairing":
-        if data.get("format") != 1:
-            raise PairingMismatch(f"unsupported pairing format {data.get('format')!r}")
-        pairs = tuple(
-            (tuple(p["boxes"][0]), tuple(p["boxes"][1]), int(p["colour"]))
-            for p in data["pairs"]
+    def from_json(cls, data) -> "BoxPairing":
+        """Read a sidecar; PairingMismatch if it is malformed."""
+        if not isinstance(data, dict) or data.get("format") != 1:
+            fmt = data.get("format") if isinstance(data, dict) else None
+            raise PairingMismatch(f"unsupported pairing format {fmt!r}")
+        params = {key: data.get(key) for key in ("n", "m", "r", "a", "b")}
+        for key, value in params.items():
+            if not _is_int(value):
+                raise PairingMismatch(f"pairing sidecar needs an integer {key!r}, got {value!r}")
+        pairs, fill = data.get("pairs"), data.get("leftover_fill")
+        if not isinstance(pairs, list) or not isinstance(fill, list):
+            raise PairingMismatch("pairing sidecar needs lists 'pairs' and 'leftover_fill'")
+        for i, p in enumerate(pairs):
+            boxes = p.get("boxes") if isinstance(p, dict) else None
+            colour = p.get("colour") if isinstance(p, dict) else None
+            if not (isinstance(boxes, list) and len(boxes) == 2
+                    and all(_is_int_list(box, 2) for box in boxes) and _is_int(colour)):
+                raise PairingMismatch(
+                    f"pair {i} needs two 2-integer 'boxes' and an integer 'colour', got {p!r}")
+        for i, t in enumerate(fill):
+            if not _is_int_list(t, 3):
+                raise PairingMismatch(f"leftover_fill entry {i} must be 3 integers, got {t!r}")
+        return cls(
+            **params,
+            pairs=tuple((tuple(p["boxes"][0]), tuple(p["boxes"][1]), p["colour"]) for p in pairs),
+            leftover_fill=tuple(tuple(t) for t in fill),
         )
-        fill = tuple(tuple(int(x) for x in t) for t in data["leftover_fill"])
-        return cls(n=int(data["n"]), m=int(data["m"]), r=int(data["r"]),
-                   a=int(data["a"]), b=int(data["b"]), pairs=pairs, leftover_fill=fill)
 
 
 def _make_pairs(a: int, b: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -151,7 +168,8 @@ def counterexample_square(n: int) -> tuple[EquiNSquare, BoxPairing]:
     m, r, a, b = box_parameters(n)
     two_ab = 2 * a * b
     pair_list = _make_pairs(a, b)
-    assert len(pair_list) == two_ab
+    if len(pair_list) != two_ab:
+        raise AssertionError(f"{len(pair_list)} box pairs for {two_ab} colours")
 
     grid = np.full((n, n), -1, dtype=np.int64)
     pairs = []
@@ -176,7 +194,8 @@ def counterexample_square(n: int) -> tuple[EquiNSquare, BoxPairing]:
             grid[x, y] = queue[pos]
             fill.append((x, y, queue[pos]))
             pos += 1
-    assert pos == len(queue)
+    if pos != len(queue):
+        raise AssertionError(f"leftover fill used {pos} of {len(queue)} queued colours")
 
     square = validate_square(n, grid)
     pairing = BoxPairing(n=n, m=m, r=r, a=a, b=b,
@@ -296,8 +315,8 @@ class BlockStructure:
             fmt = data.get("format") if isinstance(data, dict) else None
             raise BlockMismatch(f"unsupported blocks format {fmt!r}")
         m, blocks = data.get("m"), data.get("blocks")
-        if not _is_int(m):
-            raise BlockMismatch(f"blocks sidecar needs an integer 'm', got {m!r}")
+        if not _is_int(m) or m < 1:
+            raise BlockMismatch(f"blocks sidecar needs a positive integer 'm', got {m!r}")
         if not isinstance(blocks, list):
             raise BlockMismatch("blocks sidecar needs a list 'blocks'")
         try:
@@ -315,6 +334,10 @@ class BlockStructure:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x, length: int) -> bool:
+    return isinstance(x, list) and len(x) == length and all(_is_int(v) for v in x)
 
 
 def _int_array(values: list, key: str, ndim: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .squares import EquiNSquare, ParseError
+from .squares import EquiNSquare, ParseError, _read_utf8
 
 Vertex = tuple[int, int]
 
@@ -317,7 +317,7 @@ def write_hypergraph(h: TripartiteHypergraph, path) -> None:
 
 
 def read_hypergraph(path) -> TripartiteHypergraph:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_utf8(path)
     lines = [ln for ln in text.split("\n")]
     if lines and lines[-1] == "":
         lines.pop()
@@ -330,6 +330,8 @@ def read_hypergraph(path) -> TripartiteHypergraph:
         sizes = tuple(int(x) for x in head)
     except ValueError:
         raise ParseError(1, "non-integer class size") from None
+    if min(sizes) < 0:
+        raise ParseError(1, f"negative class size in {sizes}")
     edges = []
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split()

@@ -250,20 +250,44 @@ def exact_max(
 def _masked_greedy(
     grid: np.ndarray, n: int, allowed: np.ndarray, rng: np.random.Generator
 ) -> list[Cell]:
+    """Keep, in the order of one random permutation, every allowed cell that fits.
+
+    The permutation is walked in chunks of n, 2n, 4n, ... cells.  Numpy
+    masks drop every cell of a chunk that `allowed` forbids or whose row,
+    column or symbol is taken at the chunk's start.  Such a cell stays
+    blocked for the rest of the scan, so resolving the survivors in order
+    gives exactly the cells of a cell-by-cell scan.
+    """
     order = rng.permutation(n * n)
+    symbols = grid.ravel()
+    ok = allowed.ravel()
     used_row = np.zeros(n, dtype=bool)
     used_col = np.zeros(n, dtype=bool)
     used_sym = np.zeros(n, dtype=bool)
-    cells = []
-    for idx in order:
-        i, j = divmod(int(idx), n)
-        if not allowed[i, j] or used_row[i] or used_col[j]:
-            continue
-        s = grid[i, j]
-        if used_sym[s]:
-            continue
-        cells.append(Cell(i, j))
-        used_row[i] = used_col[j] = used_sym[s] = True
+    cells: list[Cell] = []
+    start, size = 0, n
+    while start < n * n and len(cells) < n:
+        idx = order[start:start + size]
+        idx = idx[~used_row[idx // n]]
+        idx = idx[ok[idx] & ~used_col[idx % n]]
+        syms = symbols[idx]
+        fits = ~used_sym[syms]
+        new_rows: set[int] = set()
+        new_cols: set[int] = set()
+        new_syms: set[int] = set()
+        for f, s in zip(idx[fits].tolist(), syms[fits].tolist()):
+            i, j = divmod(f, n)
+            if i in new_rows or j in new_cols or s in new_syms:
+                continue
+            cells.append(Cell(i, j))
+            new_rows.add(i)
+            new_cols.add(j)
+            new_syms.add(s)
+        used_row[list(new_rows)] = True
+        used_col[list(new_cols)] = True
+        used_sym[list(new_syms)] = True
+        start += size
+        size *= 2
     return cells
 
 
@@ -272,6 +296,9 @@ def random_greedy(square: EquiNSquare, rng: np.random.Generator) -> Transversal:
 
     The result is maximal but usually not maximum; on random squares it
     covers most of n (a mean of about 0.94 n at n = 100, 0.96 n at n = 400).
+    The scan runs chunk by chunk over one `rng.permutation(n * n)`; for the
+    same generator it returns the same cells, and leaves the generator in
+    the same state, as a cell-by-cell scan of that permutation.
     """
     allowed = np.ones((square.n, square.n), dtype=bool)
     cells = _masked_greedy(square.grid, square.n, allowed, rng)
@@ -286,83 +313,65 @@ def _masked_local_search(
     rng: np.random.Generator,
     iterations: int,
 ) -> list[Cell]:
-    by_symbol: dict[int, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(n):
-            if allowed[i, j]:
-                by_symbol.setdefault(int(grid[i, j]), []).append((i, j))
+    # Cells are flat indices i*n + j; owner_* hold the index of the cell
+    # that takes a row, column or symbol, or -1.
+    symbols = grid.ravel()
+    sym = symbols.tolist()
+    ok_list = allowed.ravel().tolist()
+    # Allowed cells grouped by symbol, row-major within each symbol.
+    candidates = np.flatnonzero(allowed)
+    by_symbol = candidates[np.argsort(symbols[candidates], kind="stable")]
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(symbols[candidates], minlength=n)))
+    ).tolist()
 
-    owner_row: list = [None] * n
-    owner_col: list = [None] * n
-    owner_sym: list = [None] * n
+    owner_row = [-1] * n
+    owner_col = [-1] * n
+    owner_sym = [-1] * n
 
-    def insert(cell: Cell):
-        s = int(grid[cell.row, cell.col])
-        owner_row[cell.row] = cell
-        owner_col[cell.col] = cell
-        owner_sym[s] = cell
+    def insert(f: int):
+        i, j = divmod(f, n)
+        owner_row[i] = owner_col[j] = owner_sym[sym[f]] = f
 
-    def remove(cell: Cell):
-        s = int(grid[cell.row, cell.col])
-        owner_row[cell.row] = None
-        owner_col[cell.col] = None
-        owner_sym[s] = None
-
-    def admissible(i: int, j: int) -> bool:
-        return (
-            allowed[i, j]
-            and owner_row[i] is None
-            and owner_col[j] is None
-            and owner_sym[int(grid[i, j])] is None
-        )
+    def admissible(f: int) -> bool:
+        i, j = divmod(f, n)
+        return ok_list[f] and owner_row[i] < 0 and owner_col[j] < 0 and owner_sym[sym[f]] < 0
 
     for cell in start:
-        insert(cell)
-    size = len(start)
+        insert(cell.row * n + cell.col)
 
-    for _ in range(iterations):
-        idx = int(rng.integers(0, n * n))
-        i, j = divmod(idx, n)
-        if not allowed[i, j]:
+    # One index per iteration, drawn in one call: the same values, and the
+    # same final generator state, as one rng.integers call per iteration.
+    for f in rng.integers(0, n * n, size=max(iterations, 0)).tolist():
+        if not ok_list[f]:
             continue
-        s = int(grid[i, j])
-        conflicts = {c for c in (owner_row[i], owner_col[j], owner_sym[s]) if c is not None}
-        if not conflicts:
-            insert(Cell(i, j))
-            size += 1
+        i, j = divmod(f, n)
+        s = sym[f]
+        a, b, c = owner_row[i], owner_col[j], owner_sym[s]
+        victim = max(a, b, c)
+        if victim < 0:
+            insert(f)
             continue
-        if len(conflicts) > 1:
+        # A move swaps out exactly one cell, and never the drawn one.
+        if victim == f or a not in (-1, victim) or b not in (-1, victim) or c not in (-1, victim):
             continue
-        victim = conflicts.pop()
-        if victim == Cell(i, j):
-            continue
-        remove(victim)
-        insert(Cell(i, j))
+        vi, vj = divmod(victim, n)
+        vs = sym[victim]
+        owner_row[vi] = owner_col[vj] = owner_sym[vs] = -1
+        insert(f)
         # Try to refill from the resources the swap freed.
-        vs = int(grid[victim.row, victim.col])
-        gained = False
-        if victim.row != i and owner_row[victim.row] is None:
-            for jj in range(n):
-                if admissible(victim.row, jj):
-                    insert(Cell(victim.row, jj))
-                    gained = True
-                    break
-        if not gained and victim.col != j and owner_col[victim.col] is None:
-            for ii in range(n):
-                if admissible(ii, victim.col):
-                    insert(Cell(ii, victim.col))
-                    gained = True
-                    break
-        if not gained and vs != s and owner_sym[vs] is None:
-            for (ii, jj) in by_symbol.get(vs, ()):
-                if admissible(ii, jj):
-                    insert(Cell(ii, jj))
-                    gained = True
-                    break
-        if gained:
-            size += 1
+        refill = -1
+        if vi != i and owner_row[vi] < 0:
+            refill = next((g for g in range(vi * n, vi * n + n) if admissible(g)), -1)
+        if refill < 0 and vj != j and owner_col[vj] < 0:
+            refill = next((g for g in range(vj, n * n, n) if admissible(g)), -1)
+        if refill < 0 and vs != s and owner_sym[vs] < 0:
+            group = by_symbol[bounds[vs]:bounds[vs + 1]].tolist()
+            refill = next((g for g in group if admissible(g)), -1)
+        if refill >= 0:
+            insert(refill)
 
-    return [c for c in owner_row if c is not None]
+    return [Cell(*divmod(f, n)) for f in owner_row if f >= 0]
 
 
 def local_search(
@@ -374,7 +383,10 @@ def local_search(
     """Improve a transversal with one-out, up-to-two-in random swaps.
 
     The size never decreases: each accepted move removes at most one cell
-    and inserts at least one.
+    and inserts at least one.  The cells that the iterations try are drawn
+    in one call, `rng.integers(0, n * n, size=iterations)`; for the same
+    generator this gives the same cells, and leaves the generator in the
+    same state, as one `rng.integers(0, n * n)` call per iteration.
     """
     validate_transversal(square, transversal.cells)
     allowed = np.ones((square.n, square.n), dtype=bool)
@@ -382,7 +394,8 @@ def local_search(
         square.grid, square.n, allowed, list(transversal.cells), rng, iterations
     )
     out = validate_transversal(square, cells)
-    assert out.size >= transversal.size
+    if out.size < transversal.size:
+        raise AssertionError(f"local search shrank a transversal from {transversal.size} to {out.size}")
     return out
 
 

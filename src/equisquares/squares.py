@@ -176,9 +176,18 @@ def write_square(square: EquiNSquare, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_utf8(path) -> str:
+    """The text of path; ParseError at the offending line if it is not UTF-8."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(raw[:exc.start].count(b"\n") + 1, "not UTF-8 text") from None
+
+
 def read_square(path) -> EquiNSquare:
     """Parse and validate a square file written by :func:`write_square`."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_utf8(path)
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -203,7 +212,7 @@ def read_square(path) -> EquiNSquare:
             raise ParseError(i, "non-integer entry") from None
     try:
         return validate_square(n, grid)
-    except SquareError as exc:
+    except (SquareError, OverflowError) as exc:
         raise ParseError(2, f"invalid square: {exc}") from exc
 
 
@@ -216,7 +225,7 @@ def write_transversal(transversal: Transversal, path) -> None:
 def read_transversal(path) -> list[Cell]:
     """Read 'row col' lines; validation against a square is the caller's job."""
     cells = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for i, line in enumerate(_read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()

@@ -222,3 +222,87 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: json.dumps({"format": 1}),
+    lambda d: json.dumps([d]),
+    lambda d: json.dumps({k: v for k, v in d.items() if k != "b"}),
+    lambda d: json.dumps({**d, "n": True}),
+    lambda d: json.dumps({**d, "n": "18"}),
+    lambda d: json.dumps({**d, "pairs": {}}),
+    lambda d: json.dumps({**d, "leftover_fill": 3}),
+    lambda d: json.dumps({**d, "pairs": [{"colour": 0}]}),
+    lambda d: json.dumps({**d, "pairs": [{"boxes": [[0, 0]], "colour": 0}]}),
+    lambda d: json.dumps({**d, "pairs": [{"boxes": [[0, 0], [1]], "colour": 0}]}),
+    lambda d: json.dumps({**d, "pairs": [{"boxes": [[0, 0], [1, 1.5]], "colour": 0}]}),
+    lambda d: json.dumps({**d, "pairs": [{"boxes": [[0, 0], [1, 1]], "colour": False}]}),
+    lambda d: json.dumps({**d, "pairs": [7]}),
+    lambda d: json.dumps({**d, "leftover_fill": [[0, 1]]}),
+    lambda d: json.dumps({**d, "leftover_fill": [[0, 1, None]]}),
+    lambda d: json.dumps(d)[:-5],
+    lambda d: b"\xff\xfe not text",
+])
+def test_verify_malformed_pairing_exits_1(tmp_path, capsys, corrupt):
+    square_file = tmp_path / "s.txt"
+    run_cli(["generate", "--kind", "counterexample", "--n", "18", "--out", str(square_file)], capsys)
+    sidecar = tmp_path / "s.pairing.json"
+    bad = corrupt(json.loads(sidecar.read_text()))
+    if isinstance(bad, bytes):
+        sidecar.write_bytes(bad)
+    else:
+        sidecar.write_text(bad)
+    code, stdout, err = run_cli(
+        ["verify", "--square", str(square_file), "--pairing", str(sidecar)], capsys
+    )
+    assert code == 1
+    assert "PairingMismatch" in err
+    assert json.loads(stdout)["certificate"]["passed"] is False
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, params):
+        return map(fn, params)
+
+
+@pytest.mark.parametrize("requested,cpus,workers", [
+    ("1", 4, []), ("3", 4, [3]), ("4", 4, [4]), ("1000000", 4, [4]), ("8", 1, []),
+])
+def test_experiment_parallel_clamped_to_cpu_count(tmp_path, capsys, monkeypatch,
+                                                  requested, cpus, workers):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, _, _ = run_cli(
+        ["experiment", "greedy-baseline", "--n", "6", "--trials", "3", "--seed", "2",
+         "--parallel", requested, "--csv", str(tmp_path / "g.csv")], capsys
+    )
+    assert code == 0
+    assert _RecordingPool.created == workers
+
+
+@pytest.mark.parametrize("requested", ["0", "-3"])
+def test_experiment_parallel_below_one_exits_2(tmp_path, capsys, monkeypatch, requested):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    code, _, err = run_cli(
+        ["experiment", "greedy-baseline", "--n", "6", "--trials", "3",
+         "--parallel", requested, "--csv", str(tmp_path / "g.csv")], capsys
+    )
+    assert code == 2
+    assert "--parallel" in err
+    assert _RecordingPool.created == []
+    assert not (tmp_path / "g.csv").exists()

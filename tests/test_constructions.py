@@ -206,6 +206,8 @@ def test_block_structure_json_round_trip():
     lambda d: d["blocks"][3].update(col=[0, 1]),
     lambda d: d["blocks"][3]["rows"].__setitem__(1, [1]),
     lambda d: d["blocks"].__setitem__(0, [0, 0, [0, 1]]),
+    lambda d: d.update(m=-1, blocks=[]),
+    lambda d: d.update(m=0),
 ])
 def test_block_structure_from_json_rejects_malformed(mutate):
     _, blocks = block_structured_square(8, 2, seed=1)

@@ -1,0 +1,87 @@
+"""Property tests for the readers of outside input: each input either parses
+or raises the module's typed error, never anything else."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from equisquares.constructions import (
+    BlockMismatch,
+    BlockStructure,
+    BoxPairing,
+    PairingMismatch,
+    counterexample_square,
+)
+from equisquares.hypergraph import read_hypergraph
+from equisquares.squares import SquareError, read_square, read_transversal
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# Text built from the characters the formats use, plus a little of everything.
+format_text = st.text(alphabet=st.sampled_from("0123456789 -\n\t+_x.\r١"), max_size=80)
+file_bytes = st.one_of(format_text.map(lambda t: t.encode("utf-8")), st.binary(max_size=40))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _with_file(content: bytes, read):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_bytes(content)
+        return read(path)
+
+
+@pytest.mark.parametrize("read", [read_square, read_transversal, read_hypergraph],
+                         ids=["square", "transversal", "hypergraph"])
+@FUZZ
+@given(content=file_bytes)
+def test_text_readers_raise_only_square_error(read, content):
+    try:
+        _with_file(content, read)
+    except SquareError:
+        pass
+
+
+def _mutations(document: dict):
+    """Sidecar-shaped documents: keys dropped or replaced by arbitrary JSON values."""
+    keys = sorted(document)
+    return st.builds(
+        lambda drop, replace: {
+            **{k: v for k, v in document.items() if k not in drop}, **replace},
+        st.sets(st.sampled_from(keys), max_size=3),
+        st.dictionaries(st.sampled_from(keys), json_values, max_size=2),
+    )
+
+
+_PAIRING = counterexample_square(8)[1].to_json()
+_BLOCKS = {"format": 1, "m": 2, "blocks": [
+    {"col": 0, "symbol": 0, "rows": [0, 1]}, {"col": 1, "symbol": 1, "rows": [0, 1]}]}
+
+
+@FUZZ
+@given(data=st.one_of(json_values, _mutations(_PAIRING)))
+def test_pairing_from_json_raises_only_pairing_mismatch(data):
+    try:
+        BoxPairing.from_json(json.loads(json.dumps(data)))
+    except PairingMismatch:
+        pass
+
+
+@FUZZ
+@given(data=st.one_of(json_values, _mutations(_BLOCKS)))
+def test_blocks_from_json_raises_only_block_mismatch(data):
+    try:
+        BlockStructure.from_json(json.loads(json.dumps(data)))
+    except BlockMismatch:
+        pass

@@ -8,13 +8,149 @@ from equisquares.constructions import (
 )
 from equisquares.solvers import (
     TooLarge,
+    _masked_greedy,
+    _masked_local_search,
     brute_force_max,
     exact_max,
     local_search,
     peel_decomposition,
     random_greedy,
 )
-from equisquares.squares import Transversal, validate_square, validate_transversal
+from equisquares.squares import Cell, Transversal, validate_square, validate_transversal
+
+
+# Sequential reference loops: one cell, or one rng.integers call, per step.
+# The solvers must return the same cells and leave the rng in the same state.
+
+def reference_masked_greedy(grid, n, allowed, rng):
+    order = rng.permutation(n * n)
+    used_row = np.zeros(n, dtype=bool)
+    used_col = np.zeros(n, dtype=bool)
+    used_sym = np.zeros(n, dtype=bool)
+    cells = []
+    for idx in order:
+        i, j = divmod(int(idx), n)
+        if not allowed[i, j] or used_row[i] or used_col[j]:
+            continue
+        s = grid[i, j]
+        if used_sym[s]:
+            continue
+        cells.append(Cell(i, j))
+        used_row[i] = used_col[j] = used_sym[s] = True
+    return cells
+
+
+def reference_masked_local_search(grid, n, allowed, start, rng, iterations):
+    by_symbol = {}
+    for i in range(n):
+        for j in range(n):
+            if allowed[i, j]:
+                by_symbol.setdefault(int(grid[i, j]), []).append((i, j))
+    owner_row = [None] * n
+    owner_col = [None] * n
+    owner_sym = [None] * n
+
+    def insert(cell):
+        owner_row[cell.row] = owner_col[cell.col] = cell
+        owner_sym[int(grid[cell.row, cell.col])] = cell
+
+    def remove(cell):
+        owner_row[cell.row] = owner_col[cell.col] = None
+        owner_sym[int(grid[cell.row, cell.col])] = None
+
+    def admissible(i, j):
+        return (allowed[i, j] and owner_row[i] is None and owner_col[j] is None
+                and owner_sym[int(grid[i, j])] is None)
+
+    for cell in start:
+        insert(cell)
+    for _ in range(iterations):
+        i, j = divmod(int(rng.integers(0, n * n)), n)
+        if not allowed[i, j]:
+            continue
+        s = int(grid[i, j])
+        conflicts = {c for c in (owner_row[i], owner_col[j], owner_sym[s]) if c is not None}
+        if not conflicts:
+            insert(Cell(i, j))
+            continue
+        if len(conflicts) > 1:
+            continue
+        victim = conflicts.pop()
+        if victim == Cell(i, j):
+            continue
+        remove(victim)
+        insert(Cell(i, j))
+        vs = int(grid[victim.row, victim.col])
+        gained = False
+        if victim.row != i and owner_row[victim.row] is None:
+            for jj in range(n):
+                if admissible(victim.row, jj):
+                    insert(Cell(victim.row, jj))
+                    gained = True
+                    break
+        if not gained and victim.col != j and owner_col[victim.col] is None:
+            for ii in range(n):
+                if admissible(ii, victim.col):
+                    insert(Cell(ii, victim.col))
+                    gained = True
+                    break
+        if not gained and vs != s and owner_sym[vs] is None:
+            for (ii, jj) in by_symbol.get(vs, ()):
+                if admissible(ii, jj):
+                    insert(Cell(ii, jj))
+                    break
+    return [c for c in owner_row if c is not None]
+
+
+def reference_peel(square, rng, min_size, layer_attempts=8):
+    n = square.n
+    allowed = np.ones((n, n), dtype=bool)
+    layers = []
+    while True:
+        found = None
+        for _ in range(layer_attempts):
+            start = reference_masked_greedy(square.grid, n, allowed, rng)
+            cells = reference_masked_local_search(square.grid, n, allowed, start, rng, 40 * n)
+            if len(cells) >= min_size:
+                found = cells
+                break
+        if found is None:
+            return layers
+        layers.append(validate_transversal(square, found))
+        for c in found:
+            allowed[c.row, c.col] = False
+
+
+EQUIVALENCE_SQUARES = [
+    *(("random", n, random_equi_square(n, 10 + n)) for n in (1, 2, 5, 10, 37)),
+    *(("counterexample", n, counterexample_square(n)[0]) for n in (8, 26)),
+    *(("cyclic", n, cyclic_latin(n)) for n in (1, 2, 12)),
+]
+
+
+@pytest.mark.parametrize("kind,n,square", EQUIVALENCE_SQUARES,
+                         ids=[f"{k}{n}" for k, n, _ in EQUIVALENCE_SQUARES])
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+def test_loops_match_sequential_reference(kind, n, square, masked):
+    for seed in range(3):
+        mask_rng = np.random.default_rng(100 + seed)
+        allowed = mask_rng.random((n, n)) < 0.7 if masked else np.ones((n, n), dtype=bool)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        cells = _masked_greedy(square.grid, n, allowed, ours)
+        assert cells == reference_masked_greedy(square.grid, n, allowed, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+        for start, iterations in ((cells, 40 * n), ([], 40 * n), (cells, 0), ([], 7)):
+            got = _masked_local_search(square.grid, n, allowed, list(start), ours, iterations)
+            want = reference_masked_local_search(square.grid, n, allowed, list(start), ref, iterations)
+            assert got == want, (seed, len(start), iterations)
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_peel_layers_match_sequential_reference():
+    sq = random_equi_square(24, 9)
+    ours, ref = np.random.default_rng(2), np.random.default_rng(2)
+    assert peel_decomposition(sq, ours, 20) == reference_peel(sq, ref, 20)
+    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_brute_force_trivial_and_limit():
