@@ -36,6 +36,16 @@ def _fail_usage(msg: str) -> int:
     return 2
 
 
+def _int_at_least(lowest: int):
+    """An argparse type: an integer of at least `lowest`, else a usage error (exit 2)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    return integer
+
+
 def _read_json(path, error: type[Exception], what: str):
     """The JSON document in path; `error` if the file is not UTF-8 JSON."""
     try:
@@ -117,14 +127,14 @@ def cmd_solve(args) -> int:
     elif args.method == "local":
         rng = stream(args.seed, "local")
         t = solvers.random_greedy(square, rng)
-        iterations = args.iterations if args.iterations else 40 * n
+        iterations = 40 * n if args.iterations is None else args.iterations
         t = solvers.local_search(square, t, rng, iterations)
     elif args.method == "block":
         if not args.blocks:
             return _fail_usage("--blocks sidecar is required for the block method")
         blocks = constructions.BlockStructure.from_json(
             _read_json(args.blocks, constructions.BlockMismatch, "blocks sidecar"))
-        s = args.s if args.s else halving.default_cap(n)
+        s = halving.default_cap(n) if args.s is None else args.s
         t, _, _ = halving.block_transversal(
             square, blocks, s, stream(args.seed, "block"), rng_seed=args.seed
         )
@@ -290,20 +300,22 @@ def cmd_experiment(args) -> int:
     elif name == "survival":
         if args.m is None:
             return _fail_usage("--m is required for the survival experiment")
-        s = args.s if args.s else 2 * args.n  # no deletions: every edge survives capping
+        s = 2 * args.n if args.s is None else args.s  # no deletions: every edge survives capping
         params = [(args.n, args.m, s, args.seed, args.seed, t) for t in trials]
         rows = _run_trials(_trial_survival, params, args.parallel)
     elif name == "concentration":
         if args.m is None:
             return _fail_usage("--m is required for the concentration experiment")
-        s = args.s if args.s else int(np.ceil(np.sqrt(args.n)))
+        s = int(np.ceil(np.sqrt(args.n))) if args.s is None else args.s
         params = [(args.n, args.m, s, args.seed, t) for t in trials]
         rows = _run_trials(_trial_concentration, params, args.parallel)
     elif name == "greedy-baseline":
         params = [(args.n, args.seed, t) for t in trials]
         rows = _run_trials(_trial_greedy_baseline, params, args.parallel)
     else:  # peel
-        min_size = args.min_size if args.min_size else int(np.ceil(0.9 * args.n))
+        min_size = int(np.ceil(0.9 * args.n)) if args.min_size is None else args.min_size
+        if min_size > args.n:
+            return _fail_usage(f"--min-size {min_size} exceeds --n {args.n}")
         params = [(args.n, min_size, args.seed, t) for t in trials]
         rows = _run_trials(_trial_peel, params, args.parallel)
 
@@ -364,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--budget", type=int, default=None, help="node budget for exact")
-    s.add_argument("--iterations", type=int, default=None, help="local search steps")
+    s.add_argument("--iterations", type=_int_at_least(0), default=None, help="local search steps")
     s.add_argument("--blocks", default=None, help="blocks sidecar (block method)")
-    s.add_argument("--s", type=int, default=None, help="component cap (block method)")
+    s.add_argument("--s", type=_int_at_least(1), default=None, help="component cap (block method)")
     s.set_defaults(fn=cmd_solve)
 
     v = sub.add_parser("verify", help="validate a square / transversal / certificate")
@@ -379,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("name", choices=EXPERIMENTS)
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--m", type=int, default=None)
-    e.add_argument("--s", type=int, default=None)
-    e.add_argument("--min-size", type=int, default=None)
+    e.add_argument("--s", type=_int_at_least(1), default=None)
+    e.add_argument("--min-size", type=_int_at_least(1), default=None)
     e.add_argument("--trials", type=int, default=100)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--parallel", type=int, default=1,

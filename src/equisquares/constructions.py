@@ -203,6 +203,44 @@ def counterexample_square(n: int) -> tuple[EquiNSquare, BoxPairing]:
     return square, pairing
 
 
+def _check_pairing(square: EquiNSquare, pairing: BoxPairing) -> np.ndarray:
+    """The (2a, 2b) array of box colours; PairingMismatch unless pairing is
+    the one counterexample_square builds for the square's order and agrees
+    with its grid cell for cell."""
+    n = square.n
+    try:
+        expected = (n, *box_parameters(n))
+    except TooSmall as exc:
+        raise PairingMismatch(str(exc)) from None
+    got = (pairing.n, pairing.m, pairing.r, pairing.a, pairing.b)
+    if got != expected:
+        raise PairingMismatch(f"pairing parameters (n, m, r, a, b) = {got}, expected {expected}")
+    a, b, extent = pairing.a, pairing.b, pairing.boxed_extent
+    colours = [colour for _, _, colour in pairing.pairs]
+    if ([(box1, box2) for box1, box2, _ in pairing.pairs] != _make_pairs(a, b)
+            or len(set(colours)) != len(colours) or not all(0 <= c < n for c in colours)):
+        raise PairingMismatch("pairs must be those of the construction, with distinct colours in [0, n)")
+    box = np.empty((2 * a, 2 * b), dtype=np.int64)
+    for (i1, j1), (i2, j2), colour in pairing.pairs:
+        box[i1, j1] = box[i2, j2] = colour
+    # Axes: box row, row in the box, box column, column in the box.
+    if np.any(square.grid[:extent, :extent].reshape(2 * a, b, 2 * b, a) != box[:, None, :, None]):
+        raise PairingMismatch("a boxed cell does not hold its pair's colour")
+    try:
+        rows, cols, fill = np.array(pairing.leftover_fill, dtype=np.int64).reshape(-1, 3).T
+        covered = np.zeros((n, n), dtype=bool)
+        covered.flat[np.ravel_multi_index((rows, cols), (n, n))] = True
+    except (OverflowError, ValueError):
+        raise PairingMismatch(f"leftover_fill names a cell outside [0, {n})^2") from None
+    covered[:extent, :extent] = True
+    # With n^2 - extent^2 entries, covering every cell means covering each cell
+    # outside the boxed region exactly once.
+    if len(rows) != n * n - extent * extent or not covered.all() or np.any(square.grid[rows, cols] != fill):
+        raise PairingMismatch("leftover_fill must list each cell outside the boxed region once, "
+                              "with its colour in the grid")
+    return box
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Missing-colour audit of a transversal on an adversarial square."""
@@ -224,28 +262,23 @@ def missing_colour_certificate(
     Band group k consists of the boxes in row bands 2k, 2k+1 and column
     bands 2k, 2k+1.  Each group must miss at least one colour inside the
     boxed subsquare; an empty missing set raises CertificateViolation.
+    The pairing is checked first: its parameters, pairs, colours and
+    leftover fill must be those that counterexample_square builds for the
+    square's grid, or PairingMismatch is raised.
     """
-    if pairing.n != square.n:
-        raise PairingMismatch(f"pairing order {pairing.n} != square order {square.n}")
+    box = _check_pairing(square, pairing)
     validate_transversal(square, transversal.cells)
 
-    a, b = pairing.a, pairing.b
     extent = pairing.boxed_extent
-    box_colour = pairing.box_colours()
-
     used = {
         square.symbol(c) for c in transversal.cells
         if c.row < extent and c.col < extent
     }
 
     missing = []
-    for k in range(b):
-        group = set()
-        for band in (2 * k, 2 * k + 1):
-            for i in range(2 * a):
-                group.add(box_colour[(i, band)])
-            for j in range(2 * b):
-                group.add(box_colour[(band, j)])
+    for k in range(pairing.b):
+        bands = slice(2 * k, 2 * k + 2)
+        group = set(box[:, bands].ravel().tolist()) | set(box[bands].ravel().tolist())
         absent = frozenset(group - used)
         if not absent:
             raise CertificateViolation(k)

@@ -1,7 +1,8 @@
 """Tripartite 3-uniform hypergraphs: the hypergraph view of a square,
 codegrees, the low-matching obstruction family, vertex blow-ups, the
 high-codegree splitting transform, greedy proper edge colouring, and exact
-maximum matching for small instances.
+maximum matching for small instances (by the branch-and-bound in `solvers`
+that `exact_max` uses too).
 
 Vertices are addressed as (class, index) with class in {0, 1, 2}; for a
 square's hypergraph the classes are rows, columns, symbols.  Edge indices
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from .solvers import _max_tripartite_matching
 from .squares import EquiNSquare, ParseError, _read_utf8
 
 Vertex = tuple[int, int]
@@ -230,83 +232,18 @@ def greedy_edge_colouring(h: TripartiteHypergraph) -> EdgeColouring:
 
 
 def max_matching_exact(h: TripartiteHypergraph, budget: int | None = None):
-    """Exact maximum matching by branch and bound.
+    """Exact maximum matching by the branch-and-bound of `exact_max`.
 
-    Branches on the most-constrained uncovered vertex; prunes with the
-    remaining-class-size bound.  `budget` caps the number of search nodes;
-    the flag in the returned (edge_indices, optimal) pair reports whether
-    the search completed.
+    Class 0 plays the rows; edges on one row and one column form one
+    cell, which may carry several symbols.  `budget` caps the search
+    nodes, as `exact_max`'s node_budget does; the flag in the returned
+    (edge_indices, optimal) pair reports whether the search completed.
+    An edge listed several times is reported by its smallest index.
     """
-    m = len(h.edges)
-    if m == 0:
+    if not h.edges:
         return (), True
-
-    # Bitmask per class over vertex indices.
-    masks = []
-    for a, b, c in h.edges:
-        masks.append(((1 << a), (1 << b), (1 << c)))
-
-    best: list[int] = []
-    greedy: list[int] = []
-    cov = [0, 0, 0]
-    for i, mk in enumerate(masks):
-        if not (cov[0] & mk[0] or cov[1] & mk[1] or cov[2] & mk[2]):
-            greedy.append(i)
-            for cls in range(3):
-                cov[cls] |= mk[cls]
-    best = greedy
-
-    nodes = 0
-    out_of_budget = False
-
-    def search(available: list[int], covered: tuple[int, int, int], chosen: list[int]):
-        nonlocal best, nodes, out_of_budget
-        if out_of_budget:
-            return
-        nodes += 1
-        if budget is not None and nodes > budget:
-            out_of_budget = True
-            return
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if not available:
-            return
-        # Remaining-class-size bound: per class, distinct uncovered vertices.
-        ub = m
-        for cls in range(3):
-            u = 0
-            for i in available:
-                u |= masks[i][cls]
-            ub = min(ub, u.bit_count())
-        if len(chosen) + ub <= len(best):
-            return
-        # Most-constrained uncovered vertex: fewest available incident edges.
-        counts: dict[Vertex, list[int]] = {}
-        for i in available:
-            e = h.edges[i]
-            for cls in range(3):
-                counts.setdefault((cls, e[cls]), []).append(i)
-        v, inc = min(counts.items(), key=lambda kv: (len(kv[1]), kv[0]))
-        # Branch: each edge at v, then leaving v uncovered.
-        for i in inc:
-            mk = masks[i]
-            cov2 = (covered[0] | mk[0], covered[1] | mk[1], covered[2] | mk[2])
-            avail2 = [
-                j for j in available
-                if not (masks[j][0] & cov2[0] or masks[j][1] & cov2[1] or masks[j][2] & cov2[2])
-            ]
-            chosen.append(i)
-            search(avail2, cov2, chosen)
-            chosen.pop()
-            if out_of_budget:
-                return
-        vcls, vidx = v
-        bit = 1 << vidx
-        rest = [j for j in available if not masks[j][vcls] & bit]
-        search(rest, covered, chosen)
-
-    search(list(range(m)), (0, 0, 0), [])
-    return tuple(sorted(best)), not out_of_budget
+    triples, optimal = _max_tripartite_matching(h.class_sizes, h.edges, budget)
+    return tuple(sorted(h.edges.index(t) for t in triples)), optimal
 
 
 def write_hypergraph(h: TripartiteHypergraph, path) -> None:

@@ -1,6 +1,10 @@
 """Structure-free transversal solvers: exhaustive oracle, branch-and-bound
 exact search, randomized greedy, local-search improvement, and repeated
 extraction of disjoint transversals.
+
+A transversal is a matching in the square's 3-partite hypergraph on rows,
+columns and symbols, so one branch-and-bound over tripartite edge lists
+serves both `exact_max` and `hypergraph.max_matching_exact`.
 """
 
 from __future__ import annotations
@@ -52,23 +56,6 @@ def brute_force_max(square: EquiNSquare) -> tuple[int, Transversal]:
     rec(0, 0, 0)
     t = validate_transversal(square, best_cells)
     return t.size, t
-
-
-def _greedy_rowmajor(grid: list[list[int]], n: int) -> list[Cell]:
-    cells = []
-    used_cols = used_syms = 0
-    for i in range(n):
-        for j in range(n):
-            if used_cols >> j & 1:
-                continue
-            s = grid[i][j]
-            if used_syms >> s & 1:
-                continue
-            cells.append(Cell(i, j))
-            used_cols |= 1 << j
-            used_syms |= 1 << s
-            break
-    return cells
 
 
 def _matching_exceeds(rows_masks: list[tuple[int, int]], limit: int) -> bool:
@@ -123,62 +110,72 @@ def _matching_size(rows_masks: list[tuple[int, int]], stop_above: int) -> int:
     return size
 
 
-def exact_max(
-    square: EquiNSquare, node_budget: int | None = None
-) -> tuple[Transversal, bool]:
-    """Branch-and-bound maximum transversal.
+def _twin_masks(keys: list) -> tuple[list[int], list[int]]:
+    """Per index, the bitmasks of the earlier and of the later indices with an equal key."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    earlier, later = [0] * len(keys), [0] * len(keys)
+    for group in groups.values():
+        for pos, i in enumerate(group):
+            earlier[i] = sum(1 << g for g in group[:pos])
+            later[i] = sum(1 << g for g in group[pos + 1:])
+    return earlier, later
 
-    Depth-first over rows in most-constrained order, tracking free columns
-    and symbols as bitmasks.  Prunes on rows-remaining, free-column, and
-    free-symbol counts, and on a row-column matching relaxation (symbol
-    feasibility per cell, injectivity ignored) when those bounds come
-    close.  Identical rows and columns are interchangeable, so only the
-    first free column of each duplicate group is branched, and skipping a
-    row force-skips its identical later twins.  The budget counts search
-    nodes, so runs are deterministic; if it is exhausted the incumbent is
+
+def _max_tripartite_matching(
+    class_sizes: tuple[int, int, int],
+    edges,
+    node_budget: int | None,
+) -> tuple[list[tuple[int, int, int]], bool]:
+    """Branch-and-bound maximum matching of a 3-partite 3-uniform hypergraph.
+
+    Classes 0, 1 and 2 play rows, columns and symbols; the edges on one row
+    and column form a cell, which may carry several symbols.  Depth-first
+    over rows in most-constrained order, tracking per row the columns with
+    a free symbol and the symbols with a free column as bitmasks.  Prunes
+    on live rows, on the free-column and free-symbol unions, and on the
+    row-column and row-symbol matching relaxations.  Identical rows and
+    columns are interchangeable, so only the first free column of each
+    duplicate group is branched, and skipping a row force-skips its
+    identical later twins.  The incumbent starts as the row-major greedy
+    matching.  Returns (chosen (row, col, symbol) triples, optimal); the
+    budget counts search nodes, and once it is exhausted the incumbent is
     returned with optimal=False.
     """
-    n = square.n
-    grid = [[int(x) for x in row] for row in square.grid]
-    # Columns of each row holding a given symbol, as masks.
-    sym_cols = [dict() for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = grid[i][j]
-            sym_cols[i][s] = sym_cols[i].get(s, 0) | 1 << j
+    n_rows, n_cols, _ = class_sizes
+    cell_sets = [[set() for _ in range(n_cols)] for _ in range(n_rows)]
+    carrying = [dict() for _ in range(n_rows)]  # per row: symbol -> columns carrying it
+    for r, c, s in edges:
+        cell_sets[r][c].add(s)
+        carrying[r][s] = carrying[r].get(s, 0) | 1 << c
+    syms = [[tuple(sorted(ss)) for ss in row] for row in cell_sets]
+    sym_mask = [[sum(1 << s for s in ss) for ss in row] for row in syms]
+    multi = [sum(1 << c for c, ss in enumerate(row) if len(ss) > 1) for row in syms]
+    only = [{s: cols & ~multi[r] for s, cols in carrying[r].items()} for r in range(n_rows)]
 
     # Interchangeability: identical columns (resp. rows) can be swapped in
-    # any transversal, so canonical solutions use the first free duplicate.
-    col_vectors: dict[tuple, list[int]] = {}
-    for j in range(n):
-        col_vectors.setdefault(tuple(grid[i][j] for i in range(n)), []).append(j)
-    ident_smaller_cols = [0] * n
-    for group in col_vectors.values():
-        seen = 0
-        for j in group:
-            ident_smaller_cols[j] = seen
-            seen |= 1 << j
-    row_vectors: dict[tuple, list[int]] = {}
-    for i in range(n):
-        row_vectors.setdefault(tuple(grid[i]), []).append(i)
-    ident_larger_rows = [0] * n
-    for group in row_vectors.values():
-        for pos, r in enumerate(group):
-            mask = 0
-            for r2 in group[pos + 1:]:
-                mask |= 1 << r2
-            ident_larger_rows[r] = mask
+    # any matching, so canonical solutions use the first free duplicate.
+    ident_smaller_cols, _ = _twin_masks([tuple(row[c] for row in syms) for c in range(n_cols)])
+    _, ident_larger_rows = _twin_masks([tuple(row) for row in syms])
 
-    best_cells = _greedy_rowmajor(grid, n)
-    best = len(best_cells)
-    full = (1 << n) - 1
+    best: list[tuple[int, int, int]] = []
+    used_cols = used_syms = 0
+    for r in range(n_rows):
+        hit = next(((c, s) for c, ss in enumerate(syms[r]) for s in ss
+                    if not (used_cols >> c | used_syms >> s) & 1), None)
+        if hit is not None:
+            c, s = hit
+            best.append((r, c, s))
+            used_cols |= 1 << c
+            used_syms |= 1 << s
 
     nodes = 0
     out_of_budget = False
 
     def search(rows_left: list[int], avail: dict[int, int], sym_avail: dict[int, int],
-               free_cols: int, free_syms: int, chosen: list[Cell]):
-        nonlocal best, best_cells, nodes, out_of_budget
+               free_cols: int, chosen: list[tuple[int, int, int]]):
+        nonlocal best, nodes, out_of_budget
         if out_of_budget:
             return
         nodes += 1
@@ -186,13 +183,12 @@ def exact_max(
             out_of_budget = True
             return
         size = len(chosen)
-        if size > best:
-            best = size
-            best_cells = list(chosen)
+        if size > len(best):
+            best = list(chosen)
         live = [r for r in rows_left if avail[r]]
         if not live:
             return
-        gap = best - size
+        gap = len(best) - size
         if len(live) <= gap:
             return
         union_cols = 0
@@ -206,7 +202,7 @@ def exact_max(
             return
         if not _matching_exceeds([(r, sym_avail[r]) for r in live], gap):
             return
-        cnt, row = min((avail[r].bit_count(), r) for r in live)
+        _, row = min((avail[r].bit_count(), r) for r in live)
         mask = avail[row]
         rest = [r for r in live if r != row]
         while mask:
@@ -214,37 +210,56 @@ def exact_max(
             mask &= mask - 1
             if free_cols & ident_smaller_cols[j]:
                 continue  # an interchangeable earlier column is still free
-            s = grid[row][j]
-            sbit = 1 << s
-            avail2 = {}
-            sym_avail2 = {}
-            for r in rest:
-                a = avail[r] & ~(1 << j | sym_cols[r].get(s, 0))
-                avail2[r] = a
-                sa = sym_avail[r] & ~sbit
-                t = grid[r][j]
-                if t != s and sa >> t & 1 and not a & sym_cols[r][t]:
-                    sa &= ~(1 << t)
-                sym_avail2[r] = sa
-            chosen.append(Cell(row, j))
-            search(rest, avail2, sym_avail2, free_cols & ~(1 << j),
-                   free_syms & ~sbit, chosen)
-            chosen.pop()
-            if out_of_budget:
-                return
+            for s in syms[row][j]:
+                sbit = 1 << s
+                if not sym_avail[row] & sbit:
+                    continue
+                avail2 = {}
+                sym_avail2 = {}
+                for r in rest:
+                    # A column leaves row r once its last free symbol is taken.
+                    a = avail[r] & ~(1 << j | only[r].get(s, 0))
+                    sa = sym_avail[r] & ~sbit
+                    several = a & multi[r]
+                    while several:
+                        c = (several & -several).bit_length() - 1
+                        several &= several - 1
+                        if not sym_mask[r][c] & sa:
+                            a &= ~(1 << c)
+                    for t in syms[r][j]:
+                        if t != s and sa >> t & 1 and not a & carrying[r][t]:
+                            sa &= ~(1 << t)
+                    avail2[r] = a
+                    sym_avail2[r] = sa
+                chosen.append((row, j, s))
+                search(rest, avail2, sym_avail2, free_cols & ~(1 << j), chosen)
+                chosen.pop()
+                if out_of_budget:
+                    return
         # Skip branch: identical later rows are interchangeable with this
         # one, so a canonical solution skips them too.
         twins = ident_larger_rows[row]
         rest2 = [r for r in rest if not twins >> r & 1] if twins else rest
-        search(rest2, avail, sym_avail, free_cols, free_syms, chosen)
+        search(rest2, avail, sym_avail, free_cols, chosen)
 
-    init_sym = {r: 0 for r in range(n)}
-    for r in range(n):
-        for s in sym_cols[r]:
-            init_sym[r] |= 1 << s
-    search(list(range(n)), {r: full for r in range(n)}, init_sym, full, full, [])
-    t = validate_transversal(square, best_cells)
-    return t, not out_of_budget
+    avail = {r: sum(1 << c for c, ss in enumerate(syms[r]) if ss) for r in range(n_rows)}
+    sym_avail = {r: sum(1 << s for s in carrying[r]) for r in range(n_rows)}
+    search(list(range(n_rows)), avail, sym_avail, (1 << n_cols) - 1, [])
+    return best, not out_of_budget
+
+
+def exact_max(
+    square: EquiNSquare, node_budget: int | None = None
+) -> tuple[Transversal, bool]:
+    """Maximum transversal: `_max_tripartite_matching` on the n^2 cells.
+
+    The budget counts search nodes, so runs are deterministic; if it is
+    exhausted the incumbent is returned with optimal=False.
+    """
+    n = square.n
+    edges = [(i, j, s) for i, row in enumerate(square.grid.tolist()) for j, s in enumerate(row)]
+    triples, optimal = _max_tripartite_matching((n, n, n), edges, node_budget)
+    return validate_transversal(square, [(r, c) for r, c, _ in triples]), optimal
 
 
 def _masked_greedy(
@@ -413,8 +428,8 @@ def peel_decomposition(
     `layer_attempts` consecutive tries fail to reach min_size.
     """
     n = square.n
-    if min_size > n:
-        raise ValueError(f"min_size {min_size} exceeds n={n}")
+    if not 1 <= min_size <= n:
+        raise ValueError(f"min_size {min_size} is outside [1, n={n}]")
     if search_iterations is None:
         search_iterations = 40 * n
     allowed = np.ones((n, n), dtype=bool)

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from equisquares import cli
+from equisquares import cli, solvers
+from equisquares.rng import stream
 from equisquares.squares import read_square, read_transversal, validate_transversal
 
 
@@ -126,6 +127,53 @@ def test_solve_block_malformed_sidecar_exits_1(tmp_path, capsys, corrupt):
     assert "BlockMismatch" in err
 
 
+def test_solve_local_iterations_zero_runs_no_steps(tmp_path, capsys):
+    square_file = tmp_path / "r.txt"
+    run_cli(["generate", "--kind", "random", "--n", "30", "--seed", "0",
+             "--out", str(square_file)], capsys)
+    square = read_square(square_file)
+    greedy = solvers.random_greedy(square, stream(0, "local"))
+    sizes = {}
+    for flags in ([], ["--iterations", "0"]):
+        code, stdout, _ = run_cli(["solve", "--method", "local", "--in", str(square_file),
+                                   "--seed", "0", *flags], capsys)
+        assert code == 0
+        report = json.loads(stdout)
+        sizes[tuple(flags)] = report["size"]
+        if flags:
+            assert read_transversal(report["cells_file"]) == list(greedy.cells)
+    assert sizes[()] > sizes[("--iterations", "0")] == greedy.size
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "local", "--iterations", "-5"],
+    ["solve", "--method", "block", "--s", "0"],
+    ["solve", "--method", "block", "--s", "-2"],
+    ["experiment", "survival", "--n", "8", "--m", "2", "--s", "0"],
+    ["experiment", "concentration", "--n", "8", "--m", "2", "--s", "-1"],
+    ["experiment", "peel", "--n", "6", "--min-size", "-1"],
+    ["experiment", "peel", "--n", "6", "--min-size", "0"],
+    ["experiment", "peel", "--n", "6", "--min-size", "7"],
+], ids=" ".join)
+def test_numeric_flags_out_of_range_exit_2(tmp_path, capsys, argv):
+    square_file = tmp_path / "b.txt"
+    run_cli(["generate", "--kind", "block", "--n", "8", "--m", "2", "--out", str(square_file)], capsys)
+    files = (["--in", str(square_file), "--blocks", str(tmp_path / "b.blocks.json")]
+             if argv[0] == "solve" else ["--trials", "2", "--csv", str(tmp_path / "x.csv")])
+    code = _exit_code(argv + files)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert argv[-2] in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_solve_deterministic_outputs(tmp_path, capsys):
     square_file = tmp_path / "r.txt"
     run_cli(["generate", "--kind", "random", "--n", "12", "--seed", "4",
@@ -242,6 +290,12 @@ def test_console_entry_point_runs():
     lambda d: json.dumps({**d, "leftover_fill": [[0, 1, None]]}),
     lambda d: json.dumps(d)[:-5],
     lambda d: b"\xff\xfe not text",
+    # Well-formed but forged: b = 1 would give the bound 41 instead of 16.
+    lambda d: json.dumps({**d, "b": 1}),
+    # The first two pairs swap colours, so their boxed cells disagree with the grid.
+    lambda d: json.dumps({**d, "pairs": [{**d["pairs"][0], "colour": d["pairs"][1]["colour"]},
+                                         {**d["pairs"][1], "colour": d["pairs"][0]["colour"]},
+                                         *d["pairs"][2:]]}),
 ])
 def test_verify_malformed_pairing_exits_1(tmp_path, capsys, corrupt):
     square_file = tmp_path / "s.txt"

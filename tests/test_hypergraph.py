@@ -259,20 +259,26 @@ def test_max_matching_exact_examples():
 
 def test_max_matching_exact_oracle_random():
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        edges = tuple(
-            (int(rng.integers(0, 4)), int(rng.integers(0, 4)), int(rng.integers(0, 4)))
-            for _ in range(int(rng.integers(1, 11)))
-        )
-        h = TripartiteHypergraph((4, 4, 4), edges)
+    duplicates = multi_symbol = 0
+    for _ in range(200):
+        sizes = tuple(int(x) for x in rng.integers(1, 6, size=3))
+        edges = [tuple(int(rng.integers(0, s)) for s in sizes)
+                 for _ in range(int(rng.integers(0, 14)))]
+        if edges and rng.random() < 0.3:
+            edges.append(edges[int(rng.integers(0, len(edges)))])
+        h = TripartiteHypergraph(sizes, tuple(edges))
+        duplicates += len(set(edges)) < len(edges)
+        multi_symbol += len({e[:2] for e in set(edges)}) < len(set(edges))
         matching, optimal = max_matching_exact(h)
         assert optimal
         assert len(matching) == brute_max_matching(h)
         used = [set(), set(), set()]
         for i in matching:
+            assert h.edges.index(h.edges[i]) == i  # the smallest index of a repeated edge
             for cls in range(3):
                 assert h.edges[i][cls] not in used[cls]
                 used[cls].add(h.edges[i][cls])
+    assert duplicates >= 20 and multi_symbol >= 50
 
 
 def test_max_matching_budget_flag():

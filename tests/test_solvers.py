@@ -6,6 +6,7 @@ from equisquares.constructions import (
     cyclic_latin,
     random_equi_square,
 )
+from equisquares.hypergraph import from_square, max_matching_exact
 from equisquares.solvers import (
     TooLarge,
     _masked_greedy,
@@ -176,6 +177,7 @@ def test_exact_matches_brute_on_randoms():
             assert optimal
             assert t.size == bsize, (n, seed)
             validate_transversal(sq, t.cells)
+            assert t.size == len(max_matching_exact(from_square(sq))[0])
 
 
 def test_exact_max_counterexample8():
@@ -278,5 +280,6 @@ def test_peel_cyclic7_full_layers():
 
 
 def test_peel_min_size_guard():
-    with pytest.raises(ValueError):
-        peel_decomposition(cyclic_latin(3), np.random.default_rng(0), 4)
+    for min_size in (-1, 0, 4):
+        with pytest.raises(ValueError):
+            peel_decomposition(cyclic_latin(3), np.random.default_rng(0), min_size)
