@@ -27,7 +27,6 @@ from .bipartite import (
     cap_components,
     decompose_regular,
     max_matching,
-    regular_perfect_matching,
     union_components,
 )
 from .hypergraph import (

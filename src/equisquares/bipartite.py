@@ -1,5 +1,5 @@
-"""Bipartite multigraph algorithms: perfect matchings in regular multigraphs,
-decomposition into matchings, maximum matching, path/cycle components of
+"""Bipartite multigraph algorithms: decomposition of regular multigraphs
+into perfect matchings, maximum matching, path/cycle components of
 matching unions, and component capping.
 
 An edge's label is its index 0 ... E-1; the graph stores the left and right
@@ -59,11 +59,6 @@ class BipartiteMultigraph:
         """label -> (left, right) for every edge."""
         return dict(enumerate(zip(self.left.tolist(), self.right.tolist())))
 
-    def endpoints(self, label) -> tuple[int, int]:
-        if not 0 <= label < self.left.size:
-            raise KeyError(label)
-        return int(self.left[label]), int(self.right[label])
-
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.bincount(self.left, minlength=self.left_size),
                 np.bincount(self.right, minlength=self.right_size))
@@ -93,11 +88,6 @@ def is_matching(graph: BipartiteMultigraph, labels) -> bool:
     idx = _labels(graph, labels)
     return all(np.bincount(ends, minlength=1).max() <= 1
                for ends in (graph.left[idx], graph.right[idx]))
-
-
-def _require_matching(graph: BipartiteMultigraph, labels, name: str) -> None:
-    if not is_matching(graph, labels):
-        raise NotAMatching(f"{name} is not a matching")
 
 
 def _match_array(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
@@ -145,69 +135,24 @@ def max_matching(graph: BipartiteMultigraph) -> frozenset:
     return frozenset(_matched_edges(graph, np.arange(graph.left.size)).tolist())
 
 
-def _check_degrees(graph: BipartiteMultigraph, k: int, exact: bool) -> None:
-    """NotRegular unless every degree is k (exact) or at most k."""
-    for side, deg in zip(("left", "right"), graph.degrees()):
-        bad = np.flatnonzero(deg != k if exact else deg > k)
-        if bad.size:
-            raise NotRegular((side, int(bad[0])), int(deg[bad[0]]))
-
-
-def regular_perfect_matching(graph: BipartiteMultigraph, k: int) -> frozenset:
-    """Perfect matching of a k-regular bipartite multigraph (exists by Hall)."""
-    _check_degrees(graph, k, exact=True)
-    m = max_matching(graph)
-    if len(m) != graph.left_size:
-        raise AssertionError("regular multigraph lacked a perfect matching")
-    return m
-
-
-def _pad_to_regular(graph: BipartiteMultigraph, k: int) -> BipartiteMultigraph:
-    """Embed a max-degree-k multigraph into a k-regular one with dummy edges.
-
-    The dummy edges get the labels E, E+1, ... after the E real ones.
-    """
-    n = max(graph.left_size, graph.right_size)
-    left = np.bincount(graph.left, minlength=n)
-    right = np.bincount(graph.right, minlength=n)
-    pad_left: list[int] = []
-    pad_right: list[int] = []
-    i = j = 0
-    while i < n:
-        if left[i] >= k:
-            i += 1
-            continue
-        while right[j] >= k:
-            j += 1
-        add = int(min(k - left[i], k - right[j]))
-        pad_left += [i] * add
-        pad_right += [j] * add
-        left[i] += add
-        right[j] += add
-    return BipartiteMultigraph(n, n, np.concatenate([graph.left, pad_left]),
-                               np.concatenate([graph.right, pad_right]))
-
-
-def decompose_regular(graph: BipartiteMultigraph, k: int, embed: bool = False) -> list[frozenset]:
-    """Partition E(G) into k matchings; each perfect when G is k-regular.
+def decompose_regular(graph: BipartiteMultigraph, k: int) -> list[frozenset]:
+    """Partition the edges of a k-regular graph into k perfect matchings.
 
     Round t takes a maximum matching of the edges no earlier round took.
-    With ``embed`` the graph may have max degree <= k: it is padded to a
-    k-regular supergraph, decomposed, and the dummy edges stripped.
+    NotRegular unless every degree is k.
     """
-    _check_degrees(graph, k, exact=not embed)
-    work = _pad_to_regular(graph, k) if embed else graph
-    real = graph.left.size
-    alive = np.ones(work.left.size, dtype=bool)
+    for side, deg in zip(("left", "right"), graph.degrees()):
+        bad = np.flatnonzero(deg != k)
+        if bad.size:
+            raise NotRegular((side, int(bad[0])), int(deg[bad[0]]))
+    alive = np.ones(graph.left.size, dtype=bool)
     out = []
     for _ in range(k):
-        m = _matched_edges(work, np.flatnonzero(alive))
-        if m.size != work.left_size:
+        m = _matched_edges(graph, np.flatnonzero(alive))
+        if m.size != graph.left_size:
             raise AssertionError("extraction round lacked a perfect matching")
         alive[m] = False
-        out.append(frozenset(m[m < real].tolist()))
-    if alive.any():
-        raise AssertionError(f"{int(alive.sum())} edges left after {k} perfect matchings")
+        out.append(frozenset(m.tolist()))
     return out
 
 
@@ -225,12 +170,6 @@ class Component:
 @dataclass(frozen=True)
 class PathCycleDecomposition:
     components: tuple[Component, ...]
-
-    def all_labels(self) -> frozenset:
-        out = set()
-        for c in self.components:
-            out.update(c.labels)
-        return frozenset(out)
 
     def to_json(self) -> dict:
         return {
@@ -272,8 +211,9 @@ def union_components(
     """
     m_a = frozenset(m_a)
     m_b = frozenset(m_b)
-    _require_matching(graph, m_a, "m_a")
-    _require_matching(graph, m_b, "m_b")
+    for name, m in (("m_a", m_a), ("m_b", m_b)):
+        if not is_matching(graph, m):
+            raise NotAMatching(f"{name} is not a matching")
     labels = np.array(sorted(m_a | m_b), dtype=np.int64)
     u, v = graph.left[labels], graph.right[labels]
     # Edges are handled by position in `labels`; at[side][p] is the other

@@ -174,8 +174,16 @@ def cmd_verify(args) -> int:
     if args.pairing:
         target = transversal if transversal is not None else squares.Transversal(())
         try:
-            pairing = constructions.BoxPairing.from_json(_read_json(
-                args.pairing, constructions.PairingMismatch, "pairing sidecar"))
+            sidecar = _read_json(args.pairing, constructions.PairingMismatch, "pairing sidecar")
+            try:
+                _, pairing = constructions.counterexample_square(square.n)
+            except constructions.TooSmall as exc:
+                raise constructions.PairingMismatch(str(exc)) from None
+            # Key order aside, the sidecar must be exactly what generate writes;
+            # dumping tells 1 from 1.0 and true, which == would not.
+            if json.dumps(sidecar, sort_keys=True) != json.dumps(pairing.to_json(), sort_keys=True):
+                raise constructions.PairingMismatch(
+                    f"pairing sidecar is not the one generate writes for n={square.n}")
             cert = constructions.missing_colour_certificate(square, pairing, target)
             report["certificate"] = {
                 "passed": cert.passed,
@@ -200,11 +208,6 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------- experiment
 
 @lru_cache(maxsize=8)
-def _counterexample_ctx(n: int):
-    return constructions.counterexample_square(n)
-
-
-@lru_cache(maxsize=8)
 def _survival_ctx(n: int, m: int, square_seed: int):
     square, blocks = constructions.block_structured_square(n, m, seed=square_seed)
     graph = halving.build_block_multigraph(square, blocks)
@@ -214,7 +217,7 @@ def _survival_ctx(n: int, m: int, square_seed: int):
 
 def _trial_missing_colour(params: tuple) -> dict:
     n, base_seed, trial = params
-    square, pairing = _counterexample_ctx(n)
+    square, pairing = constructions.counterexample_square(n)
     rng = stream(trial_seed(base_seed, trial), "missing-colour")
     t = solvers.random_greedy(square, rng)
     method = "greedy"
@@ -247,11 +250,12 @@ def _trial_concentration(params: tuple) -> dict:
     square, blocks = constructions.block_structured_square(n, m, seed=seed)
     rng = stream(seed, "concentration")
     _, trace, loads = halving.block_transversal(square, blocks, s, rng, rng_seed=seed)
-    dev = np.abs(loads.loads.astype(np.float64) - n / 4)
-    within = int((dev <= n / 8).sum())
+    # Centre m: a perfect matching of n blocks of m cells over n rows has mean row load m.
+    dev = np.abs(loads.loads.astype(np.float64) - m)
+    within = int((dev <= m / 2).sum())
     sumsq = halving.realized_effect_squares(trace, blocks, n)
     with np.errstate(divide="ignore"):
-        bounds = np.minimum(1.0, 2.0 * np.exp(-((n / 8) ** 2) / sumsq))
+        bounds = np.minimum(1.0, 2.0 * np.exp(-((m / 2) ** 2) / sumsq))
     return {"trial": trial, "seed": seed, "n": n, "m": m, "s": s,
             "rows_within": within, "frac_within": within / n,
             "p99_abs_dev": float(np.percentile(dev, 99)),
@@ -319,11 +323,10 @@ def cmd_experiment(args) -> int:
         params = [(args.n, min_size, args.seed, t) for t in trials]
         rows = _run_trials(_trial_peel, params, args.parallel)
 
-    if rows:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+    with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
     summary = _summarize(name, rows)
     _say(f"{name}: {len(rows)} trials -> {args.csv}")
     print(json.dumps(summary))
@@ -332,8 +335,6 @@ def cmd_experiment(args) -> int:
 
 def _summarize(name: str, rows: list[dict]) -> dict:
     out: dict = {"experiment": name, "trials": len(rows)}
-    if not rows:
-        return out
     if name == "survival":
         out["survival_frequency"] = sum(r["survived"] for r in rows) / len(rows)
     elif name == "missing-colour":
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", default=None)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--budget", type=int, default=None, help="node budget for exact")
+    s.add_argument("--budget", type=_int_at_least(1), default=None, help="node budget for exact")
     s.add_argument("--iterations", type=_int_at_least(0), default=None, help="local search steps")
     s.add_argument("--blocks", default=None, help="blocks sidecar (block method)")
     s.add_argument("--s", type=_int_at_least(1), default=None, help="component cap (block method)")
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--m", type=int, default=None)
     e.add_argument("--s", type=_int_at_least(1), default=None)
     e.add_argument("--min-size", type=_int_at_least(1), default=None)
-    e.add_argument("--trials", type=int, default=100)
+    e.add_argument("--trials", type=_int_at_least(1), default=100)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--parallel", type=int, default=1,
                    help="worker processes: at least 1, and capped at the CPU count")

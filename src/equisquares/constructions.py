@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,35 +116,6 @@ class BoxPairing:
             "leftover_fill": [list(t) for t in self.leftover_fill],
         }
 
-    @classmethod
-    def from_json(cls, data) -> "BoxPairing":
-        """Read a sidecar; PairingMismatch if it is malformed."""
-        if not isinstance(data, dict) or data.get("format") != 1:
-            fmt = data.get("format") if isinstance(data, dict) else None
-            raise PairingMismatch(f"unsupported pairing format {fmt!r}")
-        params = {key: data.get(key) for key in ("n", "m", "r", "a", "b")}
-        for key, value in params.items():
-            if not _is_int(value):
-                raise PairingMismatch(f"pairing sidecar needs an integer {key!r}, got {value!r}")
-        pairs, fill = data.get("pairs"), data.get("leftover_fill")
-        if not isinstance(pairs, list) or not isinstance(fill, list):
-            raise PairingMismatch("pairing sidecar needs lists 'pairs' and 'leftover_fill'")
-        for i, p in enumerate(pairs):
-            boxes = p.get("boxes") if isinstance(p, dict) else None
-            colour = p.get("colour") if isinstance(p, dict) else None
-            if not (isinstance(boxes, list) and len(boxes) == 2
-                    and all(_is_int_list(box, 2) for box in boxes) and _is_int(colour)):
-                raise PairingMismatch(
-                    f"pair {i} needs two 2-integer 'boxes' and an integer 'colour', got {p!r}")
-        for i, t in enumerate(fill):
-            if not _is_int_list(t, 3):
-                raise PairingMismatch(f"leftover_fill entry {i} must be 3 integers, got {t!r}")
-        return cls(
-            **params,
-            pairs=tuple((tuple(p["boxes"][0]), tuple(p["boxes"][1]), p["colour"]) for p in pairs),
-            leftover_fill=tuple(tuple(t) for t in fill),
-        )
-
 
 def _make_pairs(a: int, b: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     pairs = []
@@ -164,7 +136,15 @@ def counterexample_square(n: int) -> tuple[EquiNSquare, BoxPairing]:
     The top-left 2ab x 2ab region is tiled by 4ab boxes, paired off so each
     of 2ab colours fills one pair; the remaining cells are filled row-major
     from a deficit queue so that every colour is used exactly n times.
+    The result depends on n alone; both parts are immutable.
     """
+    return _counterexample(n)
+
+
+# One entry: callers build one order and then certify against it repeatedly.
+# counterexample_square stays a plain function so that tracers can wrap it.
+@lru_cache(maxsize=1)
+def _counterexample(n: int) -> tuple[EquiNSquare, BoxPairing]:
     m, r, a, b = box_parameters(n)
     two_ab = 2 * a * b
     pair_list = _make_pairs(a, b)
@@ -178,67 +158,19 @@ def counterexample_square(n: int) -> tuple[EquiNSquare, BoxPairing]:
             grid[i * b:(i + 1) * b, j * a:(j + 1) * a] = colour
         pairs.append((box1, box2, colour))
 
-    deficit = n - two_ab
-    queue = []
-    for colour in range(two_ab):
-        queue.extend([colour] * deficit)
-    for colour in range(two_ab, n):
-        queue.extend([colour] * n)
-
-    fill = []
-    pos = 0
-    for x in range(n):
-        for y in range(n):
-            if x < two_ab and y < two_ab:
-                continue
-            grid[x, y] = queue[pos]
-            fill.append((x, y, queue[pos]))
-            pos += 1
-    if pos != len(queue):
-        raise AssertionError(f"leftover fill used {pos} of {len(queue)} queued colours")
+    # Boxed colours lack n - 2ab uses, the others all n; the
+    # n^2 - (2ab)^2 cells outside the boxed region take exactly these.
+    queue = np.concatenate([np.repeat(np.arange(two_ab), n - two_ab),
+                            np.repeat(np.arange(two_ab, n), n)])
+    outside = np.ones((n, n), dtype=bool)
+    outside[:two_ab, :two_ab] = False
+    grid[outside] = queue  # boolean-mask assignment runs row-major
+    rows, cols = np.nonzero(outside)
 
     square = validate_square(n, grid)
-    pairing = BoxPairing(n=n, m=m, r=r, a=a, b=b,
-                         pairs=tuple(pairs), leftover_fill=tuple(fill))
+    pairing = BoxPairing(n=n, m=m, r=r, a=a, b=b, pairs=tuple(pairs),
+                         leftover_fill=tuple(zip(rows.tolist(), cols.tolist(), queue.tolist())))
     return square, pairing
-
-
-def _check_pairing(square: EquiNSquare, pairing: BoxPairing) -> np.ndarray:
-    """The (2a, 2b) array of box colours; PairingMismatch unless pairing is
-    the one counterexample_square builds for the square's order and agrees
-    with its grid cell for cell."""
-    n = square.n
-    try:
-        expected = (n, *box_parameters(n))
-    except TooSmall as exc:
-        raise PairingMismatch(str(exc)) from None
-    got = (pairing.n, pairing.m, pairing.r, pairing.a, pairing.b)
-    if got != expected:
-        raise PairingMismatch(f"pairing parameters (n, m, r, a, b) = {got}, expected {expected}")
-    a, b, extent = pairing.a, pairing.b, pairing.boxed_extent
-    colours = [colour for _, _, colour in pairing.pairs]
-    if ([(box1, box2) for box1, box2, _ in pairing.pairs] != _make_pairs(a, b)
-            or len(set(colours)) != len(colours) or not all(0 <= c < n for c in colours)):
-        raise PairingMismatch("pairs must be those of the construction, with distinct colours in [0, n)")
-    box = np.empty((2 * a, 2 * b), dtype=np.int64)
-    for (i1, j1), (i2, j2), colour in pairing.pairs:
-        box[i1, j1] = box[i2, j2] = colour
-    # Axes: box row, row in the box, box column, column in the box.
-    if np.any(square.grid[:extent, :extent].reshape(2 * a, b, 2 * b, a) != box[:, None, :, None]):
-        raise PairingMismatch("a boxed cell does not hold its pair's colour")
-    try:
-        rows, cols, fill = np.array(pairing.leftover_fill, dtype=np.int64).reshape(-1, 3).T
-        covered = np.zeros((n, n), dtype=bool)
-        covered.flat[np.ravel_multi_index((rows, cols), (n, n))] = True
-    except (OverflowError, ValueError):
-        raise PairingMismatch(f"leftover_fill names a cell outside [0, {n})^2") from None
-    covered[:extent, :extent] = True
-    # With n^2 - extent^2 entries, covering every cell means covering each cell
-    # outside the boxed region exactly once.
-    if len(rows) != n * n - extent * extent or not covered.all() or np.any(square.grid[rows, cols] != fill):
-        raise PairingMismatch("leftover_fill must list each cell outside the boxed region once, "
-                              "with its colour in the grid")
-    return box
 
 
 @dataclass(frozen=True)
@@ -262,14 +194,20 @@ def missing_colour_certificate(
     Band group k consists of the boxes in row bands 2k, 2k+1 and column
     bands 2k, 2k+1.  Each group must miss at least one colour inside the
     boxed subsquare; an empty missing set raises CertificateViolation.
-    The pairing is checked first: its parameters, pairs, colours and
-    leftover fill must be those that counterexample_square builds for the
-    square's grid, or PairingMismatch is raised.
+    The square and the pairing are checked first: both must be what
+    counterexample_square builds for the square's order, or
+    PairingMismatch is raised.
     """
-    box = _check_pairing(square, pairing)
+    try:
+        expected_square, expected = _counterexample(square.n)
+    except TooSmall as exc:
+        raise PairingMismatch(str(exc)) from None
+    if pairing != expected or square != expected_square:
+        raise PairingMismatch(f"square and pairing must be those counterexample_square({square.n}) builds")
     validate_transversal(square, transversal.cells)
 
     extent = pairing.boxed_extent
+    box = square.grid[:extent:pairing.b, :extent:pairing.a]  # (2a, 2b) box colours
     used = {
         square.symbol(c) for c in transversal.cells
         if c.row < extent and c.col < extent
@@ -367,10 +305,6 @@ class BlockStructure:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_int_list(x, length: int) -> bool:
-    return isinstance(x, list) and len(x) == length and all(_is_int(v) for v in x)
 
 
 def _int_array(values: list, key: str, ndim: int) -> np.ndarray:

@@ -31,10 +31,6 @@ class NotPowerOfTwo(ValueError):
     pass
 
 
-class BadLevel(ValueError):
-    pass
-
-
 class InvalidParam(ValueError):
     pass
 
@@ -222,7 +218,7 @@ def block_transversal(
     pairs = bipartite.matching_pairs_from_arrays(rows, cols, n, n)
     cells = [Cell(i, j) for i, j in pairs]
     transversal = validate_transversal(square, cells)
-    loads = row_loads(trace, blocks, "final", n_rows=n)
+    loads = row_loads(blocks, trace.final, n)
     return transversal, trace, loads
 
 
@@ -256,37 +252,10 @@ def _index(labels) -> np.ndarray:
     return np.array(sorted(labels), dtype=np.int64)
 
 
-def _loads_for_matching(blocks: BlockStructure, matching, n_rows: int) -> RowLoads:
+def row_loads(blocks: BlockStructure, matching, n_rows: int) -> RowLoads:
+    """Per-row count of the blocks in `matching` that have a cell in that row."""
     rows = blocks.rows[_index(matching)].ravel()
     return RowLoads(loads=np.bincount(rows, minlength=n_rows))
-
-
-def row_loads(
-    trace: HalvingTrace, blocks: BlockStructure, selector, n_rows: int | None = None
-) -> RowLoads:
-    """Row loads of one matching in the trace.
-
-    selector: "final", ("initial", j), or ("level", h, i) with h counted
-    from 1 as in the trace levels.
-    """
-    if n_rows is None:
-        n_rows = math.isqrt(blocks.m * len(blocks.cols))
-    if selector == "final":
-        return _loads_for_matching(blocks, trace.final, n_rows)
-    if isinstance(selector, tuple) and len(selector) == 2 and selector[0] == "initial":
-        j = selector[1]
-        if not 0 <= j < len(trace.initial_matchings):
-            raise BadLevel(f"no initial matching {j}")
-        return _loads_for_matching(blocks, trace.initial_matchings[j], n_rows)
-    if isinstance(selector, tuple) and len(selector) == 3 and selector[0] == "level":
-        h, i = selector[1], selector[2]
-        if not 1 <= h <= len(trace.levels):
-            raise BadLevel(f"no level {h}")
-        level = trace.levels[h - 1]
-        if not 0 <= i < len(level):
-            raise BadLevel(f"no pair {i} at level {h}")
-        return _loads_for_matching(blocks, level[i].output, n_rows)
-    raise BadLevel(f"bad selector {selector!r}")
 
 
 def mcdiarmid_bound(c, t: float) -> float:

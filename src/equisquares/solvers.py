@@ -418,29 +418,23 @@ def peel_decomposition(
     square: EquiNSquare,
     rng: np.random.Generator,
     min_size: int,
-    layer_attempts: int = 8,
-    search_iterations: int | None = None,
 ) -> list[Transversal]:
     """Repeatedly extract disjoint transversals of size >= min_size.
 
-    Each layer is found by randomized greedy plus local search restricted
-    to cells unused by earlier layers; extraction stops once
-    `layer_attempts` consecutive tries fail to reach min_size.
+    Each layer is found by randomized greedy plus 40 n steps of local
+    search restricted to cells unused by earlier layers; extraction stops
+    once 8 consecutive tries fail to reach min_size.
     """
     n = square.n
     if not 1 <= min_size <= n:
         raise ValueError(f"min_size {min_size} is outside [1, n={n}]")
-    if search_iterations is None:
-        search_iterations = 40 * n
     allowed = np.ones((n, n), dtype=bool)
     layers: list[Transversal] = []
     while True:
         found = None
-        for _ in range(layer_attempts):
+        for _ in range(8):
             start = _masked_greedy(square.grid, n, allowed, rng)
-            cells = _masked_local_search(
-                square.grid, n, allowed, start, rng, search_iterations
-            )
+            cells = _masked_local_search(square.grid, n, allowed, start, rng, 40 * n)
             if len(cells) >= min_size:
                 found = cells
                 break

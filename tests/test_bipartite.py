@@ -10,7 +10,6 @@ from equisquares.bipartite import (
     is_matching,
     make_graph,
     max_matching,
-    regular_perfect_matching,
     union_components,
 )
 
@@ -40,12 +39,12 @@ def cycle_graph(length: int) -> tuple[BipartiteMultigraph, frozenset, frozenset]
 
 def test_perfect_matching_trivial():
     g = make_graph(3, 3, [(0, 1), (1, 2), (2, 0)])
-    assert regular_perfect_matching(g, 1) == frozenset({0, 1, 2})
+    assert decompose_regular(g, 1)[0] == frozenset({0, 1, 2})
 
 
 def test_perfect_matching_two_regular_cycles():
     g, m_a, m_b = cycle_graph(8)
-    m = regular_perfect_matching(g, 2)
+    m = decompose_regular(g, 2)[0]
     assert len(m) == 4
     assert is_matching(g, m)
 
@@ -53,17 +52,17 @@ def test_perfect_matching_two_regular_cycles():
 def test_perfect_matching_random_regular():
     rng = np.random.default_rng(3)
     g = random_k_regular(50, 8, rng)
-    m = regular_perfect_matching(g, 8)
+    m = decompose_regular(g, 8)[0]
     assert len(m) == 50
-    lefts = {g.endpoints(lab)[0] for lab in m}
-    rights = {g.endpoints(lab)[1] for lab in m}
-    assert lefts == set(range(50)) and rights == set(range(50))
+    idx = sorted(m)
+    assert set(g.left[idx].tolist()) == set(range(50))
+    assert set(g.right[idx].tolist()) == set(range(50))
 
 
 def test_perfect_matching_rejects_irregular():
     g = make_graph(2, 2, [(0, 0), (0, 1), (1, 1)])
     with pytest.raises(NotRegular) as exc:
-        regular_perfect_matching(g, 2)
+        decompose_regular(g, 2)
     assert exc.value.degree == 1
 
 
@@ -88,49 +87,41 @@ def test_decompose_regular_partitions(k):
     assert seen == set(g.by_label)
 
 
-def test_decompose_with_embedding():
-    # max degree 2, not regular
-    g = make_graph(3, 3, [(0, 0), (0, 1), (1, 1), (2, 2)])
-    parts = decompose_regular(g, 2, embed=True)
-    assert len(parts) == 2
-    covered = set()
-    for m in parts:
-        assert is_matching(g, m)
-        covered |= m
-    assert covered == {0, 1, 2, 3}
-    with pytest.raises(NotRegular):
-        decompose_regular(g, 2)  # embedding disabled
-
-
-def test_decompose_embedding_rejects_overfull():
-    g = make_graph(1, 1, [(0, 0), (0, 0)])
-    with pytest.raises(NotRegular):
-        decompose_regular(g, 1, embed=True)
-
-
 def test_max_matching_empty_and_complete():
     assert max_matching(make_graph(0, 0, [])) == frozenset()
     g = make_graph(3, 3, [(u, v) for u in range(3) for v in range(3)])
     assert len(max_matching(g)) == 3
 
 
-def _min_vertex_cover_bruteforce(n_left: int, n_right: int, pairs) -> int:
-    # Exact: for each subset S of the left side in the cover, the right side
-    # must cover N(left - S).
-    nbr = [0] * n_left
+def _koenig_cover(n_left: int, pairs, matching: dict) -> set:
+    """König's vertex cover built from a matching (left -> right).
+
+    Z is every vertex an alternating path reaches from an unmatched left
+    vertex: out along any edge, back along a matched one.  The cover is
+    (L - Z) | (R & Z), as ("L", u) and ("R", v) tags.
+    """
+    nbr = [[] for _ in range(n_left)]
     for u, v in pairs:
-        nbr[u] |= 1 << v
-    best = n_left + n_right
-    for s in range(1 << n_left):
-        need = 0
-        for u in range(n_left):
-            if not s >> u & 1:
-                need |= nbr[u]
-        best = min(best, bin(s).count("1") + need.bit_count())
-    return best
+        nbr[u].append(v)
+    mate = {v: u for u, v in matching.items()}
+    seen_left = {u for u in range(n_left) if u not in matching}
+    seen_right = set()
+    queue = list(seen_left)
+    while queue:
+        u = queue.pop()
+        for v in nbr[u]:
+            if v not in seen_right:
+                seen_right.add(v)
+                if v in mate and mate[v] not in seen_left:
+                    seen_left.add(mate[v])
+                    queue.append(mate[v])
+    return ({("L", u) for u in range(n_left) if u not in seen_left}
+            | {("R", v) for v in seen_right})
 
 
 def test_max_matching_equals_koenig_bound():
+    # A vertex cover no larger than a matching proves the matching maximum
+    # (weak duality), independently of the scipy matching code.
     rng = np.random.default_rng(11)
     for trial in range(8):
         pairs = [
@@ -139,7 +130,9 @@ def test_max_matching_equals_koenig_bound():
         g = make_graph(20, 20, pairs)
         m = max_matching(g)
         assert is_matching(g, m)
-        assert len(m) == _min_vertex_cover_bruteforce(20, 20, pairs)
+        cover = _koenig_cover(20, pairs, {int(g.left[e]): int(g.right[e]) for e in m})
+        assert all(("L", u) in cover or ("R", v) in cover for u, v in pairs)
+        assert len(cover) == len(m)
 
 
 def test_max_matching_invariant_under_relabelling():
@@ -199,7 +192,7 @@ def test_union_components_degree_bound_random():
         g = random_k_regular(12, 4, rng)
         parts = decompose_regular(g, 4)
         decomp = union_components(g, parts[0], parts[1])
-        assert decomp.all_labels() == parts[0] | parts[1]
+        assert {lab for c in decomp.components for lab in c.labels} == parts[0] | parts[1]
         for comp in decomp.components:
             assert comp.kind in ("path", "cycle")
 
@@ -218,7 +211,7 @@ def test_cap_cycle_ten_with_s4():
     res = cap_components(decomp, 4)
     assert len(res.deleted) == 2  # ceil(10/5)
     assert all(len(c) <= 4 for c in res.decomposition.components)
-    kept = res.decomposition.all_labels()
+    kept = {lab for c in res.decomposition.components for lab in c.labels}
     assert kept | res.deleted == m_a | m_b
     assert not kept & res.deleted
 

@@ -6,7 +6,13 @@ import pytest
 
 from equisquares import cli, solvers
 from equisquares.rng import stream
-from equisquares.squares import read_square, read_transversal, validate_transversal
+from equisquares.squares import (
+    read_square,
+    read_transversal,
+    validate_square,
+    validate_transversal,
+    write_square,
+)
 
 
 def run_cli(argv, capsys):
@@ -161,12 +167,18 @@ def _exit_code(argv) -> int:
     ["experiment", "peel", "--n", "6", "--min-size", "-1"],
     ["experiment", "peel", "--n", "6", "--min-size", "0"],
     ["experiment", "peel", "--n", "6", "--min-size", "7"],
+    ["solve", "--method", "exact", "--budget", "-5"],
+    ["solve", "--method", "exact", "--budget", "0"],
+    ["experiment", "greedy-baseline", "--n", "8", "--trials", "0"],
+    ["experiment", "greedy-baseline", "--n", "8", "--trials", "-3"],
 ], ids=" ".join)
 def test_numeric_flags_out_of_range_exit_2(tmp_path, capsys, argv):
     square_file = tmp_path / "b.txt"
     run_cli(["generate", "--kind", "block", "--n", "8", "--m", "2", "--out", str(square_file)], capsys)
-    files = (["--in", str(square_file), "--blocks", str(tmp_path / "b.blocks.json")]
-             if argv[0] == "solve" else ["--trials", "2", "--csv", str(tmp_path / "x.csv")])
+    if argv[0] == "solve":
+        files = ["--in", str(square_file), "--blocks", str(tmp_path / "b.blocks.json")]
+    else:
+        files = ([] if "--trials" in argv else ["--trials", "2"]) + ["--csv", str(tmp_path / "x.csv")]
     code = _exit_code(argv + files)
     err = capsys.readouterr().err
     assert code == 2
@@ -312,6 +324,40 @@ def test_verify_malformed_pairing_exits_1(tmp_path, capsys, corrupt):
     assert code == 1
     assert "PairingMismatch" in err
     assert json.loads(stdout)["certificate"]["passed"] is False
+
+
+def test_verify_rejects_recoloured_construction(tmp_path, capsys):
+    # Swapping two pair colours in both the grid and the sidecar keeps them
+    # consistent, but verify accepts only what generate writes.
+    square_file = tmp_path / "s.txt"
+    run_cli(["generate", "--kind", "counterexample", "--n", "18", "--out", str(square_file)], capsys)
+    sidecar = tmp_path / "s.pairing.json"
+    data = json.loads(sidecar.read_text())
+    pairs = data["pairs"]
+    pairs[0]["colour"], pairs[1]["colour"] = pairs[1]["colour"], pairs[0]["colour"]
+    sidecar.write_text(json.dumps(data))
+    grid = read_square(square_file).grid
+    swapped = grid.copy()
+    swapped[grid == 0], swapped[grid == 1] = 1, 0
+    write_square(validate_square(18, swapped), square_file)
+    code, stdout, err = run_cli(
+        ["verify", "--square", str(square_file), "--pairing", str(sidecar)], capsys
+    )
+    assert code == 1
+    assert "PairingMismatch" in err
+    assert json.loads(stdout)["certificate"]["passed"] is False
+
+
+def test_experiment_concentration_centres_on_block_size(tmp_path, capsys):
+    # k = n/m = 16: the mean row load is m = 16, not n/4 = 64.
+    csv_path = tmp_path / "conc.csv"
+    code, stdout, _ = run_cli(
+        ["experiment", "concentration", "--n", "256", "--m", "16", "--trials", "3",
+         "--seed", "0", "--csv", str(csv_path)], capsys
+    )
+    assert code == 0
+    summary = json.loads(stdout)
+    assert summary["frac_within_min"] > 0.9
 
 
 class _RecordingPool:

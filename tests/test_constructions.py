@@ -8,7 +8,6 @@ import pytest
 from equisquares.constructions import (
     BlockMismatch,
     BlockStructure,
-    BoxPairing,
     CertificateViolation,
     NotDivisible,
     TooSmall,
@@ -102,11 +101,41 @@ def test_pairing_boxes_match_grid():
         assert (region == colour).all()
 
 
-def test_pairing_json_round_trip():
-    _, pairing = counterexample_square(51)
-    data = json.loads(json.dumps(pairing.to_json()))
-    again = BoxPairing.from_json(data)
-    assert again == pairing
+def _reference_leftover_fill(n: int, grid: np.ndarray) -> list:
+    """The row-major loop over all n^2 cells that the mask assignment replaced."""
+    _, _, a, b = box_parameters(n)
+    two_ab = 2 * a * b
+    queue = []
+    for colour in range(two_ab):
+        queue.extend([colour] * (n - two_ab))
+    for colour in range(two_ab, n):
+        queue.extend([colour] * n)
+    fill = []
+    pos = 0
+    for x in range(n):
+        for y in range(n):
+            if x < two_ab and y < two_ab:
+                continue
+            grid[x, y] = queue[pos]
+            fill.append((x, y, queue[pos]))
+            pos += 1
+    assert pos == len(queue)
+    return fill
+
+
+def test_leftover_fill_matches_row_major_loop():
+    for n in range(8, 65):
+        if n == 9:
+            with pytest.raises(TooSmall):
+                counterexample_square(n)
+            continue
+        square, pairing = counterexample_square(n)
+        grid = square.grid.copy()
+        grid[pairing.boxed_extent:, :] = -1
+        grid[:, pairing.boxed_extent:] = -1
+        fill = _reference_leftover_fill(n, grid)
+        assert list(pairing.leftover_fill) == fill
+        assert np.array_equal(grid, square.grid)
 
 
 def test_certificate_empty_transversal_passes():

@@ -1,6 +1,8 @@
 """Property tests for the readers of outside input: each input either parses
 or raises the module's typed error, never anything else."""
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -9,13 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from equisquares.constructions import (
-    BlockMismatch,
-    BlockStructure,
-    BoxPairing,
-    PairingMismatch,
-    counterexample_square,
-)
+from equisquares import cli
+from equisquares.constructions import BlockMismatch, BlockStructure, counterexample_square
 from equisquares.hypergraph import read_hypergraph
 from equisquares.squares import SquareError, read_square, read_transversal
 
@@ -71,11 +68,16 @@ _BLOCKS = {"format": 1, "m": 2, "blocks": [
 
 @FUZZ
 @given(data=st.one_of(json_values, _mutations(_PAIRING)))
-def test_pairing_from_json_raises_only_pairing_mismatch(data):
-    try:
-        BoxPairing.from_json(json.loads(json.dumps(data)))
-    except PairingMismatch:
-        pass
+def test_verify_pairing_accepts_only_the_generated_sidecar(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        square = Path(tmp) / "s.txt"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["generate", "--kind", "counterexample", "--n", "8", "--out", str(square)])
+            sidecar = square.with_suffix(".pairing.json")
+            sidecar.write_text(json.dumps(data), encoding="utf-8")
+            code = cli.main(["verify", "--square", str(square), "--pairing", str(sidecar)])
+    same = json.dumps(data, sort_keys=True) == json.dumps(_PAIRING, sort_keys=True)
+    assert code == (0 if same else 1)
 
 
 @FUZZ

@@ -6,7 +6,6 @@ import pytest
 from equisquares.bipartite import decompose_regular, is_matching, make_graph
 from equisquares.constructions import block_structured_square
 from equisquares.halving import (
-    BadLevel,
     InvalidParam,
     NotPowerOfTwo,
     alternate_halve,
@@ -155,14 +154,15 @@ def test_block_transversal_completes_halving_output():
         assert is_matching(g, trace.completed) and len(trace.completed) == n
 
         def covered(matching):
-            return {(side, v) for lab in matching for side, v in zip("LR", g.endpoints(lab))}
+            idx = sorted(matching)
+            return {("L", v) for v in g.left[idx].tolist()} | {("R", v) for v in g.right[idx].tolist()}
 
         assert covered(trace.final) <= covered(trace.completed)
         # The halving record and the loads are those of iterated_halving.
         ms = decompose_regular(g, n // m)
         _, ref = iterated_halving(g, ms, s, np.random.default_rng(s))
         assert {**trace.to_json(), "completed": None} == ref.to_json()
-        assert (loads.loads == row_loads(ref, blocks, "final", n_rows=n).loads).all()
+        assert (loads.loads == row_loads(blocks, ref.final, n).loads).all()
     # Without deletions the halving output is already perfect.
     sq, blocks = block_structured_square(16, 4, seed=16)
     _, trace, _ = block_transversal(sq, blocks, 32, np.random.default_rng(0))
@@ -176,23 +176,8 @@ def test_row_loads_input_sum_is_n():
     t, trace, _ = block_transversal(sq, blocks, 16, np.random.default_rng(0))
     total = np.zeros(8, dtype=np.int64)
     for j in range(4):
-        total += row_loads(trace, blocks, ("initial", j), n_rows=8).loads
+        total += row_loads(blocks, trace.initial_matchings[j], 8).loads
     assert (total == 8).all()
-
-
-def test_row_loads_selectors_and_errors():
-    sq, blocks = block_structured_square(8, 2, seed=3)
-    t, trace, loads = block_transversal(sq, blocks, 16, np.random.default_rng(1))
-    final = row_loads(trace, blocks, "final", n_rows=8)
-    assert (final.loads == loads.loads).all()
-    lvl = row_loads(trace, blocks, ("level", 1, 0), n_rows=8)
-    assert lvl.loads.sum() == len(trace.levels[0][0].output) * 2
-    with pytest.raises(BadLevel):
-        row_loads(trace, blocks, ("initial", 9), n_rows=8)
-    with pytest.raises(BadLevel):
-        row_loads(trace, blocks, ("level", 7, 0), n_rows=8)
-    with pytest.raises(BadLevel):
-        row_loads(trace, blocks, "finale", n_rows=8)
 
 
 def test_row_loads_empty_final():
@@ -201,7 +186,7 @@ def test_row_loads_empty_final():
     ms = decompose_regular(g, 4)
     out, trace = iterated_halving(g, ms, 1, np.random.default_rng(3))
     # tiny cap forces deletions; loads of whatever remains match by hand
-    lr = row_loads(trace, blocks, "final", n_rows=4)
+    lr = row_loads(blocks, trace.final, 4)
     manual = np.zeros(4, dtype=np.int64)
     for lab in trace.final:
         for r in blocks.rows[lab]:
