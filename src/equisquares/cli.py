@@ -4,8 +4,8 @@ and run the experiment suites with CSV output.
 JSON goes to stdout for machine consumption; human-readable notes go to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 All randomness flows from one seed through named per-site streams, and
-trial i of an experiment uses seed + i, so runs are reproducible even
-under --parallel.
+trial i of an experiment draws its own seed from (seed, i), so runs are
+reproducible even under --parallel and adjacent seeds share no trials.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ def _int_at_least(lowest: int):
 
 
 def _read_json(path, error: type[Exception], what: str):
-    """The JSON document in path; `error` if the file is not UTF-8 JSON."""
+    """The JSON document in path; `error` if the file is not UTF-8 JSON
+    or nests too deeply for the parser."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise error(f"{what} is not JSON: {exc}") from None
 
 
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True,
                    help="order (for alon-kim: the parameter t)")
     g.add_argument("--m", type=int, default=None, help="block size (block kind)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_int_at_least(0), default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_generate)
 
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--s", type=_int_at_least(1), default=None)
     e.add_argument("--min-size", type=_int_at_least(1), default=None)
     e.add_argument("--trials", type=_int_at_least(1), default=100)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_int_at_least(0), default=0)
     e.add_argument("--parallel", type=int, default=1,
                    help="worker processes: at least 1, and capped at the CPU count")
     e.add_argument("--csv", required=True)

@@ -275,34 +275,16 @@ def mcdiarmid_bound(c, t: float) -> float:
     return min(1.0, 2.0 * math.exp(-(t * t) / denom))
 
 
-def _coin_components(trace: HalvingTrace) -> tuple[np.ndarray, np.ndarray, int]:
-    """(labels, component ids, number of components) over every coin of the trace.
+def realized_effect_squares(trace: HalvingTrace, blocks: BlockStructure, n_rows: int) -> np.ndarray:
+    """sum of squared per-coin effects, for every row at once.
 
-    Components are numbered in coin order: level by level, pair by pair.
+    Each kept component is one coin; they are numbered level by level, pair by pair.
     """
     comps = [comp.labels for level in trace.levels for pair in level
              for comp in pair.cap.decomposition.components]
     sizes = np.fromiter(map(len, comps), dtype=np.int64, count=len(comps))
     labels = np.fromiter((lab for c in comps for lab in c), dtype=np.int64, count=int(sizes.sum()))
-    return labels, np.repeat(np.arange(len(comps)), sizes), len(comps)
-
-
-def realized_effect_vector(
-    trace: HalvingTrace, blocks: BlockStructure, row: int
-) -> np.ndarray:
-    """Per-coin worst-case effect on the given row's final load.
-
-    For each kept component at each level, the effect of its coin on the
-    row load is at most the number of its edges whose block covers the row.
-    """
-    labels, comp, count = _coin_components(trace)
-    covers = (blocks.rows[labels] == row).any(axis=1)
-    return np.bincount(comp, weights=covers, minlength=count).astype(np.float64)
-
-
-def realized_effect_squares(trace: HalvingTrace, blocks: BlockStructure, n_rows: int) -> np.ndarray:
-    """sum of squared per-coin effects, for every row at once."""
-    labels, comp, _ = _coin_components(trace)
+    comp = np.repeat(np.arange(len(comps)), sizes)
     if labels.size and blocks.rows[labels].max() >= n_rows:
         raise InvalidParam(f"a block covers a row >= n_rows = {n_rows}")
     # One key per (component, covered row) incidence; its multiplicity is the

@@ -17,4 +17,9 @@ def stream(seed: int, name: str) -> np.random.Generator:
 
 
 def trial_seed(seed: int, trial: int) -> int:
-    return int(seed) + int(trial)
+    """A 64-bit seed for one trial, drawn from (seed, trial); both must be >= 0.
+
+    Distinct pairs give unrelated seeds, so runs with adjacent seeds share
+    no trials.
+    """
+    return int(np.random.SeedSequence([seed, trial]).generate_state(1, np.uint64)[0])

@@ -58,58 +58,6 @@ def brute_force_max(square: EquiNSquare) -> tuple[int, Transversal]:
     return t.size, t
 
 
-def _matching_exceeds(rows_masks: list[tuple[int, int]], limit: int) -> bool:
-    """True iff the row-column matching has size > limit (early exit)."""
-    return _matching_size(rows_masks, limit) > limit
-
-
-def _matching_size(rows_masks: list[tuple[int, int]], stop_above: int) -> int:
-    """Kuhn's matching size; returns early once the size exceeds stop_above."""
-    match_col: dict[int, int] = {}  # col -> row
-    pending = None
-    size = 0
-    taken = 0
-    for r, mask in rows_masks:  # cheap greedy pass first
-        free = mask & ~taken
-        if free:
-            j = (free & -free).bit_length() - 1
-            match_col[j] = r
-            taken |= 1 << j
-            size += 1
-            if size > stop_above:
-                return size
-        elif pending is None:
-            pending = [r]
-        else:
-            pending.append(r)
-    if not pending:
-        return size
-    row_mask = dict(rows_masks)
-
-    def augment(r: int, visited: int) -> tuple[bool, int]:
-        mask = row_mask[r] & ~visited
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            visited |= 1 << j
-            if j not in match_col:
-                match_col[j] = r
-                return True, visited
-            ok, visited = augment(match_col[j], visited)
-            if ok:
-                match_col[j] = r
-                return True, visited
-        return False, visited
-
-    for r in pending:
-        ok, _ = augment(r, 0)
-        if ok:
-            size += 1
-            if size > stop_above:
-                return size
-    return size
-
-
 def _twin_masks(keys: list) -> tuple[list[int], list[int]]:
     """Per index, the bitmasks of the earlier and of the later indices with an equal key."""
     groups: dict = {}
@@ -134,10 +82,9 @@ def _max_tripartite_matching(
     and column form a cell, which may carry several symbols.  Depth-first
     over rows in most-constrained order, tracking per row the columns with
     a free symbol and the symbols with a free column as bitmasks.  Prunes
-    on live rows, on the free-column and free-symbol unions, and on the
-    row-column and row-symbol matching relaxations.  Identical rows and
-    columns are interchangeable, so only the first free column of each
-    duplicate group is branched, and skipping a row force-skips its
+    on live rows and on the free-column and free-symbol unions.  Identical
+    rows and columns are interchangeable, so only the first free column of
+    each duplicate group is branched, and skipping a row force-skips its
     identical later twins.  The incumbent starts as the row-major greedy
     matching.  Returns (chosen (row, col, symbol) triples, optimal); the
     budget counts search nodes, and once it is exhausted the incumbent is
@@ -197,10 +144,6 @@ def _max_tripartite_matching(
             union_cols |= avail[r]
             union_syms |= sym_avail[r]
         if min(union_cols.bit_count(), union_syms.bit_count()) <= gap:
-            return
-        if not _matching_exceeds([(r, avail[r]) for r in live], gap):
-            return
-        if not _matching_exceeds([(r, sym_avail[r]) for r in live], gap):
             return
         _, row = min((avail[r].bit_count(), r) for r in live)
         mask = avail[row]

@@ -119,6 +119,7 @@ def test_solve_block_requires_sidecar(tmp_path, capsys):
     lambda d: json.dumps({**d, "blocks": [{**d["blocks"][0], "rows": d["blocks"][0]["rows"][:1]}]
                           + d["blocks"][1:]}),
     lambda d: json.dumps(d)[:-5],
+    lambda d: "[" * 100_000 + "]" * 100_000,  # too deep for the JSON parser
 ])
 def test_solve_block_malformed_sidecar_exits_1(tmp_path, capsys, corrupt):
     square_file = tmp_path / "b.txt"
@@ -171,12 +172,18 @@ def _exit_code(argv) -> int:
     ["solve", "--method", "exact", "--budget", "0"],
     ["experiment", "greedy-baseline", "--n", "8", "--trials", "0"],
     ["experiment", "greedy-baseline", "--n", "8", "--trials", "-3"],
+    ["generate", "--kind", "random", "--n", "8", "--seed", "-1"],
+    ["generate", "--kind", "block", "--n", "8", "--m", "2", "--seed", "-1"],
+    ["experiment", "greedy-baseline", "--n", "8", "--seed", "-3"],
+    ["experiment", "survival", "--n", "8", "--m", "2", "--seed", "-3"],
 ], ids=" ".join)
 def test_numeric_flags_out_of_range_exit_2(tmp_path, capsys, argv):
     square_file = tmp_path / "b.txt"
     run_cli(["generate", "--kind", "block", "--n", "8", "--m", "2", "--out", str(square_file)], capsys)
     if argv[0] == "solve":
         files = ["--in", str(square_file), "--blocks", str(tmp_path / "b.blocks.json")]
+    elif argv[0] == "generate":
+        files = ["--out", str(tmp_path / "x.txt")]
     else:
         files = ([] if "--trials" in argv else ["--trials", "2"]) + ["--csv", str(tmp_path / "x.csv")]
     code = _exit_code(argv + files)
@@ -184,6 +191,7 @@ def test_numeric_flags_out_of_range_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert argv[-2] in err
     assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_solve_deterministic_outputs(tmp_path, capsys):
@@ -267,6 +275,20 @@ def test_experiment_greedy_baseline_parallel_determinism(tmp_path, capsys):
     assert rows[0] == rows[1]
 
 
+def test_experiment_adjacent_seeds_share_no_trials(tmp_path, capsys):
+    seeds = []
+    for seed in ("0", "1"):
+        csv_path = tmp_path / f"g{seed}.csv"
+        code, _, _ = run_cli(
+            ["experiment", "greedy-baseline", "--n", "12", "--trials", "2",
+             "--seed", seed, "--csv", str(csv_path)], capsys
+        )
+        assert code == 0
+        seeds.append({line.split(",")[1] for line in csv_path.read_text().splitlines()[1:]})
+    assert len(seeds[0]) == len(seeds[1]) == 2
+    assert not seeds[0] & seeds[1]
+
+
 def test_experiment_unknown_name_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["experiment", "nonsense", "--n", "8",
@@ -308,6 +330,7 @@ def test_console_entry_point_runs():
     lambda d: json.dumps({**d, "pairs": [{**d["pairs"][0], "colour": d["pairs"][1]["colour"]},
                                          {**d["pairs"][1], "colour": d["pairs"][0]["colour"]},
                                          *d["pairs"][2:]]}),
+    lambda d: "[" * 100_000 + "]" * 100_000,  # too deep for the JSON parser
 ])
 def test_verify_malformed_pairing_exits_1(tmp_path, capsys, corrupt):
     square_file = tmp_path / "s.txt"

@@ -15,7 +15,6 @@ from equisquares.halving import (
     iterated_halving,
     mcdiarmid_bound,
     realized_effect_squares,
-    realized_effect_vector,
     row_loads,
 )
 from equisquares.squares import validate_transversal
@@ -251,14 +250,6 @@ def test_mcdiarmid_values():
         mcdiarmid_bound([0.0], 1.0)
 
 
-def test_realized_effect_vector_caps_at_s():
-    sq, blocks = block_structured_square(16, 4, seed=7)
-    _, trace, _ = block_transversal(sq, blocks, 3, np.random.default_rng(7))
-    for row in range(16):
-        effects = realized_effect_vector(trace, blocks, row)
-        assert (effects <= 3).all()
-
-
 def test_realized_effects_match_per_component_loop():
     sq, blocks = block_structured_square(32, 4, seed=5)
     _, trace, _ = block_transversal(sq, blocks, 3, np.random.default_rng(5))
@@ -272,5 +263,3 @@ def test_realized_effects_match_per_component_loop():
                 per_coin.append(cnt)
     per_coin = np.array(per_coin)
     assert (realized_effect_squares(trace, blocks, 32) == (per_coin ** 2).sum(axis=0)).all()
-    for row in (0, 13, 31):
-        assert (realized_effect_vector(trace, blocks, row) == per_coin[:, row]).all()

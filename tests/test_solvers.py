@@ -6,7 +6,7 @@ from equisquares.constructions import (
     cyclic_latin,
     random_equi_square,
 )
-from equisquares.hypergraph import from_square, max_matching_exact
+from equisquares.hypergraph import alon_kim, from_square, max_matching_exact
 from equisquares.solvers import (
     TooLarge,
     _masked_greedy,
@@ -190,6 +190,20 @@ def test_exact_max_counterexample8():
 def test_exact_max_cyclic7_full():
     t, optimal = exact_max(cyclic_latin(7))
     assert optimal and t.size == 7
+
+
+def test_exact_search_returns_pinned_answers():
+    # Which optimum the search returns depends on its branching order and
+    # incumbent updates, not on its bounds; these cells pin that behaviour.
+    t, optimal = exact_max(counterexample_square(10)[0])
+    assert optimal
+    assert [tuple(c) for c in t.cells] == [
+        (0, 0), (1, 1), (2, 2), (3, 5), (4, 3), (5, 6), (6, 4), (7, 7), (8, 8)]
+    t, optimal = exact_max(cyclic_latin(8))
+    assert optimal
+    assert [tuple(c) for c in t.cells] == [
+        (0, 0), (1, 1), (2, 2), (3, 3), (4, 5), (5, 6), (6, 7)]
+    assert max_matching_exact(alon_kim(2)) == ((0, 9, 13, 22), True)
 
 
 def test_exact_max_budget_exhaustion_returns_incumbent():

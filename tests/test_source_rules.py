@@ -17,3 +17,38 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _names_used(tree, skip) -> set[str]:
+    """Every identifier that tree reads, attributes and imports included, outside skip."""
+    names: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_unreferenced_private_helpers_in_src():
+    # A module-level private function or class that nothing else in src/
+    # names is dead code; tests alone do not keep it alive.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert trees
+    dead = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and not any(node.name in _names_used(other, node) for other in trees.values())
+    ]
+    assert dead == []
