@@ -4,7 +4,11 @@ matching unions, and component capping.
 
 An edge's label is its index 0 ... E-1; the graph stores the left and right
 endpoint of every edge as two parallel arrays.  Matchings are frozensets of
-labels.  All operations are pure and deterministic.
+labels only at the public boundary; inside they are int64 label arrays.  The
+components of the unions of many matching pairs, a whole halving level, come
+from one array pass (`_walks`) and are capped by another (`_cut`);
+`union_components` and `cap_components` are their one-pair forms.  All
+operations are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -84,10 +88,24 @@ def _labels(graph: BipartiteMultigraph, labels) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _clash(graph: BipartiteMultigraph, labels: np.ndarray, group: np.ndarray, groups: int) -> int:
+    """The first group whose labels are not a matching of graph, else -1.
+
+    labels[i] belongs to group[i], one of 0 .. groups-1; one bincount over
+    vertex ids offset by group checks them all.
+    """
+    nl, nr = graph.left_size, graph.right_size
+    ends = np.concatenate((group * nl + graph.left[labels],
+                           groups * nl + group * nr + graph.right[labels]))
+    bad = np.flatnonzero(np.bincount(ends) > 1)
+    if not bad.size:
+        return -1
+    return int(np.where(bad < groups * nl, bad // nl, (bad - groups * nl) // nr).min())
+
+
 def is_matching(graph: BipartiteMultigraph, labels) -> bool:
     idx = _labels(graph, labels)
-    return all(np.bincount(ends, minlength=1).max() <= 1
-               for ends in (graph.left[idx], graph.right[idx]))
+    return _clash(graph, idx, np.zeros_like(idx), 1) < 0
 
 
 def _match_array(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
@@ -111,19 +129,34 @@ def matching_pairs_from_arrays(
     return list(zip(matched.tolist(), match[matched].tolist()))
 
 
-def _matched_edges(graph: BipartiteMultigraph, idx: np.ndarray) -> np.ndarray:
-    """Maximum matching of the subgraph on the ascending edge labels idx.
+def _by_ends(graph: BipartiteMultigraph) -> np.ndarray:
+    """All edge labels, sorted by (left, right, label)."""
+    return np.argsort(graph.left * graph.right_size + graph.right, kind="stable")
 
-    Parallel edges are collapsed; the smallest label of each matched
-    (left, right) pair is reported, so output is deterministic.
+
+def _matched_edges(graph: BipartiteMultigraph, sel: np.ndarray) -> np.ndarray:
+    """Maximum matching of the subgraph on the edges sel, listed by (left, right, label).
+
+    Parallel edges collapse to their first, smallest label, which is the
+    label reported for a matched (left, right) pair, so output is
+    deterministic.  The CSR matrix is built directly; it is the canonical
+    one (rows in order, columns ascending, no duplicates) that the COO
+    route would build.
     """
-    if idx.size == 0 or graph.left_size == 0 or graph.right_size == 0:
+    nl, nr = graph.left_size, graph.right_size
+    if sel.size == 0 or nl == 0 or nr == 0:
         return np.empty(0, dtype=np.int64)
-    u, v = graph.left[idx], graph.right[idx]
-    match = _match_array(u, v, graph.left_size, graph.right_size)
-    hit = match[u] == v
-    _, first = np.unique(u[hit], return_index=True)
-    return idx[hit][first]
+    u, v = graph.left[sel], graph.right[sel]
+    first = np.ones(sel.size, dtype=bool)
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    sel, u, v = sel[first], u[first], v[first]
+    # int32 indices are what the matching code takes, so scipy copies nothing
+    indptr = np.zeros(nl + 1, dtype=np.int32)
+    np.cumsum(np.bincount(u, minlength=nl), out=indptr[1:])
+    mat = sp.csr_matrix((np.ones(v.size, dtype=np.int8), v.astype(np.int32), indptr),
+                        shape=(nl, nr))
+    match = maximum_bipartite_matching(mat, perm_type="column")
+    return sel[match[u] == v]
 
 
 def max_matching(graph: BipartiteMultigraph) -> frozenset:
@@ -132,23 +165,27 @@ def max_matching(graph: BipartiteMultigraph) -> frozenset:
     Parallel edges are collapsed; the smallest label of each matched
     (left, right) pair is reported, so output is deterministic.
     """
-    return frozenset(_matched_edges(graph, np.arange(graph.left.size)).tolist())
+    return frozenset(_matched_edges(graph, _by_ends(graph)).tolist())
 
 
 def decompose_regular(graph: BipartiteMultigraph, k: int) -> list[frozenset]:
     """Partition the edges of a k-regular graph into k perfect matchings.
 
-    Round t takes a maximum matching of the edges no earlier round took.
+    The edges are sorted by (left, right, label) once.  Round t builds the
+    CSR matrix of the edges no earlier round took, parallel edges collapsed
+    to their smallest label, and takes a Hopcroft-Karp maximum matching of
+    it; the smallest label of each matched pair joins matching t.
     NotRegular unless every degree is k.
     """
     for side, deg in zip(("left", "right"), graph.degrees()):
         bad = np.flatnonzero(deg != k)
         if bad.size:
             raise NotRegular((side, int(bad[0])), int(deg[bad[0]]))
+    by_ends = _by_ends(graph)
     alive = np.ones(graph.left.size, dtype=bool)
     out = []
     for _ in range(k):
-        m = _matched_edges(graph, np.flatnonzero(alive))
+        m = _matched_edges(graph, by_ends[alive[by_ends]])
         if m.size != graph.left_size:
             raise AssertionError("extraction round lacked a perfect matching")
         alive[m] = False
@@ -180,21 +217,119 @@ class PathCycleDecomposition:
         }
 
 
-def _partners(ends: np.ndarray, size: int) -> np.ndarray:
-    """For each edge, the other edge at the same endpoint, or -1.
+def _components(labels: list, lengths: np.ndarray, cycle: np.ndarray) -> tuple[Component, ...]:
+    """Components from labels laid back to back, lengths[i] for component i."""
+    ends = np.cumsum(lengths).tolist()
+    return tuple(Component(tuple(labels[lo:hi]), "cycle" if cyc else "path")
+                 for lo, hi, cyc in zip([0, *ends], ends, cycle.tolist()))
 
-    NotAMatching if some endpoint has degree above 2.
+
+@dataclass(frozen=True)
+class _Walks:
+    """The components of the unions of P matching pairs, from one pass.
+
+    Position p is an edge of pair pair[p] with label label[p]; positions run
+    in (pair, label) order, and in_a / in_b say which of the pair's two
+    matchings hold the edge.  order lists the positions component by
+    component, each in its canonical traversal, the components in
+    (pair, minimum label) order; lengths and cycle describe them.
     """
-    deg = np.bincount(ends, minlength=size)
-    if deg.size and deg.max() > 2:
-        raise NotAMatching("a vertex has degree above 2 in the union of two matchings")
-    order = np.argsort(ends, kind="stable")
-    same = ends[order[1:]] == ends[order[:-1]]
-    a, b = order[:-1][same], order[1:][same]
-    partner = np.full(ends.size, -1, dtype=np.int64)
-    partner[a] = b
-    partner[b] = a
-    return partner
+
+    label: np.ndarray
+    pair: np.ndarray
+    in_a: np.ndarray
+    in_b: np.ndarray
+    order: np.ndarray
+    lengths: np.ndarray
+    cycle: np.ndarray
+
+
+_SHIFT = 32  # _walks packs (position << _SHIFT) | distance into one int64
+
+
+def _walks(graph: BipartiteMultigraph, labels: np.ndarray, sizes: list[int]) -> _Walks:
+    """Components of the unions of matching pairs, all pairs in one pass.
+
+    labels holds 2P matchings back to back, sizes[g] labels for matching
+    g; pair i is matching 2i (m_a) and matching 2i + 1 (m_b).  Each must
+    be a matching of graph; this is not checked here.  Every vertex then
+    has degree <= 2 in a union, so its components are paths and even
+    cycles that alternate between the two matchings; a label in both is a
+    one-edge path.
+
+    Canonical traversals: a path starts at its free end on the left with
+    the smaller vertex, failing that at its free end on the right with the
+    smaller vertex; a cycle starts at its minimum label and leaves it by
+    its right end.
+
+    m_a edges run left to right and m_b edges right to left, so each
+    component is a chain of successors.  Pointer doubling along the chains
+    finds, for every edge, the first edge of its path or the minimum of
+    its cycle and its distance from there, in ceil(log2(longest union))
+    rounds over all pairs at once.
+    """
+    edges, nl, nr = graph.left.size, graph.left_size, graph.right_size
+    pairs = len(sizes) // 2
+    group = np.repeat(np.arange(2 * pairs), sizes)
+    key = (group >> 1) * edges + labels
+    srt = np.argsort(key, kind="stable")
+    key, in_b = key[srt], (group[srt] & 1).astype(bool)
+    in_a = ~in_b
+    # A label in both matchings of a pair comes twice, its m_a copy first:
+    # keep that copy and mark it as in both.
+    both = np.flatnonzero(key[1:] == key[:-1])
+    if both.size:
+        in_b[both] = True
+        key, in_a, in_b = (np.delete(x, both + 1) for x in (key, in_a, in_b))
+
+    size = key.size
+    pos = np.arange(size)
+    pair = key // edges
+    label = key - pair * edges
+    # Vertex codes, left vertices of every pair before right ones, of where
+    # the chain enters and leaves each edge.
+    left = pair * nl + graph.left[label]
+    right = pairs * nl + pair * nr + graph.right[label]
+    enter = np.where(in_a, left, right)
+    leave = np.where(in_a, right, left)
+    at = np.full(pairs * (nl + nr), -1)
+    at[enter] = pos
+    succ = at[leave]
+    linked = succ >= 0
+    pred = pos.copy()  # the first edge of a path is its own predecessor
+    pred[succ[linked]] = pos[linked]
+
+    # After r rounds hop[p] is 2^r edges back along the chain, or the path's
+    # first edge if that is nearer, reach[p] how far back that is, and best[p]
+    # the smallest position from p back to hop[p] (excluded), packed with
+    # its distance back from p.
+    hop, reach, best = pred, (pred != pos).astype(np.int64), pos << _SHIFT
+    longest = max((a + b for a, b in zip(sizes[::2], sizes[1::2])), default=1)
+    for _ in range((longest - 1).bit_length()):
+        best = np.minimum(best, best[hop] + reach)
+        reach = reach + reach[hop]
+        hop = hop[hop]
+
+    cycle = reach[hop] > 0  # a path's edges hop to its first edge, which reaches nothing
+    low = best >> _SHIFT
+    anchor = np.where(cycle, low, hop)
+    step = np.where(cycle, best & ((1 << _SHIFT) - 1), reach)
+    # Indexed by anchor: the component's minimum position, and whether its
+    # traversal follows the chain.  A path's minimum lies behind its last
+    # edge; its free ends are where the chain enters its first edge and
+    # leaves its last.  A cycle leaves its minimum by the right end.
+    last = np.flatnonzero(~linked)
+    first = hop[last]
+    low[first] = low[last]
+    forward = in_a.copy()
+    forward[first] = enter[first] < leave[last]
+    back = size - step
+    back[cycle & (step == 0)] = 0  # walked backwards, a cycle still starts at its anchor
+    comp = low[anchor]
+    order = np.argsort(comp * (size + 1) + np.where(forward[anchor], step, back))
+    count = np.bincount(comp, minlength=1)
+    mins = np.flatnonzero(count)
+    return _Walks(label, pair, in_a, in_b, order, count[mins], cycle[mins])
 
 
 def union_components(
@@ -214,67 +349,10 @@ def union_components(
     for name, m in (("m_a", m_a), ("m_b", m_b)):
         if not is_matching(graph, m):
             raise NotAMatching(f"{name} is not a matching")
-    labels = np.array(sorted(m_a | m_b), dtype=np.int64)
-    u, v = graph.left[labels], graph.right[labels]
-    # Edges are handled by position in `labels`; at[side][p] is the other
-    # edge at p's endpoint on that side (0 = left, 1 = right).
-    partners = (_partners(u, graph.left_size), _partners(v, graph.right_size))
-    at = tuple(p.tolist() for p in partners)
-    visited = [False] * labels.size
-
-    def walk(p: int, side: int) -> list[int]:
-        """Edge positions from p on, leaving p through its end on `side`."""
-        seq = []
-        here, there = at[side], at[1 - side]
-        while p >= 0 and not visited[p]:
-            visited[p] = True
-            seq.append(p)
-            p = here[p]
-            here, there = there, here
-        return seq
-
-    walks: list[tuple[list[int], str]] = []
-    # Paths start from degree-1 endpoints, smaller vertex first.
-    for side, ends in ((0, u), (1, v)):
-        lone = np.flatnonzero(partners[side] < 0)
-        for p in lone[np.argsort(ends[lone], kind="stable")].tolist():
-            if not visited[p]:
-                walks.append((walk(p, 1 - side), "path"))
-    # The rest are cycles; canonical start is the minimum remaining label.
-    for p in range(labels.size):
-        if visited[p]:
-            continue
-        seq = walk(p, 1)
-        if len(seq) % 2 or at[0][seq[-1]] != p:
-            raise AssertionError("cycle traversal did not close")
-        walks.append((seq, "cycle"))
-
-    lengths = np.fromiter((len(seq) for seq, _ in walks), dtype=np.int64, count=len(walks))
-    order = labels[np.fromiter(itertools.chain.from_iterable(seq for seq, _ in walks),
-                               dtype=np.int64, count=labels.size)]
-    first = np.zeros(labels.size, dtype=bool)
-    first[np.cumsum(lengths) - lengths] = True
-    _check_alternating(graph, order, first, m_a, m_b)
-    lab = labels.tolist()
-    components = [Component(tuple(map(lab.__getitem__, seq)), kind) for seq, kind in walks]
-    components.sort(key=lambda c: min(c.labels))
-    return PathCycleDecomposition(tuple(components))
-
-
-def _check_alternating(graph: BipartiteMultigraph, order: np.ndarray, first: np.ndarray,
-                       m_a, m_b) -> None:
-    """NotAMatching if two consecutive edges of a component lie in one matching only.
-
-    order lists the labels of all components back to back; first marks
-    where each component starts.
-    """
-    side = np.zeros(graph.left.size, dtype=np.int8)
-    for m, bit in ((m_a, 1), (m_b, 2)):
-        side[np.fromiter(m, dtype=np.int64, count=len(m))] |= bit
-    side = side[order]
-    same = (side[1:] == side[:-1]) & (side[1:] != 3) & ~first[1:]
-    if same.any():
-        raise NotAMatching("component does not alternate between the matchings")
+    mats = [_labels(graph, m_a), _labels(graph, m_b)]
+    walks = _walks(graph, np.concatenate(mats), [m.size for m in mats])
+    return PathCycleDecomposition(
+        _components(walks.label[walks.order].tolist(), walks.lengths, walks.cycle))
 
 
 @dataclass(frozen=True)
@@ -292,29 +370,51 @@ class CapResult:
         }
 
 
+def _cut(seq: np.ndarray, lengths: np.ndarray, cycle: np.ndarray, s: int):
+    """Cap the components laid back to back in seq at s edges each.
+
+    Deletions are evenly spaced along each component longer than s, at
+    p = s mod (s+1) for paths and p = 0 mod (s+1) for cycles; what lies
+    between them are path pieces, and shorter components stay whole.
+    Returns (cut, pieces, lengths, cycle): cut marks the deleted entries of
+    seq, pieces indexes the others piece by piece, pieces in increasing
+    order of their smallest seq value, and lengths and cycle describe them.
+    """
+    long = lengths > s
+    if not long.any():
+        return np.zeros(seq.size, dtype=bool), np.arange(seq.size), lengths, cycle
+    step = np.arange(seq.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    cut = np.repeat(long, lengths) & ((step + np.repeat(~cycle, lengths)) % (s + 1) == 0)
+    opens = step == 0
+    opens[1:] |= cut[:-1]
+    kept = np.flatnonzero(~cut)
+    opens = opens[kept]
+    starts = np.flatnonzero(opens)
+    low = np.minimum.reduceat(seq[kept], starts)
+    rank = np.argsort(low)
+    piece_lengths = np.diff(np.append(starts, kept.size))[rank]
+    piece_cycle = np.repeat(cycle & ~long, lengths)[kept[starts]][rank]
+    pieces = kept[np.argsort(low[np.cumsum(opens) - 1], kind="stable")]
+    return cut, pieces, piece_lengths, piece_cycle
+
+
 def cap_components(decomp: PathCycleDecomposition, s: int) -> CapResult:
     """Break long components into pieces of at most s edges.
 
     Deletions are evenly spaced along the canonical traversal: position
     p = s mod (s+1) for paths, p = 0 mod (s+1) for cycles.  Per component
     of L edges this deletes ceil(L/(s+1)) edges for cycles and
-    floor(L/(s+1)) for paths, the minimum possible.
+    floor(L/(s+1)) for paths, the minimum possible.  Pieces are ordered by
+    minimum edge label.
     """
     if s < 1:
         raise ValueError(f"cap must be >= 1, got {s}")
-    deleted: set = set()
-    pieces: list[Component] = []
-    for comp in decomp.components:
-        length = len(comp)
-        if length <= s:
-            pieces.append(comp)
-            continue
-        cuts = range(0 if comp.kind == "cycle" else s, length, s + 1)
-        deleted.update(comp.labels[p] for p in cuts)
-        bounds = [-1, *cuts, length]
-        for lo, hi in zip(bounds, bounds[1:]):
-            if hi > lo + 1:
-                pieces.append(Component(comp.labels[lo + 1:hi], "path"))
-    pieces.sort(key=lambda c: min(c.labels))
-    return CapResult(deleted=frozenset(deleted),
-                     decomposition=PathCycleDecomposition(tuple(pieces)))
+    comps = decomp.components
+    lengths = np.fromiter(map(len, comps), dtype=np.int64, count=len(comps))
+    cycle = np.fromiter((c.kind == "cycle" for c in comps), dtype=bool, count=len(comps))
+    seq = np.fromiter(itertools.chain.from_iterable(c.labels for c in comps),
+                      dtype=np.int64, count=int(lengths.sum()))
+    cut, pieces, lengths, cycle = _cut(seq, lengths, cycle, s)
+    return CapResult(deleted=frozenset(seq[cut].tolist()),
+                     decomposition=PathCycleDecomposition(
+                         _components(seq[pieces].tolist(), lengths, cycle)))

@@ -300,29 +300,29 @@ def cmd_experiment(args) -> int:
         return _fail_usage(f"--parallel must be at least 1, got {args.parallel}")
     trials = range(args.trials)
     if name == "missing-colour":
-        params = [(args.n, args.seed, t) for t in trials]
-        rows = _run_trials(_trial_missing_colour, params, args.parallel)
+        fn, params = _trial_missing_colour, [(args.n, args.seed, t) for t in trials]
     elif name == "survival":
         if args.m is None:
             return _fail_usage("--m is required for the survival experiment")
         s = 2 * args.n if args.s is None else args.s  # no deletions: every edge survives capping
-        params = [(args.n, args.m, s, args.seed, args.seed, t) for t in trials]
-        rows = _run_trials(_trial_survival, params, args.parallel)
+        fn, params = _trial_survival, [(args.n, args.m, s, args.seed, args.seed, t) for t in trials]
     elif name == "concentration":
         if args.m is None:
             return _fail_usage("--m is required for the concentration experiment")
         s = int(np.ceil(np.sqrt(args.n))) if args.s is None else args.s
-        params = [(args.n, args.m, s, args.seed, t) for t in trials]
-        rows = _run_trials(_trial_concentration, params, args.parallel)
+        fn, params = _trial_concentration, [(args.n, args.m, s, args.seed, t) for t in trials]
     elif name == "greedy-baseline":
-        params = [(args.n, args.seed, t) for t in trials]
-        rows = _run_trials(_trial_greedy_baseline, params, args.parallel)
+        fn, params = _trial_greedy_baseline, [(args.n, args.seed, t) for t in trials]
     else:  # peel
         min_size = int(np.ceil(0.9 * args.n)) if args.min_size is None else args.min_size
         if min_size > args.n:
             return _fail_usage(f"--min-size {min_size} exceeds --n {args.n}")
-        params = [(args.n, min_size, args.seed, t) for t in trials]
-        rows = _run_trials(_trial_peel, params, args.parallel)
+        fn, params = _trial_peel, [(args.n, min_size, args.seed, t) for t in trials]
+    try:
+        rows = _run_trials(fn, params, args.parallel)
+    except (constructions.NotDivisible, constructions.TooSmall) as exc:
+        sizes = f"--n {args.n}" if args.m is None else f"--n {args.n} --m {args.m}"
+        return _fail_usage(f"{sizes}: {exc}")
 
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -364,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a square (plus sidecars) to disk")
     g.add_argument("--kind", required=True,
                    choices=["counterexample", "random", "block", "cyclic", "alon-kim"])
-    g.add_argument("--n", type=int, required=True,
+    g.add_argument("--n", type=_int_at_least(1), required=True,
                    help="order (for alon-kim: the parameter t)")
-    g.add_argument("--m", type=int, default=None, help="block size (block kind)")
+    g.add_argument("--m", type=_int_at_least(1), default=None, help="block size (block kind)")
     g.add_argument("--seed", type=_int_at_least(0), default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_generate)
@@ -391,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("experiment", help="run a trial suite, writing one CSV row per trial")
     e.add_argument("name", choices=EXPERIMENTS)
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--m", type=int, default=None)
+    e.add_argument("--n", type=_int_at_least(1), required=True)
+    e.add_argument("--m", type=_int_at_least(1), default=None)
     e.add_argument("--s", type=_int_at_least(1), default=None)
     e.add_argument("--min-size", type=_int_at_least(1), default=None)
     e.add_argument("--trials", type=_int_at_least(1), default=100)

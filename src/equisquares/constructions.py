@@ -19,7 +19,11 @@ from .squares import EquiNSquare, Transversal, validate_square, validate_transve
 class TooSmall(ValueError):
     def __init__(self, n: int, reason: str = ""):
         self.n = n
+        self.reason = reason
         super().__init__(f"no paired-box construction for n={n}" + (f": {reason}" if reason else ""))
+
+    def __reduce__(self):  # so that an experiment worker process can pass it back
+        return type(self), (self.n, self.reason)
 
 
 class NotDivisible(ValueError):
@@ -27,6 +31,9 @@ class NotDivisible(ValueError):
         self.n = n
         self.m = m
         super().__init__(f"block size {m} does not divide n={n}")
+
+    def __reduce__(self):  # so that an experiment worker process can pass it back
+        return type(self), (self.n, self.m)
 
 
 class CertificateViolation(AssertionError):

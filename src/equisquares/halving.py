@@ -16,13 +16,14 @@ completion restores every column and symbol that capping left unmatched.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bipartite
-from .bipartite import BipartiteMultigraph, CapResult, cap_components, union_components
+from .bipartite import BipartiteMultigraph, CapResult, union_components
 from .constructions import BlockMismatch, BlockStructure, validate_block_structure
 from .squares import Cell, EquiNSquare, Transversal, validate_transversal
 
@@ -111,27 +112,56 @@ def alternate_halve(
     Flip 1 keeps the component's m_b edges, flip 0 its m_a edges, so every
     edge that survives the capping is kept with probability exactly 1/2.
     Components are processed in minimum-label order, so a seed fully
-    determines the result.
+    determines the result.  This is iterated_halving on two matchings.
     """
-    if s < 1:
-        raise InvalidParam(f"cap must be >= 1, got {s}")
-    m_a = frozenset(m_a)
-    m_b = frozenset(m_b)
-    decomp = union_components(graph, m_a, m_b)
-    cap = cap_components(decomp, s)
-    flips = []
-    kept: set = set()
-    for comp in cap.decomposition.components:
-        flip = int(rng.integers(0, 2))
-        flips.append(flip)
-        side = m_b if flip else m_a
-        kept.update(side.intersection(comp.labels))
-    out = frozenset(kept)
-    if not bipartite.is_matching(graph, out):
+    final, trace = iterated_halving(graph, [m_a, m_b], s, rng)
+    return final, trace.levels[0][0]
+
+
+def _halve_level(graph: BipartiteMultigraph, labels: np.ndarray, sizes: list[int],
+                 inputs: list[frozenset], s: int, rng: np.random.Generator):
+    """Halve the pairs of matchings (0, 1), (2, 3), ... in one array pass.
+
+    labels holds the matchings back to back, sizes[g] labels for matching
+    g; they must be matchings of graph, which is not checked here.  inputs
+    holds the same matchings as frozensets, for the trace.  The capped
+    components of all pairs, in (pair, minimum label) order, get their
+    coins from one draw, which leaves the generator where one draw per
+    component would.  Returns the outputs back to back (ascending labels
+    within each), their sizes, the outputs as frozensets, and the level's
+    PairTraces.
+    """
+    pairs = len(sizes) // 2
+    walks = bipartite._walks(graph, labels, sizes)
+    cut, idx, lengths, cycle = bipartite._cut(walks.order, walks.lengths, walks.cycle, s)
+    pieces = walks.order[idx]
+    flips = rng.integers(0, 2, size=lengths.size)
+    take_b = np.repeat(flips.astype(bool), lengths)
+    kept = np.sort(pieces[np.where(take_b, walks.in_b[pieces], walks.in_a[pieces])])
+    kept_labels = walks.label[kept]
+    if bipartite._clash(graph, kept_labels, walks.pair[kept], pairs) >= 0:
         raise bipartite.NotAMatching("halving produced a non-matching")
-    trace = PairTrace(matching_a=m_a, matching_b=m_b, cap=cap,
-                      flips=tuple(flips), output=out)
-    return out, trace
+
+    def per_pair(positions):
+        """Labels at positions as a list, and the bounds of each pair's run in it."""
+        counts = np.bincount(walks.pair[positions], minlength=pairs)
+        return walks.label[positions].tolist(), [0, *np.cumsum(counts).tolist()]
+
+    out, out_at = per_pair(kept)
+    dropped, dropped_at = per_pair(walks.order[cut])
+    _, comp_at = per_pair(pieces[np.cumsum(lengths) - lengths])
+    comps = bipartite._components(walks.label[pieces].tolist(), lengths, cycle)
+    flips = flips.tolist()
+    outputs, traces = [], []
+    for i in range(pairs):
+        lo, hi = comp_at[i], comp_at[i + 1]
+        output = frozenset(out[out_at[i]:out_at[i + 1]])
+        cap = CapResult(deleted=frozenset(dropped[dropped_at[i]:dropped_at[i + 1]]),
+                        decomposition=bipartite.PathCycleDecomposition(comps[lo:hi]))
+        traces.append(PairTrace(matching_a=inputs[2 * i], matching_b=inputs[2 * i + 1],
+                                cap=cap, flips=tuple(flips[lo:hi]), output=output))
+        outputs.append(output)
+    return kept_labels, np.diff(out_at).tolist(), outputs, tuple(traces)
 
 
 def iterated_halving(
@@ -145,6 +175,10 @@ def iterated_halving(
 
     Pairs are taken in order (0,1), (2,3), ...; an edge never deleted by
     capping survives to the final matching with probability 2^-levels.
+    The inputs are checked once; each level is then one array pass over
+    all its pairs (see _halve_level), and the matchings pass from level to
+    level as label arrays.  Frozensets are built for the trace only, each
+    level's outputs serving as the next level's inputs.
     """
     matchings = [frozenset(m) for m in matchings]
     count = len(matchings)
@@ -152,15 +186,17 @@ def iterated_halving(
         raise NotPowerOfTwo(f"need a power of two matchings, got {count}")
     levels = []
     current = matchings
+    if count > 1:
+        if s < 1:
+            raise InvalidParam(f"cap must be >= 1, got {s}")
+        labels = bipartite._labels(graph, itertools.chain.from_iterable(matchings))
+        sizes = [len(m) for m in matchings]
+        bad = bipartite._clash(graph, labels, np.repeat(np.arange(count), sizes), count)
+        if bad >= 0:
+            raise bipartite.NotAMatching(f"matching {bad} is not a matching")
     while len(current) > 1:
-        nxt = []
-        traces = []
-        for i in range(0, len(current), 2):
-            out, trace = alternate_halve(graph, current[i], current[i + 1], s, rng)
-            nxt.append(out)
-            traces.append(trace)
-        levels.append(tuple(traces))
-        current = nxt
+        labels, sizes, current, traces = _halve_level(graph, labels, sizes, current, s, rng)
+        levels.append(traces)
     trace = HalvingTrace(
         initial_matchings=tuple(matchings),
         levels=tuple(levels),

@@ -3,8 +3,11 @@ import pytest
 
 from equisquares.bipartite import (
     BipartiteMultigraph,
+    CapResult,
+    Component,
     NotAMatching,
     NotRegular,
+    PathCycleDecomposition,
     cap_components,
     decompose_regular,
     is_matching,
@@ -249,3 +252,130 @@ def test_cap_deletion_budget_two_matchings():
         for s in (2, 3, 5, 8):
             res = cap_components(decomp, s)
             assert len(res.deleted) <= 2 * (2 * n) / s
+
+
+# Reference implementations: the per-edge Python walk and the per-component
+# capping loop that the array passes replaced.  The array code must give the
+# same components, in the same order and traversal, and the same pieces.
+
+def _walk_partners(ends: np.ndarray) -> np.ndarray:
+    """For each edge, the other edge at the same endpoint, or -1."""
+    order = np.argsort(ends, kind="stable")
+    same = ends[order[1:]] == ends[order[:-1]]
+    a, b = order[:-1][same], order[1:][same]
+    partner = np.full(ends.size, -1, dtype=np.int64)
+    partner[a] = b
+    partner[b] = a
+    return partner
+
+
+def walk_union_components(graph, m_a, m_b) -> PathCycleDecomposition:
+    """Paths from their free ends (left before right, smaller vertex first),
+    then cycles from their minimum label out of its right end."""
+    labels = np.array(sorted(frozenset(m_a) | frozenset(m_b)), dtype=np.int64)
+    u, v = graph.left[labels], graph.right[labels]
+    partners = (_walk_partners(u), _walk_partners(v))
+    at = tuple(p.tolist() for p in partners)
+    visited = [False] * labels.size
+
+    def walk(p: int, side: int) -> list[int]:
+        seq = []
+        here, there = at[side], at[1 - side]
+        while p >= 0 and not visited[p]:
+            visited[p] = True
+            seq.append(p)
+            p = here[p]
+            here, there = there, here
+        return seq
+
+    walks = []
+    for side, ends in ((0, u), (1, v)):
+        lone = np.flatnonzero(partners[side] < 0)
+        for p in lone[np.argsort(ends[lone], kind="stable")].tolist():
+            if not visited[p]:
+                walks.append((walk(p, 1 - side), "path"))
+    for p in range(labels.size):
+        if not visited[p]:
+            seq = walk(p, 1)
+            assert len(seq) % 2 == 0 and at[0][seq[-1]] == p
+            walks.append((seq, "cycle"))
+    lab = labels.tolist()
+    components = [Component(tuple(lab[i] for i in seq), kind) for seq, kind in walks]
+    components.sort(key=lambda c: min(c.labels))
+    return PathCycleDecomposition(tuple(components))
+
+
+def loop_cap_components(decomp: PathCycleDecomposition, s: int) -> CapResult:
+    deleted = set()
+    pieces = []
+    for comp in decomp.components:
+        length = len(comp)
+        if length <= s:
+            pieces.append(comp)
+            continue
+        cuts = range(0 if comp.kind == "cycle" else s, length, s + 1)
+        deleted.update(comp.labels[p] for p in cuts)
+        bounds = [-1, *cuts, length]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi > lo + 1:
+                pieces.append(Component(comp.labels[lo + 1:hi], "path"))
+    pieces.sort(key=lambda c: min(c.labels))
+    return CapResult(frozenset(deleted), PathCycleDecomposition(tuple(pieces)))
+
+
+def random_matching(graph, rng, keep: float, start=frozenset()) -> frozenset:
+    """start, then edges taken greedily in random order, each tried with probability keep."""
+    out = set(start)
+    used_left = {int(graph.left[e]) for e in out}
+    used_right = {int(graph.right[e]) for e in out}
+    for e in rng.permutation(graph.left.size).tolist():
+        u, v = int(graph.left[e]), int(graph.right[e])
+        if rng.random() < keep and u not in used_left and v not in used_right:
+            used_left.add(u)
+            used_right.add(v)
+            out.add(e)
+    return frozenset(out)
+
+
+def _assert_same_as_reference(graph, m_a, m_b, caps=(1, 2, 3, 5, 1000)):
+    decomp = union_components(graph, m_a, m_b)
+    assert decomp == walk_union_components(graph, m_a, m_b)
+    for s in caps:
+        assert cap_components(decomp, s) == loop_cap_components(decomp, s)
+
+
+def test_union_and_cap_match_reference_on_random_pairs():
+    rng = np.random.default_rng(17)
+    for trial in range(400):
+        nl, nr = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        edges = int(rng.integers(0, 40))
+        g = BipartiteMultigraph(nl, nr, rng.integers(0, nl, edges), rng.integers(0, nr, edges))
+        m_a = random_matching(g, rng, rng.random())
+        shared = frozenset(lab for lab in m_a if trial % 3 == 0 and rng.random() < 0.5)
+        m_b = random_matching(g, rng, rng.random(), start=shared)
+        _assert_same_as_reference(g, m_a, m_b)
+
+
+def test_union_and_cap_match_reference_on_shapes():
+    # empty matchings
+    g = make_graph(3, 3, [(0, 0), (1, 1), (2, 2)])
+    for m_a, m_b in ((frozenset(), frozenset()), (frozenset({0, 2}), frozenset()),
+                     (frozenset(), frozenset({1})), (frozenset({0, 1}), frozenset({0, 1}))):
+        _assert_same_as_reference(g, m_a, m_b)
+    # even paths with both ends on the left, and with both ends on the right
+    g = make_graph(4, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (3, 3), (3, 2), (2, 2), (2, 3)])
+    _assert_same_as_reference(g, frozenset({0, 2, 4}), frozenset({1, 3, 5}))
+    _assert_same_as_reference(g, frozenset({1, 3, 5}), frozenset({0, 2, 6}))
+    # long cycles, either matching first, and a cycle plus paths
+    for length in (2, 4, 64, 202):
+        g, m_a, m_b = cycle_graph(length)
+        _assert_same_as_reference(g, m_a, m_b, caps=(1, 2, 7, length - 1, length))
+        _assert_same_as_reference(g, m_b, m_a, caps=(1, 3, length))
+        _assert_same_as_reference(g, m_a, frozenset(sorted(m_b)[1:]))
+    # unions of two perfect matchings of random regular graphs
+    rng = np.random.default_rng(4)
+    for n in (5, 30, 200):
+        g = random_k_regular(n, 4, rng)
+        parts = decompose_regular(g, 4)
+        _assert_same_as_reference(g, parts[0], parts[3], caps=(1, 4, 2 * n))
+        _assert_same_as_reference(g, parts[1], frozenset())

@@ -176,6 +176,14 @@ def _exit_code(argv) -> int:
     ["generate", "--kind", "block", "--n", "8", "--m", "2", "--seed", "-1"],
     ["experiment", "greedy-baseline", "--n", "8", "--seed", "-3"],
     ["experiment", "survival", "--n", "8", "--m", "2", "--seed", "-3"],
+    ["generate", "--kind", "random", "--n", "-2"],
+    ["generate", "--kind", "block", "--n", "8", "--m", "0"],
+    ["experiment", "survival", "--n", "8", "--m", "0"],
+    ["experiment", "survival", "--n", "8", "--m", "3"],
+    ["experiment", "survival", "--parallel", "2", "--n", "8", "--m", "3"],
+    ["experiment", "concentration", "--n", "8", "--m", "3"],
+    ["experiment", "missing-colour", "--n", "3"],
+    ["experiment", "greedy-baseline", "--n", "0"],
 ], ids=" ".join)
 def test_numeric_flags_out_of_range_exit_2(tmp_path, capsys, argv):
     square_file = tmp_path / "b.txt"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 from equisquares.bipartite import decompose_regular, is_matching, make_graph
 from equisquares.constructions import block_structured_square
 from equisquares.halving import (
+    HalvingTrace,
     InvalidParam,
     NotPowerOfTwo,
+    PairTrace,
     alternate_halve,
     block_transversal,
     build_block_multigraph,
@@ -18,7 +22,12 @@ from equisquares.halving import (
     row_loads,
 )
 from equisquares.squares import validate_transversal
-from tests.test_bipartite import cycle_graph
+from tests.test_bipartite import (
+    cycle_graph,
+    loop_cap_components,
+    random_k_regular,
+    walk_union_components,
+)
 
 
 def test_default_cap_values():
@@ -263,3 +272,83 @@ def test_realized_effects_match_per_component_loop():
                 per_coin.append(cnt)
     per_coin = np.array(per_coin)
     assert (realized_effect_squares(trace, blocks, 32) == (per_coin ** 2).sum(axis=0)).all()
+
+
+def test_batched_coin_draw_equals_scalar_draws():
+    # A halving level draws all its coins at once; with PCG64 that gives the
+    # values and the final generator state of one draw per component.
+    for count in range(71):
+        batch, scalar = np.random.default_rng(count), np.random.default_rng(count)
+        coins = batch.integers(0, 2, size=count).tolist()
+        assert coins == [int(scalar.integers(0, 2)) for _ in range(count)]
+        assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+def reference_iterated_halving(graph, matchings, s, rng):
+    """Pair by pair, with the walk and capping references and one coin per call."""
+    current = [frozenset(m) for m in matchings]
+    levels = []
+    while len(current) > 1:
+        outs, traces = [], []
+        for m_a, m_b in zip(current[::2], current[1::2]):
+            cap = loop_cap_components(walk_union_components(graph, m_a, m_b), s)
+            flips = [int(rng.integers(0, 2)) for _ in cap.decomposition.components]
+            out = frozenset(lab for comp, flip in zip(cap.decomposition.components, flips)
+                            for lab in (m_b if flip else m_a).intersection(comp.labels))
+            traces.append(PairTrace(m_a, m_b, cap, tuple(flips), out))
+            outs.append(out)
+        levels.append(tuple(traces))
+        current = outs
+    return current[0], HalvingTrace(tuple(frozenset(m) for m in matchings), tuple(levels), current[0])
+
+
+def test_iterated_halving_matches_pairwise_reference():
+    rng = np.random.default_rng(8)
+    cases = []
+    for n, k in ((6, 2), (20, 4), (40, 8), (100, 16)):
+        g = random_k_regular(n, k, rng)
+        cases.append((g, decompose_regular(g, k)))
+    g, ms = cases[1]
+    cases.append((g, [ms[0], ms[0], ms[1], frozenset()]))  # shared labels and an empty matching
+    cases.append((g, [ms[2], frozenset(sorted(ms[2])[::2]), ms[3], ms[1]]))
+    for g, ms in cases:
+        n = g.left_size
+        for s in (1, 2, 3, math.isqrt(n), 2 * n):
+            for seed in range(2):
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                out, trace = iterated_halving(g, ms, s, fast)
+                ref_out, ref = reference_iterated_halving(g, ms, s, slow)
+                assert out == ref_out and trace == ref
+                assert fast.bit_generator.state == slow.bit_generator.state
+
+
+GOLDEN = [  # (kind, n, m, s, decompose_regular digest, output digest)
+    ("iterated", 8, 2, 16, "eae39d8e27c073d4", "7db5e7598e15a9c2"),
+    ("block", 64, 4, 1, "fbebdf48372e7648", "ee25e07b26776bbf"),
+    ("block", 64, 4, 4, "fbebdf48372e7648", "b60bccdd3d607979"),
+    ("block", 64, 4, 128, "fbebdf48372e7648", "c48b4131bbded23e"),
+    ("block", 128, 8, 11, "a686cb55fdee8362", "4b9da1213f168d67"),
+]
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind,n,m,s,decomposition,output", GOLDEN)
+def test_outputs_match_recorded_digests(kind, n, m, s, decomposition, output):
+    # Recorded before halving and decomposition moved to array passes: the
+    # matchings, the trace, the transversal, the row loads and the final
+    # generator state must not change for a fixed seed.
+    sq, blocks = block_structured_square(n, m, seed=n + m)
+    g = build_block_multigraph(sq, blocks)
+    ms = decompose_regular(g, n // m)
+    assert _digest([sorted(x) for x in ms]) == decomposition
+    rng = np.random.default_rng(s)
+    if kind == "iterated":
+        _, trace = iterated_halving(g, ms, s, rng, rng_seed=s)
+        assert _digest(trace.to_json(), rng.bit_generator.state) == output
+    else:
+        t, trace, loads = block_transversal(sq, blocks, s, rng, rng_seed=s)
+        assert _digest(trace.to_json(), rng.bit_generator.state, [list(c) for c in t.cells],
+                       loads.loads.tolist()) == output
