@@ -24,7 +24,11 @@ import numpy as np
 from . import bipartite, constructions, halving, hypergraph, solvers, squares
 from .rng import stream, trial_seed
 
-EXPERIMENTS = ("missing-colour", "concentration", "greedy-baseline", "peel", "survival")
+EXPERIMENTS = ("missing-colour", "concentration", "greedy-baseline", "peel", "survival",
+               "bound-tightness")
+# Search nodes per order in bound-tightness: orders 8 to 24 are proved well
+# within it, and an order left unproved costs a few seconds.
+BOUND_TIGHTNESS_BUDGET = 3 * 10**5
 
 
 def _say(msg: str) -> None:
@@ -281,15 +285,27 @@ def _trial_peel(params: tuple) -> dict:
             "total_cells": sum(t.size for t in layers)}
 
 
+def _order_bound_tightness(n: int) -> dict | None:
+    """The exact search on counterexample_square(n) against the certificate
+    bound; None for an order with no paired-box construction."""
+    try:
+        square, pairing = constructions.counterexample_square(n)
+    except constructions.TooSmall:
+        return None
+    t, proved = solvers.exact_max(square, node_budget=BOUND_TIGHTNESS_BUDGET)
+    return {"n": n, "bound": pairing.transversal_bound(), "best": t.size,
+            "proved": "true" if proved else "false"}
+
+
 def _run_trials(fn, param_list, workers: int) -> list[dict]:
+    """fn on each parameter, rows in parameter order; None results are dropped."""
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(fn, param_list))
     else:
         rows = [fn(p) for p in param_list]
-    rows.sort(key=lambda r: r["trial"])
-    return rows
+    return [r for r in rows if r is not None]
 
 
 def cmd_experiment(args) -> int:
@@ -313,6 +329,10 @@ def cmd_experiment(args) -> int:
         fn, params = _trial_concentration, [(args.n, args.m, s, args.seed, t) for t in trials]
     elif name == "greedy-baseline":
         fn, params = _trial_greedy_baseline, [(args.n, args.seed, t) for t in trials]
+    elif name == "bound-tightness":
+        if args.n < 8:
+            return _fail_usage(f"--n {args.n}: bound-tightness runs the orders from 8 up")
+        fn, params = _order_bound_tightness, list(range(8, args.n + 1))
     else:  # peel
         min_size = int(np.ceil(0.9 * args.n)) if args.min_size is None else args.min_size
         if min_size > args.n:
@@ -329,7 +349,7 @@ def cmd_experiment(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     summary = _summarize(name, rows)
-    _say(f"{name}: {len(rows)} trials -> {args.csv}")
+    _say(f"{name}: {len(rows)} rows -> {args.csv}")
     print(json.dumps(summary))
     return 0
 
@@ -349,6 +369,9 @@ def _summarize(name: str, rows: list[dict]) -> dict:
         out["mean_size"] = sum(r["size"] for r in rows) / len(rows)
     elif name == "peel":
         out["mean_layers"] = sum(r["layers"] for r in rows) / len(rows)
+    elif name == "bound-tightness":
+        out["tight"] = [r["n"] for r in rows if r["proved"] == "true" and r["best"] == r["bound"]]
+        out["unproved"] = [r["n"] for r in rows if r["proved"] == "false"]
     return out
 
 

@@ -235,8 +235,11 @@ def max_matching_exact(h: TripartiteHypergraph, budget: int | None = None):
     """Exact maximum matching by the branch-and-bound of `exact_max`.
 
     Class 0 plays the rows; edges on one row and one column form one
-    cell, which may carry several symbols.  `budget` caps the search
-    nodes, as `exact_max`'s node_budget does; the flag in the returned
+    cell, which may carry several symbols.  Twin vertices (two vertices
+    of one class on the same pairs of the other two, as the copies in a
+    `blow_up` are) are searched once per orbit; see
+    `solvers._max_tripartite_matching`.  `budget` caps the search nodes,
+    as `exact_max`'s node_budget does; the flag in the returned
     (edge_indices, optimal) pair reports whether the search completed.
     An edge listed several times is reported by its smallest index.
     """

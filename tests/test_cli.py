@@ -184,6 +184,7 @@ def _exit_code(argv) -> int:
     ["experiment", "concentration", "--n", "8", "--m", "3"],
     ["experiment", "missing-colour", "--n", "3"],
     ["experiment", "greedy-baseline", "--n", "0"],
+    ["experiment", "bound-tightness", "--n", "7"],
 ], ids=" ".join)
 def test_numeric_flags_out_of_range_exit_2(tmp_path, capsys, argv):
     square_file = tmp_path / "b.txt"
@@ -281,6 +282,28 @@ def test_experiment_greedy_baseline_parallel_determinism(tmp_path, capsys):
         assert code == 0
         rows.append(csv_path.read_bytes())
     assert rows[0] == rows[1]
+
+
+def test_experiment_bound_tightness_rows_and_parallel(tmp_path, capsys):
+    outputs = []
+    for workers in ("1", "2"):
+        csv_path = tmp_path / f"b{workers}.csv"
+        code, stdout, _ = run_cli(
+            ["experiment", "bound-tightness", "--n", "18", "--parallel", workers,
+             "--csv", str(csv_path)], capsys
+        )
+        assert code == 0
+        outputs.append((csv_path.read_bytes(), stdout))
+    assert outputs[0] == outputs[1]
+    lines = outputs[0][0].decode().splitlines()
+    assert lines[0] == "n,bound,best,proved"
+    # Order 9 has no paired-box construction and so no row.
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [8, *range(10, 19)]
+    assert lines[1] == "8,7,7,true"
+    assert lines[-1] == "18,16,16,true"
+    summary = json.loads(outputs[0][1])
+    assert summary["tight"] == [8, 10, 16, 18]
+    assert summary["unproved"] == []
 
 
 def test_experiment_adjacent_seeds_share_no_trials(tmp_path, capsys):

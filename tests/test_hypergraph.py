@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -24,24 +25,21 @@ from equisquares.squares import validate_square
 
 
 def brute_max_matching(h: TripartiteHypergraph) -> int:
-    """Exhaustive maximum matching over all edge subsets (oracle)."""
-    m = len(h.edges)
-    best = 0
-    for bits in range(1 << m):
-        chosen = [h.edges[i] for i in range(m) if bits >> i & 1]
-        used = [set(), set(), set()]
-        ok = True
-        for e in chosen:
-            for cls in range(3):
-                if e[cls] in used[cls]:
-                    ok = False
-                    break
-                used[cls].add(e[cls])
-            if not ok:
-                break
-        if ok:
-            best = max(best, len(chosen))
-    return best
+    """Exhaustive maximum matching (oracle): each class-0 vertex in turn
+    takes one of its edges or none, memoised on the vertices used so far."""
+    by_row = [sorted({e[1:] for e in h.edges if e[0] == r}) for r in range(h.class_sizes[0])]
+
+    @functools.cache
+    def best(r, cols, syms):
+        if r == len(by_row):
+            return 0
+        out = best(r + 1, cols, syms)
+        for b, c in by_row[r]:
+            if not (cols >> b & 1 or syms >> c & 1):
+                out = max(out, 1 + best(r + 1, cols | 1 << b, syms | 1 << c))
+        return out
+
+    return best(0, 0, 0)
 
 
 def test_from_square_trivial():
@@ -279,6 +277,33 @@ def test_max_matching_exact_oracle_random():
                 assert h.edges[i][cls] not in used[cls]
                 used[cls].add(h.edges[i][cls])
     assert duplicates >= 20 and multi_symbol >= 50
+
+
+def test_max_matching_exact_oracle_blow_ups():
+    # Blow-ups have twins in all three classes; dropping one edge from half
+    # of them breaks some twins and keeps others.  Vertex labels are shuffled
+    # so that the greedy incumbent (budget=1) often misses the optimum and
+    # the search itself has to find it.
+    rng = np.random.default_rng(11)
+    greedy_short = 0
+    for i in range(120):
+        sizes = tuple(int(x) for x in rng.integers(2, 4, size=3))
+        edges = tuple(tuple(int(rng.integers(0, s)) for s in sizes)
+                      for _ in range(int(rng.integers(2, 7))))
+        h = blow_up(TripartiteHypergraph(sizes, edges), 2 + i % 2)
+        perms = [rng.permutation(s) for s in h.class_sizes]
+        shuffled = [tuple(int(perms[cls][e[cls]]) for cls in range(3)) for e in h.edges]
+        if i % 4 >= 2:
+            del shuffled[int(rng.integers(0, len(shuffled)))]
+        h = TripartiteHypergraph(h.class_sizes, tuple(shuffled))
+        best = brute_max_matching(h)
+        matching, optimal = max_matching_exact(h)
+        assert optimal
+        assert len(matching) == best, (sizes, edges, i)
+        for cls in range(3):
+            assert len({h.edges[k][cls] for k in matching}) == len(matching)
+        greedy_short += len(max_matching_exact(h, budget=1)[0]) < best
+    assert greedy_short >= 25
 
 
 def test_max_matching_budget_flag():

@@ -180,6 +180,43 @@ def test_exact_matches_brute_on_randoms():
             assert t.size == len(max_matching_exact(from_square(sq))[0])
 
 
+def twin_square(n, row_group, col_group, rng):
+    """An equi-n-square whose rows come in twin groups of row_group and whose
+    columns come in twin groups of col_group, rows and columns shuffled."""
+    shape = (n // row_group, n // col_group)
+    base = rng.permutation(np.repeat(np.arange(n), shape[0] * shape[1] // n)).reshape(shape)
+    grid = np.repeat(np.repeat(base, row_group, axis=0), col_group, axis=1)
+    return validate_square(n, grid[rng.permutation(n)][:, rng.permutation(n)])
+
+
+def test_exact_matches_brute_on_twin_squares():
+    # Rows, columns or both come in twin groups.  The greedy incumbent
+    # (node_budget=1) misses the optimum on some squares, so there the
+    # search itself has to find it.
+    greedy_short = 0
+    for n, row_group, col_group in [(4, 2, 1), (4, 1, 2), (4, 2, 2), (4, 4, 1), (6, 2, 1),
+                                    (6, 3, 1), (6, 1, 3), (6, 2, 3), (6, 3, 2), (6, 6, 1)]:
+        rng = np.random.default_rng(100 * n + 10 * row_group + col_group)
+        for _ in range(15):
+            sq = twin_square(n, row_group, col_group, rng)
+            best = brute_force_max(sq)[0]
+            t, optimal = exact_max(sq)
+            assert optimal
+            assert t.size == best, sq.grid.tolist()
+            validate_transversal(sq, t.cells)
+            greedy_short += exact_max(sq, node_budget=1)[0].size < best
+    assert greedy_short >= 20
+
+
+def test_twin_classes_prove_box_squares_within_small_budgets():
+    # Twin rows, columns and symbols are each searched once.  Without the
+    # twin-row slot order the order-18 square needs about 3e7 nodes.
+    t, optimal = exact_max(counterexample_square(18)[0], node_budget=10**6)
+    assert optimal and t.size == 16
+    matching, optimal = max_matching_exact(alon_kim(4), budget=10**5)
+    assert optimal and len(matching) == 8
+
+
 def test_exact_max_counterexample8():
     sq, pairing = counterexample_square(8)
     t, optimal = exact_max(sq)
