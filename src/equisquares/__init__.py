@@ -24,7 +24,6 @@ from .constructions import (
 )
 from .bipartite import (
     BipartiteMultigraph,
-    cap_components,
     decompose_regular,
     max_matching,
     union_components,
@@ -42,7 +41,6 @@ from .hypergraph import (
 from .halving import (
     HalvingTrace,
     RowLoads,
-    alternate_halve,
     block_transversal,
     default_cap,
     iterated_halving,

@@ -7,13 +7,12 @@ endpoint of every edge as two parallel arrays.  Matchings are frozensets of
 labels only at the public boundary; inside they are int64 label arrays.  The
 components of the unions of many matching pairs, a whole halving level, come
 from one array pass (`_walks`) and are capped by another (`_cut`);
-`union_components` and `cap_components` are their one-pair forms.  All
-operations are pure and deterministic.
+`union_components` is the one-pair form of `_walks`.  All operations are
+pure and deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,13 +107,6 @@ def is_matching(graph: BipartiteMultigraph, labels) -> bool:
     return _clash(graph, idx, np.zeros_like(idx), 1) < 0
 
 
-def _match_array(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """Hopcroft-Karp via scipy: entry i is the column matched to row i, or -1."""
-    data = np.ones(len(rows), dtype=np.int8)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
-    return maximum_bipartite_matching(mat, perm_type="column")
-
-
 def matching_pairs_from_arrays(
     rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
 ) -> list[tuple[int, int]]:
@@ -124,7 +116,9 @@ def matching_pairs_from_arrays(
     """
     if len(rows) == 0 or n_rows == 0 or n_cols == 0:
         return []
-    match = _match_array(rows, cols, n_rows, n_cols)
+    data = np.ones(len(rows), dtype=np.int8)
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
+    match = maximum_bipartite_matching(mat, perm_type="column")  # row -> column, or -1
     matched = np.flatnonzero(match >= 0)
     return list(zip(matched.tolist(), match[matched].tolist()))
 
@@ -375,7 +369,9 @@ def _cut(seq: np.ndarray, lengths: np.ndarray, cycle: np.ndarray, s: int):
 
     Deletions are evenly spaced along each component longer than s, at
     p = s mod (s+1) for paths and p = 0 mod (s+1) for cycles; what lies
-    between them are path pieces, and shorter components stay whole.
+    between them are path pieces, and shorter components stay whole.  A
+    path of L > s edges loses floor(L/(s+1)) of them and a cycle
+    ceil(L/(s+1)), the fewest possible.
     Returns (cut, pieces, lengths, cycle): cut marks the deleted entries of
     seq, pieces indexes the others piece by piece, pieces in increasing
     order of their smallest seq value, and lengths and cycle describe them.
@@ -396,25 +392,3 @@ def _cut(seq: np.ndarray, lengths: np.ndarray, cycle: np.ndarray, s: int):
     piece_cycle = np.repeat(cycle & ~long, lengths)[kept[starts]][rank]
     pieces = kept[np.argsort(low[np.cumsum(opens) - 1], kind="stable")]
     return cut, pieces, piece_lengths, piece_cycle
-
-
-def cap_components(decomp: PathCycleDecomposition, s: int) -> CapResult:
-    """Break long components into pieces of at most s edges.
-
-    Deletions are evenly spaced along the canonical traversal: position
-    p = s mod (s+1) for paths, p = 0 mod (s+1) for cycles.  Per component
-    of L edges this deletes ceil(L/(s+1)) edges for cycles and
-    floor(L/(s+1)) for paths, the minimum possible.  Pieces are ordered by
-    minimum edge label.
-    """
-    if s < 1:
-        raise ValueError(f"cap must be >= 1, got {s}")
-    comps = decomp.components
-    lengths = np.fromiter(map(len, comps), dtype=np.int64, count=len(comps))
-    cycle = np.fromiter((c.kind == "cycle" for c in comps), dtype=bool, count=len(comps))
-    seq = np.fromiter(itertools.chain.from_iterable(c.labels for c in comps),
-                      dtype=np.int64, count=int(lengths.sum()))
-    cut, pieces, lengths, cycle = _cut(seq, lengths, cycle, s)
-    return CapResult(deleted=frozenset(seq[cut].tolist()),
-                     decomposition=PathCycleDecomposition(
-                         _components(seq[pieces].tolist(), lengths, cycle)))

@@ -98,13 +98,6 @@ class BoxPairing:
     def boxed_extent(self) -> int:
         return 2 * self.a * self.b
 
-    def box_colours(self) -> dict[tuple[int, int], int]:
-        out = {}
-        for box1, box2, colour in self.pairs:
-            out[box1] = colour
-            out[box2] = colour
-        return out
-
     def transversal_bound(self) -> int:
         """Largest transversal size the missing-colour argument allows."""
         return self.n - math.ceil(self.b / 2) + 2 * (self.n - self.boxed_extent)
@@ -361,6 +354,8 @@ def block_structured_square(n: int, m: int, seed) -> tuple[EquiNSquare, BlockStr
     in that column takes m of the column's rows, chosen by a random
     partition of the rows into the k blocks.  Blocks are numbered column by
     column, round by round within a column, and list their rows ascending.
+    The blocks are not validated here; block_transversal validates the
+    blocks it is given.
     """
     if n % m != 0:
         raise NotDivisible(n, m)
@@ -368,17 +363,16 @@ def block_structured_square(n: int, m: int, seed) -> tuple[EquiNSquare, BlockStr
     rng = np.random.default_rng(seed)
     perms = rng.random((k, n)).argsort(axis=1)  # round t: column j -> symbol
     row_orders = rng.random((n, n)).argsort(axis=1)  # per column, row shuffle
-    rounds = np.empty((n, n), dtype=np.int64)  # (col, row) -> round
-    np.put_along_axis(rounds, row_orders, np.repeat(np.arange(k), m)[None, :], axis=1)
-    grid = np.take_along_axis(np.ascontiguousarray(perms.T), rounds, axis=1).T
-    square = validate_square(n, np.ascontiguousarray(grid))
+    # Column j's row row_orders[j, i] gets the symbol of round i // m.
+    grid = np.empty((n, n), dtype=np.int64)  # (col, row) -> symbol
+    np.put_along_axis(grid, row_orders, np.repeat(perms.T, m, axis=1), axis=1)
+    square = validate_square(n, np.ascontiguousarray(grid.T))
     structure = BlockStructure(
         m=m,
         cols=np.repeat(np.arange(n), k),
         symbols=perms.T.ravel(),
         rows=np.sort(row_orders.reshape(n, k, m), axis=2).reshape(n * k, m),
     )
-    validate_block_structure(square, structure)
     return square, structure
 
 

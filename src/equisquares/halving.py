@@ -104,20 +104,6 @@ class RowLoads:
             fh.write("".join(line + "\n" for line in lines))
 
 
-def alternate_halve(
-    graph: BipartiteMultigraph, m_a, m_b, s: int, rng: np.random.Generator
-) -> tuple[frozenset, PairTrace]:
-    """Select one alternating class per capped component of m_a union m_b.
-
-    Flip 1 keeps the component's m_b edges, flip 0 its m_a edges, so every
-    edge that survives the capping is kept with probability exactly 1/2.
-    Components are processed in minimum-label order, so a seed fully
-    determines the result.  This is iterated_halving on two matchings.
-    """
-    final, trace = iterated_halving(graph, [m_a, m_b], s, rng)
-    return final, trace.levels[0][0]
-
-
 def _halve_level(graph: BipartiteMultigraph, labels: np.ndarray, sizes: list[int],
                  inputs: list[frozenset], s: int, rng: np.random.Generator):
     """Halve the pairs of matchings (0, 1), (2, 3), ... in one array pass.
@@ -173,8 +159,12 @@ def iterated_halving(
 ) -> tuple[frozenset, HalvingTrace]:
     """Halve 2^levels matchings down to one, recording a full trace.
 
-    Pairs are taken in order (0,1), (2,3), ...; an edge never deleted by
-    capping survives to the final matching with probability 2^-levels.
+    Pairs are taken in order (0,1), (2,3), ...  Each capped component of
+    a pair's union gets one coin: flip 1 keeps its edges from the second
+    matching of the pair, flip 0 those from the first, so an edge never
+    deleted by capping survives to the final matching with probability
+    2^-levels.  Components are processed in (pair, minimum label) order,
+    so a seed fully determines the result.
     The inputs are checked once; each level is then one array pass over
     all its pairs (see _halve_level), and the matchings pass from level to
     level as label arrays.  Frozensets are built for the trace only, each
@@ -184,11 +174,11 @@ def iterated_halving(
     count = len(matchings)
     if count == 0 or count & (count - 1):
         raise NotPowerOfTwo(f"need a power of two matchings, got {count}")
+    if s < 1:
+        raise InvalidParam(f"cap must be >= 1, got {s}")
     levels = []
     current = matchings
     if count > 1:
-        if s < 1:
-            raise InvalidParam(f"cap must be >= 1, got {s}")
         labels = bipartite._labels(graph, itertools.chain.from_iterable(matchings))
         sizes = [len(m) for m in matchings]
         bad = bipartite._clash(graph, labels, np.repeat(np.arange(count), sizes), count)

@@ -8,13 +8,13 @@ from equisquares.bipartite import (
     NotAMatching,
     NotRegular,
     PathCycleDecomposition,
-    cap_components,
     decompose_regular,
     is_matching,
     make_graph,
     max_matching,
     union_components,
 )
+from equisquares.halving import iterated_halving
 
 
 def random_k_regular(n: int, k: int, rng) -> BipartiteMultigraph:
@@ -200,18 +200,28 @@ def test_union_components_degree_bound_random():
             assert comp.kind in ("path", "cycle")
 
 
+def halving_cap(graph, m_a, m_b, s: int) -> CapResult:
+    """The capping of m_a | m_b that iterated_halving records for the pair.
+
+    It must equal the per-component reference loop on the walked union.
+    """
+    _, trace = iterated_halving(graph, [m_a, m_b], s, np.random.default_rng(0))
+    cap = trace.levels[0][0].cap
+    assert cap == loop_cap_components(walk_union_components(graph, m_a, m_b), s)
+    return cap
+
+
 def test_cap_noop_when_short():
     g, m_a, m_b = cycle_graph(6)
     decomp = union_components(g, m_a, m_b)
-    res = cap_components(decomp, 6)
+    res = halving_cap(g, m_a, m_b, 6)
     assert res.deleted == frozenset()
     assert res.decomposition.components == decomp.components
 
 
 def test_cap_cycle_ten_with_s4():
     g, m_a, m_b = cycle_graph(10)
-    decomp = union_components(g, m_a, m_b)
-    res = cap_components(decomp, 4)
+    res = halving_cap(g, m_a, m_b, 4)
     assert len(res.deleted) == 2  # ceil(10/5)
     assert all(len(c) <= 4 for c in res.decomposition.components)
     kept = {lab for c in res.decomposition.components for lab in c.labels}
@@ -236,7 +246,7 @@ def test_cap_path_one_over():
         m_b = frozenset(range(1, length, 2))
         decomp = union_components(g, m_a, m_b)
         assert len(decomp.components) == 1 and decomp.components[0].kind == "path"
-        res = cap_components(decomp, s)
+        res = halving_cap(g, m_a, m_b, s)
         assert len(res.deleted) == 1
         assert all(len(c) <= s for c in res.decomposition.components)
 
@@ -248,9 +258,8 @@ def test_cap_deletion_budget_two_matchings():
         n = 30
         g = random_k_regular(n, 2, rng)
         m_a, m_b = decompose_regular(g, 2)
-        decomp = union_components(g, m_a, m_b)
         for s in (2, 3, 5, 8):
-            res = cap_components(decomp, s)
+            res = halving_cap(g, m_a, m_b, s)
             assert len(res.deleted) <= 2 * (2 * n) / s
 
 
@@ -341,7 +350,7 @@ def _assert_same_as_reference(graph, m_a, m_b, caps=(1, 2, 3, 5, 1000)):
     decomp = union_components(graph, m_a, m_b)
     assert decomp == walk_union_components(graph, m_a, m_b)
     for s in caps:
-        assert cap_components(decomp, s) == loop_cap_components(decomp, s)
+        halving_cap(graph, m_a, m_b, s)
 
 
 def test_union_and_cap_match_reference_on_random_pairs():

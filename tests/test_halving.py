@@ -12,7 +12,6 @@ from equisquares.halving import (
     InvalidParam,
     NotPowerOfTwo,
     PairTrace,
-    alternate_halve,
     block_transversal,
     build_block_multigraph,
     default_cap,
@@ -41,7 +40,7 @@ def test_single_edge_coin():
     kept = 0
     trials = 400
     for seed in range(trials):
-        out, trace = alternate_halve(g, {0}, frozenset(), 1, np.random.default_rng(seed))
+        out, _ = iterated_halving(g, [{0}, frozenset()], 1, np.random.default_rng(seed))
         assert out in (frozenset(), frozenset({0}))
         kept += len(out)
     assert abs(kept / trials - 0.5) < 3 * math.sqrt(0.25 / trials)
@@ -51,30 +50,34 @@ def test_eight_cycle_full_cap_takes_whole_side():
     g, m_a, m_b = cycle_graph(8)
     seen = set()
     for seed in range(40):
-        out, trace = alternate_halve(g, m_a, m_b, 8, np.random.default_rng(seed))
+        out, trace = iterated_halving(g, [m_a, m_b], 8, np.random.default_rng(seed))
+        pair = trace.levels[0][0]
         assert out in (m_a, m_b)
         seen.add(out)
-        assert trace.cap.deleted == frozenset()
-        assert len(trace.flips) == 1
+        assert pair.cap.deleted == frozenset()
+        assert len(pair.flips) == 1
     assert seen == {m_a, m_b}  # both outcomes occur
 
 
 def test_eight_cycle_cap_three():
     g, m_a, m_b = cycle_graph(8)
     for seed in range(100):
-        out, trace = alternate_halve(g, m_a, m_b, 3, np.random.default_rng(seed))
-        assert len(trace.cap.deleted) == 2  # ceil(8/4)
-        assert len(trace.cap.decomposition.components) == 2
-        assert all(len(c) <= 3 for c in trace.cap.decomposition.components)
+        out, trace = iterated_halving(g, [m_a, m_b], 3, np.random.default_rng(seed))
+        cap = trace.levels[0][0].cap
+        assert len(cap.deleted) == 2  # ceil(8/4)
+        assert len(cap.decomposition.components) == 2
+        assert all(len(c) <= 3 for c in cap.decomposition.components)
         assert is_matching(g, out)
-        assert not out & trace.cap.deleted
+        assert not out & cap.deleted
 
 
 def test_alternate_halve_kept_side_is_pure():
     g, m_a, m_b = cycle_graph(12)
     for seed in range(50):
-        out, trace = alternate_halve(g, m_a, m_b, 4, np.random.default_rng(seed))
-        for comp, flip in zip(trace.cap.decomposition.components, trace.flips):
+        # flip 1 keeps a component's m_b edges, flip 0 its m_a edges
+        out, trace = iterated_halving(g, [m_a, m_b], 4, np.random.default_rng(seed))
+        pair = trace.levels[0][0]
+        for comp, flip in zip(pair.cap.decomposition.components, pair.flips):
             kept_here = [lab for lab in comp.labels if lab in out]
             side = m_b if flip else m_a
             assert kept_here == [lab for lab in comp.labels if lab in side]
@@ -94,6 +97,18 @@ def test_iterated_halving_requires_power_of_two():
     with pytest.raises(NotPowerOfTwo):
         iterated_halving(g, [frozenset({0}), frozenset({1}), frozenset({2})], 2,
                          np.random.default_rng(0))
+
+
+def test_cap_below_one_rejected_for_any_number_of_matchings():
+    g = make_graph(2, 2, [(0, 0), (1, 1)])
+    m = frozenset({0, 1})
+    for ms in ([m], [m, m]):
+        with pytest.raises(InvalidParam):
+            iterated_halving(g, ms, 0, np.random.default_rng(0))
+    for n, size in ((4, 4), (8, 4)):  # k = 1 and k = 2
+        sq, blocks = block_structured_square(n, size, seed=0)
+        with pytest.raises(InvalidParam):
+            block_transversal(sq, blocks, 0, np.random.default_rng(0))
 
 
 def test_iterated_halving_block_square():
@@ -135,7 +150,7 @@ def test_independent_components_have_independent_survival():
     x = np.zeros(trials)
     y = np.zeros(trials)
     for seed in range(trials):
-        out, _ = alternate_halve(g, m_a, m_b, 8, np.random.default_rng(seed))
+        out, _ = iterated_halving(g, [m_a, m_b], 8, np.random.default_rng(seed))
         x[seed] = 0 in out    # edge in first cycle
         y[seed] = 8 in out    # edge in second cycle
     cov = float(np.mean(x * y) - np.mean(x) * np.mean(y))
