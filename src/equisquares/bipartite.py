@@ -4,9 +4,11 @@ matching unions, and component capping.
 
 An edge's label is its index 0 ... E-1; the graph stores the left and right
 endpoint of every edge as two parallel arrays.  Matchings are frozensets of
-labels only at the public boundary; inside they are int64 label arrays.  The
-components of the unions of many matching pairs, a whole halving level, come
-from one array pass (`_walks`) and are capped by another (`_cut`);
+labels only at the public boundary; inside they are int64 label arrays.
+`_decompose` returns the k perfect matchings of a k-regular graph as one
+(k, n) label array, and `decompose_regular` wraps it.  The components of
+the unions of many matching pairs, a whole halving level, come from one
+array pass (`_walks`) and are capped by another (`_cut`);
 `union_components` is the one-pair form of `_walks`.  All operations are
 pure and deterministic.
 """
@@ -128,14 +130,27 @@ def _by_ends(graph: BipartiteMultigraph) -> np.ndarray:
     return np.argsort(graph.left * graph.right_size + graph.right, kind="stable")
 
 
+def _hopcroft_karp(u: np.ndarray, v: np.ndarray, left_size: int, right_size: int) -> np.ndarray:
+    """Right vertex matched to each left vertex, or -1, in a maximum matching.
+
+    The edges (u[i], v[i]) must be sorted by (u, v) with no repeats.  The
+    CSR matrix is built directly; it is the canonical one (rows in order,
+    columns ascending, no duplicates) that the COO route would build.
+    """
+    # int32 indices are what the matching code takes, so scipy copies nothing
+    indptr = np.zeros(left_size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(u, minlength=left_size), out=indptr[1:])
+    mat = sp.csr_matrix((np.ones(v.size, dtype=np.int8), v.astype(np.int32, copy=False), indptr),
+                        shape=(left_size, right_size))
+    return maximum_bipartite_matching(mat, perm_type="column")
+
+
 def _matched_edges(graph: BipartiteMultigraph, sel: np.ndarray) -> np.ndarray:
     """Maximum matching of the subgraph on the edges sel, listed by (left, right, label).
 
     Parallel edges collapse to their first, smallest label, which is the
     label reported for a matched (left, right) pair, so output is
-    deterministic.  The CSR matrix is built directly; it is the canonical
-    one (rows in order, columns ascending, no duplicates) that the COO
-    route would build.
+    deterministic.
     """
     nl, nr = graph.left_size, graph.right_size
     if sel.size == 0 or nl == 0 or nr == 0:
@@ -144,13 +159,7 @@ def _matched_edges(graph: BipartiteMultigraph, sel: np.ndarray) -> np.ndarray:
     first = np.ones(sel.size, dtype=bool)
     first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
     sel, u, v = sel[first], u[first], v[first]
-    # int32 indices are what the matching code takes, so scipy copies nothing
-    indptr = np.zeros(nl + 1, dtype=np.int32)
-    np.cumsum(np.bincount(u, minlength=nl), out=indptr[1:])
-    mat = sp.csr_matrix((np.ones(v.size, dtype=np.int8), v.astype(np.int32), indptr),
-                        shape=(nl, nr))
-    match = maximum_bipartite_matching(mat, perm_type="column")
-    return sel[match[u] == v]
+    return sel[_hopcroft_karp(u, v, nl, nr)[u] == v]
 
 
 def max_matching(graph: BipartiteMultigraph) -> frozenset:
@@ -162,29 +171,55 @@ def max_matching(graph: BipartiteMultigraph) -> frozenset:
     return frozenset(_matched_edges(graph, _by_ends(graph)).tolist())
 
 
-def decompose_regular(graph: BipartiteMultigraph, k: int) -> list[frozenset]:
-    """Partition the edges of a k-regular graph into k perfect matchings.
+def _decompose(graph: BipartiteMultigraph, k: int) -> np.ndarray:
+    """The k perfect matchings of decompose_regular, as a (k, left_size) label array.
 
-    The edges are sorted by (left, right, label) once.  Round t builds the
-    CSR matrix of the edges no earlier round took, parallel edges collapsed
-    to their smallest label, and takes a Hopcroft-Karp maximum matching of
-    it; the smallest label of each matched pair joins matching t.
-    NotRegular unless every degree is k.
+    Row t is matching t, its labels in order of their left vertex.  The
+    edges are sorted by (left, right, label) once, and parallel edges form
+    runs in that order.  A round matches at most one edge of a run, the
+    first one it has left, so what a run has left is always a suffix of
+    it: a round's graph is one edge per live run, the runs in order, which
+    is the CSR matrix of the live edges with parallel edges collapsed to
+    their smallest label.
     """
     for side, deg in zip(("left", "right"), graph.degrees()):
         bad = np.flatnonzero(deg != k)
         if bad.size:
             raise NotRegular((side, int(bad[0])), int(deg[bad[0]]))
+    nl, nr = graph.left_size, graph.right_size
+    out = np.empty((max(k, 0), nl), dtype=np.int64)
+    if not graph.left.size:
+        return out
     by_ends = _by_ends(graph)
-    alive = np.ones(graph.left.size, dtype=bool)
-    out = []
-    for _ in range(k):
-        m = _matched_edges(graph, by_ends[alive[by_ends]])
-        if m.size != graph.left_size:
+    u, v = graph.left[by_ends], graph.right[by_ends]
+    opens = np.ones(by_ends.size, dtype=bool)
+    opens[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    start = np.flatnonzero(opens)
+    size = np.diff(np.append(start, by_ends.size))
+    run_u, run_v = u[start], v[start].astype(np.int32)
+    taken = np.zeros(start.size, dtype=np.int64)  # edges each run has lost
+    live = np.arange(start.size)
+    for t in range(k):
+        lu, lv = run_u[live], run_v[live]
+        runs = live[_hopcroft_karp(lu, lv, nl, nr)[lu] == lv]
+        if runs.size != nl:
             raise AssertionError("extraction round lacked a perfect matching")
-        alive[m] = False
-        out.append(frozenset(m.tolist()))
+        out[t] = by_ends[start[runs] + taken[runs]]
+        taken[runs] += 1
+        live = live[taken[live] < size[live]]
     return out
+
+
+def decompose_regular(graph: BipartiteMultigraph, k: int) -> list[frozenset]:
+    """Partition the edges of a k-regular graph into k perfect matchings.
+
+    Round t takes a Hopcroft-Karp maximum matching of the edges no earlier
+    round took, parallel edges collapsed to their smallest label; the
+    smallest label of each matched (left, right) pair joins matching t.
+    NotRegular unless every degree is k.  The work is done on label arrays
+    by _decompose.
+    """
+    return [frozenset(m) for m in _decompose(graph, k).tolist()]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from equisquares.bipartite import (
     BipartiteMultigraph,
@@ -88,6 +90,58 @@ def test_decompose_regular_partitions(k):
         assert not (seen & m)
         seen |= m
     assert seen == set(g.by_label)
+
+
+def reference_decompose_regular(graph, k: int) -> list[frozenset]:
+    """Round by round over all edges, as decompose_regular worked before its array core.
+
+    Each round takes the edges no earlier round took, in (left, right,
+    label) order, keeps the first of each parallel class, builds the CSR
+    matrix by the COO route and takes a Hopcroft-Karp maximum matching.
+    """
+    for side, deg in zip(("left", "right"), graph.degrees()):
+        bad = np.flatnonzero(deg != k)
+        if bad.size:
+            raise NotRegular((side, int(bad[0])), int(deg[bad[0]]))
+    by_ends = np.argsort(graph.left * graph.right_size + graph.right, kind="stable")
+    alive = np.ones(graph.left.size, dtype=bool)
+    out = []
+    for _ in range(k):
+        sel = by_ends[alive[by_ends]]
+        u, v = graph.left[sel], graph.right[sel]
+        first = np.ones(sel.size, dtype=bool)
+        first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        sel, u, v = sel[first], u[first], v[first]
+        mat = sp.csr_matrix((np.ones(sel.size, dtype=np.int8), (u, v)),
+                            shape=(graph.left_size, graph.right_size))
+        match = maximum_bipartite_matching(mat, perm_type="column")
+        m = sel[match[u] == v]
+        assert m.size == graph.left_size
+        alive[m] = False
+        out.append(frozenset(m.tolist()))
+    return out
+
+
+def random_regular_multigraph(n: int, k: int, rng) -> BipartiteMultigraph:
+    """k permutations drawn from a pool of at most k, so parallel edges are
+    common, with the edge labels shuffled."""
+    pool = [rng.permutation(n) for _ in range(int(rng.integers(1, k + 1)))]
+    perms = [pool[int(rng.integers(len(pool)))] for _ in range(k)]
+    pairs = [(u, int(perm[u])) for perm in perms for u in range(n)]
+    return make_graph(n, n, [pairs[i] for i in rng.permutation(len(pairs)).tolist()])
+
+
+def test_decompose_regular_matches_round_by_round_reference():
+    rng = np.random.default_rng(29)
+    graphs = 0
+    for k in (1, 2, 4, 8, 32):
+        for trial in range(40):
+            n = int(rng.integers(1, 65))
+            make = random_k_regular if trial % 2 else random_regular_multigraph
+            g = make(n, k, rng)
+            assert decompose_regular(g, k) == reference_decompose_regular(g, k)
+            graphs += 1
+    assert graphs == 200
 
 
 def test_max_matching_empty_and_complete():

@@ -306,6 +306,22 @@ def test_experiment_bound_tightness_rows_and_parallel(tmp_path, capsys):
     assert summary["unproved"] == []
 
 
+def test_bound_tightness_summary_counts_certificate_optimal_orders():
+    # best = bound is optimal by the certificate whether or not the search
+    # proved it; an order stays open only when the budget ran out below it.
+    rows = [
+        {"n": 8, "bound": 7, "best": 7, "proved": "true"},
+        {"n": 11, "bound": 13, "best": 11, "proved": "true"},     # bound above n
+        {"n": 25, "bound": 26, "best": 24, "proved": "false"},    # open
+        {"n": 26, "bound": 26, "best": 25, "proved": "true"},     # optimum below the bound
+        {"n": 30, "bound": 28, "best": 28, "proved": "false"},    # tight by the certificate
+        {"n": 31, "bound": 31, "best": 29, "proved": "false"},
+    ]
+    summary = cli._summarize("bound-tightness", rows)
+    assert summary == {"experiment": "bound-tightness", "trials": 6,
+                       "tight": [8, 30], "unproved": [25, 31]}
+
+
 def test_experiment_adjacent_seeds_share_no_trials(tmp_path, capsys):
     seeds = []
     for seed in ("0", "1"):

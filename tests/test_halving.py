@@ -1,17 +1,19 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from equisquares.bipartite import decompose_regular, is_matching, make_graph
+from equisquares import bipartite, halving
+from equisquares.bipartite import decompose_regular, is_matching, make_graph, union_components
 from equisquares.constructions import block_structured_square
 from equisquares.halving import (
-    HalvingTrace,
     InvalidParam,
     NotPowerOfTwo,
     PairTrace,
+    _complete,
     block_transversal,
     build_block_multigraph,
     default_cap,
@@ -25,6 +27,7 @@ from tests.test_bipartite import (
     cycle_graph,
     loop_cap_components,
     random_k_regular,
+    random_matching,
     walk_union_components,
 )
 
@@ -217,6 +220,26 @@ def test_row_loads_empty_final():
     assert (lr.loads == manual).all()
 
 
+def test_row_loads_rejects_labels_and_rows_outside_the_blocks():
+    sq, blocks = block_structured_square(8, 2, seed=3)  # K = 32 blocks over 8 rows
+    assert row_loads(blocks, {0, 31}, 8).loads.sum() == 4
+    for labels in ({-1}, {32}, {0, 40}):
+        with pytest.raises(InvalidParam, match="not a block"):
+            row_loads(blocks, labels, 8)
+    with pytest.raises(InvalidParam, match="n_rows"):
+        row_loads(blocks, set(range(32)), 7)
+
+
+def test_realized_effects_reject_labels_outside_the_blocks():
+    sq, blocks = block_structured_square(16, 4, seed=1)  # K = 64 blocks
+    _, trace, _ = block_transversal(sq, blocks, 3, np.random.default_rng(1))
+    _, small = block_structured_square(8, 2, seed=1)  # K = 32 blocks over 8 rows
+    with pytest.raises(InvalidParam, match="not a block"):
+        realized_effect_squares(trace, small, 16)
+    with pytest.raises(InvalidParam, match="n_rows"):
+        realized_effect_squares(trace, blocks, 15)
+
+
 def test_deleted_budget_per_level():
     # per halving level, deletions <= 2 * vertices / s
     for n, m, s in ((16, 4, 2), (16, 4, 3), (32, 8, 5)):
@@ -300,7 +323,10 @@ def test_batched_coin_draw_equals_scalar_draws():
 
 
 def reference_iterated_halving(graph, matchings, s, rng):
-    """Pair by pair, with the walk and capping references and one coin per call."""
+    """Pair by pair, with the walk and capping references and one coin per call.
+
+    Returns the final matching and the levels as PairTrace objects.
+    """
     current = [frozenset(m) for m in matchings]
     levels = []
     while len(current) > 1:
@@ -314,7 +340,7 @@ def reference_iterated_halving(graph, matchings, s, rng):
             outs.append(out)
         levels.append(tuple(traces))
         current = outs
-    return current[0], HalvingTrace(tuple(frozenset(m) for m in matchings), tuple(levels), current[0])
+    return current[0], tuple(levels)
 
 
 def test_iterated_halving_matches_pairwise_reference():
@@ -332,8 +358,12 @@ def test_iterated_halving_matches_pairwise_reference():
             for seed in range(2):
                 fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
                 out, trace = iterated_halving(g, ms, s, fast)
-                ref_out, ref = reference_iterated_halving(g, ms, s, slow)
-                assert out == ref_out and trace == ref
+                ref_out, ref_levels = reference_iterated_halving(g, ms, s, slow)
+                assert out == ref_out == trace.final
+                assert trace.initial_matchings == tuple(frozenset(m) for m in ms)
+                assert trace.levels == ref_levels
+                assert trace.to_json()["levels"] == [[p.to_json() for p in level]
+                                                     for level in ref_levels]
                 assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -367,3 +397,68 @@ def test_outputs_match_recorded_digests(kind, n, m, s, decomposition, output):
         t, trace, loads = block_transversal(sq, blocks, s, rng, rng_seed=s)
         assert _digest(trace.to_json(), rng.bit_generator.state, [list(c) for c in t.cells],
                        loads.loads.tolist()) == output
+
+
+def test_trace_views_are_built_on_first_read_only(monkeypatch):
+    built = {"Component": 0, "PairTrace": 0}
+    for cls in (bipartite.Component, halving.PairTrace):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    sq, blocks = block_structured_square(64, 4, seed=3)
+    g = build_block_multigraph(sq, blocks)
+    ms = decompose_regular(g, 16)
+    _, trace, _ = block_transversal(sq, blocks, 4, np.random.default_rng(1))
+    out, again = iterated_halving(g, ms, 4, np.random.default_rng(1))
+    assert {**trace.to_json(), "completed": None} == again.to_json()
+    assert realized_effect_squares(trace, blocks, 64).shape == (64,)
+    assert trace != again and trace == replace(again, completed_labels=trace.completed_labels)
+    assert built == {"Component": 0, "PairTrace": 0}
+    ref_out, ref_levels = reference_iterated_halving(g, ms, 4, np.random.default_rng(1))
+    before = dict(built)
+    assert trace.levels == ref_levels and again.levels == ref_levels and out == ref_out
+    assert built["PairTrace"] - before["PairTrace"] == 2 * sum(map(len, ref_levels))
+    read = dict(built)
+    assert trace.levels is trace.levels and again.levels == ref_levels
+    assert built == read
+
+
+def test_trace_equality_reads_what_the_run_recorded():
+    g = random_k_regular(20, 4, np.random.default_rng(2))
+    ms = decompose_regular(g, 4)
+    runs = [iterated_halving(g, ms, 2, np.random.default_rng(seed), rng_seed=seed)[1]
+            for seed in (0, 0, 1)]
+    assert runs[0] == runs[1] and runs[0].to_json() == runs[1].to_json()
+    assert runs[0] != runs[2] and runs[0].to_json() != runs[2].to_json()
+    assert runs[0] != replace(runs[1], rng_seed=5) and runs[0] != "trace"
+
+
+def reference_complete(graph, matching, perfect) -> frozenset:
+    """The union_components loop that the array completion replaced."""
+    out = set(matching)
+    for comp in union_components(graph, matching, perfect).components:
+        if comp.kind == "path" and comp.labels[0] not in matching \
+                and comp.labels[-1] not in matching:
+            out.symmetric_difference_update(comp.labels)
+    return frozenset(out)
+
+
+def test_complete_matches_union_components_loop():
+    rng = np.random.default_rng(23)
+    checked = 0
+    for n in (1, 2, 5, 12, 40):
+        for k in (1, 2, 4):
+            g = random_k_regular(n, k, rng)
+            parts = decompose_regular(g, k)
+            for trial in range(6):
+                perfect = parts[trial % k]
+                if trial % 2:
+                    matching = random_matching(g, rng, rng.random())
+                else:
+                    matching, _ = iterated_halving(g, parts, 1 + trial, rng)
+                got = _complete(g, np.array(sorted(matching), dtype=np.int64),
+                                rng.permutation(np.array(sorted(perfect), dtype=np.int64)))
+                assert got.tolist() == sorted(reference_complete(g, matching, perfect))
+                checked += matching != frozenset(got.tolist())
+    assert checked > 20  # most cases augment
