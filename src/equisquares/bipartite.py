@@ -5,12 +5,17 @@ matching unions, and component capping.
 An edge's label is its index 0 ... E-1; the graph stores the left and right
 endpoint of every edge as two parallel arrays.  Matchings are frozensets of
 labels only at the public boundary; inside they are int64 label arrays.
-`_decompose` returns the k perfect matchings of a k-regular graph as one
-(k, n) label array, and `decompose_regular` wraps it.  The components of
-the unions of many matching pairs, a whole halving level, come from one
-array pass (`_walks`) and are capped by another (`_cut`);
-`union_components` is the one-pair form of `_walks`.  All operations are
-pure and deterministic.
+One index, `_parallel_runs`, sorts the edges by (left, right, label) and
+cuts them into runs of parallel edges; `max_matching` and `_decompose`
+both run Hopcroft-Karp on one edge per run.  `_decompose` returns the k
+perfect matchings of a k-regular graph as one (k, n) label array, and
+`decompose_regular` wraps it.  The components of the unions of many
+matching pairs, a whole halving level, come from one array pass
+(`_walks`) and are capped by another (`_cut`); `union_components` is the
+one-pair form of `_walks`.  `Component`, `PathCycleDecomposition` and
+`CapResult` are plain views with no serializer: the JSON form of a
+halving run is `halving.HalvingTrace.to_json`.  All operations are pure
+and deterministic.
 """
 
 from __future__ import annotations
@@ -125,11 +130,6 @@ def matching_pairs_from_arrays(
     return list(zip(matched.tolist(), match[matched].tolist()))
 
 
-def _by_ends(graph: BipartiteMultigraph) -> np.ndarray:
-    """All edge labels, sorted by (left, right, label)."""
-    return np.argsort(graph.left * graph.right_size + graph.right, kind="stable")
-
-
 def _hopcroft_karp(u: np.ndarray, v: np.ndarray, left_size: int, right_size: int) -> np.ndarray:
     """Right vertex matched to each left vertex, or -1, in a maximum matching.
 
@@ -145,30 +145,33 @@ def _hopcroft_karp(u: np.ndarray, v: np.ndarray, left_size: int, right_size: int
     return maximum_bipartite_matching(mat, perm_type="column")
 
 
-def _matched_edges(graph: BipartiteMultigraph, sel: np.ndarray) -> np.ndarray:
-    """Maximum matching of the subgraph on the edges sel, listed by (left, right, label).
+def _parallel_runs(graph: BipartiteMultigraph):
+    """The edges sorted by (left, right, label), cut into runs of parallel edges.
 
-    Parallel edges collapse to their first, smallest label, which is the
-    label reported for a matched (left, right) pair, so output is
-    deterministic.
+    Returns (by_ends, start, run_u, run_v): every label in that order, where
+    each run starts in by_ends, and each run's endpoints, one edge per run
+    in the sorted, repeat-free form that _hopcroft_karp takes.
     """
-    nl, nr = graph.left_size, graph.right_size
-    if sel.size == 0 or nl == 0 or nr == 0:
-        return np.empty(0, dtype=np.int64)
-    u, v = graph.left[sel], graph.right[sel]
-    first = np.ones(sel.size, dtype=bool)
-    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    sel, u, v = sel[first], u[first], v[first]
-    return sel[_hopcroft_karp(u, v, nl, nr)[u] == v]
+    by_ends = np.argsort(graph.left * graph.right_size + graph.right, kind="stable")
+    u, v = graph.left[by_ends], graph.right[by_ends]
+    opens = np.ones(by_ends.size, dtype=bool)
+    opens[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    start = np.flatnonzero(opens)
+    return by_ends, start, u[start], v[start].astype(np.int32)
 
 
 def max_matching(graph: BipartiteMultigraph) -> frozenset:
     """Maximum-cardinality matching, returned as a frozenset of edge labels.
 
     Parallel edges are collapsed; the smallest label of each matched
-    (left, right) pair is reported, so output is deterministic.
+    (left, right) pair, the first of its run, is reported, so output is
+    deterministic.
     """
-    return frozenset(_matched_edges(graph, _by_ends(graph)).tolist())
+    if not graph.left.size:
+        return frozenset()
+    by_ends, start, run_u, run_v = _parallel_runs(graph)
+    matched = _hopcroft_karp(run_u, run_v, graph.left_size, graph.right_size)[run_u] == run_v
+    return frozenset(by_ends[start[matched]].tolist())
 
 
 def _decompose(graph: BipartiteMultigraph, k: int) -> np.ndarray:
@@ -190,13 +193,8 @@ def _decompose(graph: BipartiteMultigraph, k: int) -> np.ndarray:
     out = np.empty((max(k, 0), nl), dtype=np.int64)
     if not graph.left.size:
         return out
-    by_ends = _by_ends(graph)
-    u, v = graph.left[by_ends], graph.right[by_ends]
-    opens = np.ones(by_ends.size, dtype=bool)
-    opens[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    start = np.flatnonzero(opens)
+    by_ends, start, run_u, run_v = _parallel_runs(graph)
     size = np.diff(np.append(start, by_ends.size))
-    run_u, run_v = u[start], v[start].astype(np.int32)
     taken = np.zeros(start.size, dtype=np.int64)  # edges each run has lost
     live = np.arange(start.size)
     for t in range(k):
@@ -236,14 +234,6 @@ class Component:
 @dataclass(frozen=True)
 class PathCycleDecomposition:
     components: tuple[Component, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "format": 1,
-            "components": [
-                {"kind": c.kind, "labels": list(c.labels)} for c in self.components
-            ],
-        }
 
 
 def _components(labels: list, lengths: np.ndarray, cycle: np.ndarray) -> tuple[Component, ...]:
@@ -390,13 +380,6 @@ class CapResult:
 
     deleted: frozenset
     decomposition: PathCycleDecomposition
-
-    def to_json(self) -> dict:
-        return {
-            "format": 1,
-            "deleted": sorted(self.deleted),
-            "decomposition": self.decomposition.to_json(),
-        }
 
 
 def _cut(seq: np.ndarray, lengths: np.ndarray, cycle: np.ndarray, s: int):

@@ -97,7 +97,7 @@ def cmd_generate(args) -> int:
         squares.write_square(square, out)
         _say(f"wrote {out}")
         print(json.dumps({"square": str(out)}))
-    elif kind == "alon-kim":
+    else:  # alon-kim
         try:
             h = hypergraph.alon_kim(args.n)
         except hypergraph.InvalidParam as exc:
@@ -106,8 +106,6 @@ def cmd_generate(args) -> int:
         _say(f"wrote {out} (t={args.n}: {len(h.edges)} edges)")
         print(json.dumps({"hypergraph": str(out), "t": args.n,
                           "edges": len(h.edges)}))
-    else:
-        return _fail_usage(f"unknown kind {kind!r}")
     return 0
 
 
@@ -134,7 +132,7 @@ def cmd_solve(args) -> int:
         t = solvers.random_greedy(square, rng)
         iterations = 40 * n if args.iterations is None else args.iterations
         t = solvers.local_search(square, t, rng, iterations)
-    elif args.method == "block":
+    else:  # block
         if not args.blocks:
             return _fail_usage("--blocks sidecar is required for the block method")
         blocks = constructions.BlockStructure.from_json(
@@ -143,8 +141,6 @@ def cmd_solve(args) -> int:
         t, _, _ = halving.block_transversal(
             square, blocks, s, stream(args.seed, "block"), rng_seed=args.seed
         )
-    else:
-        return _fail_usage(f"unknown method {args.method!r}")
 
     squares.write_transversal(t, out)
     _say(f"{args.method}: size {t.size} of n={n}; cells in {out}")
@@ -310,10 +306,6 @@ def _run_trials(fn, param_list, workers: int) -> list[dict]:
 
 def cmd_experiment(args) -> int:
     name = args.name
-    if name not in EXPERIMENTS:
-        return _fail_usage(f"unknown experiment {name!r}")
-    if args.parallel < 1:
-        return _fail_usage(f"--parallel must be at least 1, got {args.parallel}")
     trials = range(args.trials)
     if name == "missing-colour":
         fn, params = _trial_missing_colour, [(args.n, args.seed, t) for t in trials]
@@ -421,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--min-size", type=_int_at_least(1), default=None)
     e.add_argument("--trials", type=_int_at_least(1), default=100)
     e.add_argument("--seed", type=_int_at_least(0), default=0)
-    e.add_argument("--parallel", type=int, default=1,
+    e.add_argument("--parallel", type=_int_at_least(1), default=1,
                    help="worker processes: at least 1, and capped at the CPU count")
     e.add_argument("--csv", required=True)
     e.set_defaults(fn=cmd_experiment)
@@ -437,7 +429,7 @@ def main(argv=None) -> int:
             constructions.BlockMismatch, halving.NotPowerOfTwo) as exc:
         _say(f"error: {type(exc).__name__}: {exc}")
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that cannot be read or written
         _say(f"error: {exc}")
         return 2
 

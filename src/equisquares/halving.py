@@ -57,22 +57,17 @@ def default_cap(n: int) -> int:
 
 @dataclass(frozen=True)
 class PairTrace:
-    """One halving step: inputs, capping, coin flips, and the output."""
+    """One halving step: inputs, capping, coin flips, and the output.
+
+    A view of one pair of a HalvingTrace level, with no serializer of its
+    own: HalvingTrace.to_json writes each pair through _pair_json.
+    """
 
     matching_a: frozenset
     matching_b: frozenset
     cap: CapResult
     flips: tuple[int, ...]  # one per component of cap.decomposition
     output: frozenset
-
-    def to_json(self) -> dict:
-        return {
-            "a": sorted(self.matching_a),
-            "b": sorted(self.matching_b),
-            "cap": self.cap.to_json(),
-            "flips": list(self.flips),
-            "output": sorted(self.output),
-        }
 
 
 def _pair_trace(a: list, b: list, deleted: list, components: list, flips: list,
@@ -85,7 +80,8 @@ def _pair_trace(a: list, b: list, deleted: list, components: list, flips: list,
 
 
 def _pair_json(a: list, b: list, deleted: list, components: list, flips: list, output: list) -> dict:
-    """PairTrace.to_json from ascending label lists; components as (labels, is_cycle)."""
+    """One pair's JSON in HalvingTrace.to_json, from ascending label lists;
+    components as (labels, is_cycle)."""
     comps = [{"kind": "cycle" if cyc else "path", "labels": labels} for labels, cyc in components]
     return {"a": a, "b": b,
             "cap": {"format": 1, "deleted": deleted,
@@ -146,7 +142,8 @@ class HalvingTrace:
     output, ascending; iterated_halving leaves it None.  The object views
     initial_matchings, levels, final and completed are built on first read
     and cached; to_json, equality and realized_effect_squares read the
-    arrays.
+    arrays.  to_json is the one JSON form of a run: the PairTrace,
+    CapResult and PathCycleDecomposition views carry no serializer.
     """
 
     initial: np.ndarray

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .solvers import _max_tripartite_matching
-from .squares import EquiNSquare, ParseError, _read_utf8
+from .squares import EquiNSquare, ParseError, _ints, _read_lines
 
 Vertex = tuple[int, int]
 
@@ -257,30 +257,11 @@ def write_hypergraph(h: TripartiteHypergraph, path) -> None:
 
 
 def read_hypergraph(path) -> TripartiteHypergraph:
-    text = _read_utf8(path)
-    lines = [ln for ln in text.split("\n")]
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ParseError(1, "empty file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError(1, "expected 3 class sizes")
-    try:
-        sizes = tuple(int(x) for x in head)
-    except ValueError:
-        raise ParseError(1, "non-integer class size") from None
+    lines = _read_lines(path)
+    sizes = tuple(_ints(1, lines[0], 3, "class sizes", "class size"))
     if min(sizes) < 0:
         raise ParseError(1, f"negative class size in {sizes}")
-    edges = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(i, "expected 3 entries")
-        try:
-            edges.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise ParseError(i, "non-integer entry") from None
+    edges = [tuple(_ints(i, line, 3)) for i, line in enumerate(lines[1:], start=2)]
     try:
         return TripartiteHypergraph(sizes, tuple(edges))
     except ValueError as exc:

@@ -9,6 +9,8 @@ serves both `exact_max` and `hypergraph.max_matching_exact`.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .squares import Cell, EquiNSquare, Transversal, validate_transversal
@@ -320,6 +322,18 @@ def random_greedy(square: EquiNSquare, rng: np.random.Generator) -> Transversal:
     return validate_transversal(square, cells)
 
 
+_DRAW_CHUNK = 1 << 16  # local search draws its cell indices this many at a time
+
+
+def _draws(rng: np.random.Generator, high: int, count: int):
+    """count values of rng.integers(0, high) in bounded memory: the same values,
+    and the same final generator state, as one call per value.  Each chunk is
+    drawn when the one before it runs out."""
+    return itertools.chain.from_iterable(
+        rng.integers(0, high, size=min(_DRAW_CHUNK, count - done)).tolist()
+        for done in range(0, count, _DRAW_CHUNK))
+
+
 def _masked_local_search(
     grid: np.ndarray,
     n: int,
@@ -355,9 +369,7 @@ def _masked_local_search(
     for cell in start:
         insert(cell.row * n + cell.col)
 
-    # One index per iteration, drawn in one call: the same values, and the
-    # same final generator state, as one rng.integers call per iteration.
-    for f in rng.integers(0, n * n, size=max(iterations, 0)).tolist():
+    for f in _draws(rng, n * n, iterations):
         if not ok_list[f]:
             continue
         i, j = divmod(f, n)
@@ -399,9 +411,9 @@ def local_search(
 
     The size never decreases: each accepted move removes at most one cell
     and inserts at least one.  The cells that the iterations try are drawn
-    in one call, `rng.integers(0, n * n, size=iterations)`; for the same
+    from `rng.integers(0, n * n)` in chunks of fixed size; for the same
     generator this gives the same cells, and leaves the generator in the
-    same state, as one `rng.integers(0, n * n)` call per iteration.
+    same state, as one call per iteration.
     """
     validate_transversal(square, transversal.cells)
     allowed = np.ones((square.n, square.n), dtype=bool)

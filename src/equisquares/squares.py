@@ -171,8 +171,7 @@ def validate_transversal(square: EquiNSquare, cells: Iterable[tuple[int, int]]) 
 def write_square(square: EquiNSquare, path) -> None:
     """Write the text format: first line n, then n lines of n symbol ids."""
     lines = [str(square.n)]
-    for row in square.grid:
-        lines.append(" ".join(str(int(x)) for x in row))
+    lines += [" ".join(map(str, row)) for row in square.grid.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -185,14 +184,32 @@ def _read_utf8(path) -> str:
         raise ParseError(raw[:exc.start].count(b"\n") + 1, "not UTF-8 text") from None
 
 
-def read_square(path) -> EquiNSquare:
-    """Parse and validate a square file written by :func:`write_square`."""
-    text = _read_utf8(path)
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+def _read_lines(path) -> list[str]:
+    """The UTF-8 text of path split on "\\n", less the empty line after a final
+    newline; ParseError if that leaves no line."""
+    lines = _read_utf8(path).split("\n")
+    if lines[-1] == "":
         lines.pop()
     if not lines:
         raise ParseError(1, "empty file")
+    return lines
+
+
+def _ints(i: int, line: str, count: int, many: str = "entries", one: str = "entry") -> list[int]:
+    """The count whitespace-separated integers of line i; ParseError(i, ...)
+    if there are more or fewer, or one is not an integer."""
+    parts = line.split()
+    if len(parts) != count:
+        raise ParseError(i, f"expected {count} {many}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ParseError(i, f"non-integer {one}") from None
+
+
+def read_square(path) -> EquiNSquare:
+    """Parse and validate a square file written by :func:`write_square`."""
+    lines = _read_lines(path)
     try:
         n = int(lines[0])
     except ValueError:
@@ -201,15 +218,7 @@ def read_square(path) -> EquiNSquare:
         raise ParseError(1, f"order must be positive, got {n}")
     if len(lines) != n + 1:
         raise ParseError(len(lines) + 1, f"expected {n} grid rows, found {len(lines) - 1}")
-    grid = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != n:
-            raise ParseError(i, f"expected {n} entries")
-        try:
-            grid.append([int(p) for p in parts])
-        except ValueError:
-            raise ParseError(i, "non-integer entry") from None
+    grid = [_ints(i, line, n) for i, line in enumerate(lines[1:], start=2)]
     try:
         return validate_square(n, grid)
     except (SquareError, OverflowError) as exc:
@@ -224,15 +233,5 @@ def write_transversal(transversal: Transversal, path) -> None:
 
 def read_transversal(path) -> list[Cell]:
     """Read 'row col' lines; validation against a square is the caller's job."""
-    cells = []
-    for i, line in enumerate(_read_utf8(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(i, "expected 2 entries")
-        try:
-            cells.append(Cell(int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ParseError(i, "non-integer entry") from None
-    return cells
+    return [Cell(*_ints(i, line, 2))
+            for i, line in enumerate(_read_utf8(path).splitlines(), start=1) if line.strip()]

@@ -468,11 +468,31 @@ def test_experiment_parallel_clamped_to_cpu_count(tmp_path, capsys, monkeypatch,
 def test_experiment_parallel_below_one_exits_2(tmp_path, capsys, monkeypatch, requested):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
-    code, _, err = run_cli(
-        ["experiment", "greedy-baseline", "--n", "6", "--trials", "3",
-         "--parallel", requested, "--csv", str(tmp_path / "g.csv")], capsys
-    )
+    code = _exit_code(["experiment", "greedy-baseline", "--n", "6", "--trials", "3",
+                       "--parallel", requested, "--csv", str(tmp_path / "g.csv")])
     assert code == 2
-    assert "--parallel" in err
+    assert "--parallel" in capsys.readouterr().err
     assert _RecordingPool.created == []
     assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve-in", "solve-in-missing", "solve-blocks", "generate-out",
+                                     "experiment-csv"])
+def test_unusable_path_exits_2_without_traceback(tmp_path, capsys, command):
+    # A directory where a file is expected raises IsADirectoryError, a missing
+    # file FileNotFoundError; both are OSErrors.
+    square_file = tmp_path / "b.txt"
+    run_cli(["generate", "--kind", "block", "--n", "8", "--m", "2", "--out", str(square_file)], capsys)
+    argv = {
+        "solve-in": ["solve", "--method", "greedy", "--in", str(tmp_path)],
+        "solve-in-missing": ["solve", "--method", "greedy", "--in", str(tmp_path / "absent.txt")],
+        "solve-blocks": ["solve", "--method", "block", "--in", str(square_file),
+                         "--blocks", str(tmp_path)],
+        "generate-out": ["generate", "--kind", "random", "--n", "4", "--out", str(tmp_path)],
+        "experiment-csv": ["experiment", "greedy-baseline", "--n", "6", "--trials", "2",
+                           "--csv", str(tmp_path)],
+    }[command]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and str(tmp_path) in err

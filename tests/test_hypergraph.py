@@ -21,7 +21,7 @@ from equisquares.hypergraph import (
     split_high_codegree,
     write_hypergraph,
 )
-from equisquares.squares import validate_square
+from equisquares.squares import ParseError, validate_square
 
 
 def brute_max_matching(h: TripartiteHypergraph) -> int:
@@ -322,3 +322,31 @@ def test_hypergraph_file_round_trip(tmp_path):
     assert again.edges == h.edges
     first = path.read_text().splitlines()[0]
     assert first == "6 6 6"
+
+
+HYPERGRAPH_READ_ERRORS = [  # file bytes, ParseError.line, ParseError.reason
+    (b"", 1, "empty file"),
+    (b"\n", 1, "expected 3 class sizes"),
+    (b"1 1\n", 1, "expected 3 class sizes"),
+    (b"1 1 1 1\n", 1, "expected 3 class sizes"),
+    (b"1 x 1\n", 1, "non-integer class size"),
+    (b"1 -1 1\n", 1, "negative class size in (1, -1, 1)"),
+    (b"1 1 1\n0 0\n", 2, "expected 3 entries"),
+    (b"1 1 1\n\n", 2, "expected 3 entries"),
+    (b"1 1 1\n0 0 z\n", 2, "non-integer entry"),
+    (b"1 1 1\n0 0 0\n\xfe\n", 3, "not UTF-8 text"),
+    (b"1 1 1\n0 0 1\n", 1, "edge (0, 0, 1) out of range for classes (1, 1, 1)"),
+    (b"1 1 1\n0 -1 0\n", 1, "edge (0, -1, 0) out of range for classes (1, 1, 1)"),
+]
+
+
+@pytest.mark.parametrize("data,line,reason", HYPERGRAPH_READ_ERRORS,
+                         ids=[str(i) for i in range(len(HYPERGRAPH_READ_ERRORS))])
+def test_read_hypergraph_parse_errors_are_pinned(tmp_path, data, line, reason):
+    path = tmp_path / "h.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        read_hypergraph(path)
+    assert (exc.value.line, exc.value.reason) == (line, reason)
+    path.write_bytes(b"1 1 1\n0 0 0")  # no final newline is fine
+    assert read_hypergraph(path).edges == ((0, 0, 0),)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from equisquares import solvers
 from equisquares.constructions import (
     counterexample_square,
     cyclic_latin,
@@ -145,6 +146,35 @@ def test_loops_match_sequential_reference(kind, n, square, masked):
             want = reference_masked_local_search(square.grid, n, allowed, list(start), ref, iterations)
             assert got == want, (seed, len(start), iterations)
             assert ours.bit_generator.state == ref.bit_generator.state
+
+
+class _CountingRng:
+    """A generator that records the size of every integers() draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def integers(self, low, high, size):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size=size)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_local_search_draws_in_chunks_like_reference(monkeypatch, chunk):
+    monkeypatch.setattr(solvers, "_DRAW_CHUNK", chunk)
+    for square in (counterexample_square(8)[0], random_equi_square(10, 3)):
+        n = square.n
+        allowed = np.ones((n, n), dtype=bool)
+        for seed, iterations in enumerate((0, chunk - 1, chunk, chunk + 1, 3 * chunk + 2, 40 * n)):
+            ours, ref = _CountingRng(seed), np.random.default_rng(seed)
+            start = _masked_greedy(square.grid, n, allowed, ours.rng)
+            reference_masked_greedy(square.grid, n, allowed, ref)
+            got = _masked_local_search(square.grid, n, allowed, list(start), ours, iterations)
+            want = reference_masked_local_search(square.grid, n, allowed, list(start), ref, iterations)
+            assert got == want, (n, iterations)
+            assert ours.rng.bit_generator.state == ref.bit_generator.state
+            assert sum(ours.sizes) == iterations and max(ours.sizes, default=0) <= chunk
 
 
 def test_peel_layers_match_sequential_reference():

@@ -37,11 +37,15 @@ def _names_used(tree, skip) -> set[str]:
     return names
 
 
+def _src_trees() -> dict:
+    return {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(SRC.rglob("*.py"))}
+
+
 def test_no_unreferenced_private_helpers_in_src():
     # A module-level private function or class that nothing else in src/
     # names is dead code; tests alone do not keep it alive.
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for path in sorted(SRC.rglob("*.py"))}
+    trees = _src_trees()
     assert trees
     dead = [
         f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
@@ -50,5 +54,26 @@ def test_no_unreferenced_private_helpers_in_src():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name.startswith("_") and not node.name.startswith("__")
         and not any(node.name in _names_used(other, node) for other in trees.values())
+    ]
+    assert dead == []
+
+
+def test_no_unreferenced_private_methods_in_src():
+    # The same rule for the single-underscore methods and properties of
+    # classes in src/: a method that nothing else in src/ names is dead code.
+    trees = _src_trees()
+    methods = [
+        (path, member)
+        for path, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and member.name.startswith("_") and not member.name.startswith("__")
+    ]
+    assert methods
+    dead = [
+        f"{path.relative_to(SRC)}:{member.lineno} {member.name}"
+        for path, member in methods
+        if not any(member.name in _names_used(other, member) for other in trees.values())
     ]
     assert dead == []

@@ -148,3 +148,53 @@ def test_transversal_file_round_trip(tmp_path):
     write_transversal(t, path)
     assert path.read_text() == "0 0\n1 1\n2 2\n"
     assert read_transversal(path) == list(t.cells)
+
+
+# Each reader's ParseError (line, reason) per kind of bad file.  The square
+# reader splits on "\n" and counts blank lines as rows; the transversal
+# reader uses splitlines() and skips blank lines.
+READER_ERRORS = [
+    (read_square, b"", 1, "empty file"),
+    (read_square, b"\n", 1, "expected integer order, got ''"),
+    (read_square, b"x\n", 1, "expected integer order, got 'x'"),
+    (read_square, b"2 2\n0 1\n1 0\n", 1, "expected integer order, got '2 2'"),
+    (read_square, b"0\n", 1, "order must be positive, got 0"),
+    (read_square, b"2\n0 1\n", 3, "expected 2 grid rows, found 1"),
+    (read_square, b"2\n0 1\n1 0\n1 0\n", 5, "expected 2 grid rows, found 3"),
+    (read_square, b"2\n0 1\n\n1 0\n", 5, "expected 2 grid rows, found 3"),
+    (read_square, b"2\n0 1\n1\n", 3, "expected 2 entries"),
+    (read_square, b"2\n0 1\n1 0 1\n", 3, "expected 2 entries"),
+    (read_square, b"2\n0 x\n1 0\n", 2, "non-integer entry"),
+    (read_square, b"2\n0 1.0\n1 0\n", 2, "non-integer entry"),
+    (read_square, b"\xff\n", 1, "not UTF-8 text"),
+    (read_square, b"2\n0 1\n\xff 0\n", 3, "not UTF-8 text"),
+    (read_square, b"2\n0 2\n1 0\n", 2, "invalid square: symbol 2 at cell (0, 1) not in [0, n)"),
+    (read_square, b"2\n0 -1\n1 0\n", 2, "invalid square: symbol -1 at cell (0, 1) not in [0, n)"),
+    (read_square, b"2\n0 0\n0 1\n", 2, "invalid square: symbol 0 occurs 3 times, expected n"),
+    (read_transversal, b"0 1\n\n2\n", 3, "expected 2 entries"),
+    (read_transversal, b"0 1 2\n", 1, "expected 2 entries"),
+    (read_transversal, b"0 1\r\n1 2 3\n", 2, "expected 2 entries"),
+    (read_transversal, b"0 x\n", 1, "non-integer entry"),
+    (read_transversal, b"\xff\n", 1, "not UTF-8 text"),
+    (read_transversal, b"0 1\n\xc3\n", 2, "not UTF-8 text"),
+]
+
+
+@pytest.mark.parametrize("reader,data,line,reason", READER_ERRORS,
+                         ids=[f"{r.__name__}-{i}" for i, (r, *_) in enumerate(READER_ERRORS)])
+def test_reader_parse_errors_are_pinned(tmp_path, reader, data, line, reason):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        reader(path)
+    assert (exc.value.line, exc.value.reason) == (line, reason)
+
+
+def test_readers_accept_line_ending_variants(tmp_path):
+    path = tmp_path / "f.txt"
+    for data in (b"2\r\n0 1\r\n1 0\r\n", b"2\n0 1\n1 0"):
+        path.write_bytes(data)
+        assert read_square(path).grid.tolist() == [[0, 1], [1, 0]]
+    for data, cells in ((b"", []), (b"\n\n", []), (b"0 1\n 1 0 \n", [Cell(0, 1), Cell(1, 0)])):
+        path.write_bytes(data)
+        assert read_transversal(path) == cells
