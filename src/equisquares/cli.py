@@ -51,11 +51,11 @@ def _int_at_least(lowest: int):
 
 
 def _read_json(path, error: type[Exception], what: str):
-    """The JSON document in path; `error` if the file is not UTF-8 JSON
-    or nests too deeply for the parser."""
+    """The JSON document in path; `error` if the file is not UTF-8 JSON, nests
+    too deeply for the parser, or holds an integer too long to convert."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError included
         raise error(f"{what} is not JSON: {exc}") from None
 
 
@@ -71,7 +71,7 @@ def cmd_generate(args) -> int:
             return _fail_usage(str(exc))
         squares.write_square(square, out)
         sidecar = out.with_suffix(".pairing.json")
-        sidecar.write_text(json.dumps(pairing.to_json(), indent=1) + "\n", encoding="utf-8")
+        sidecar.write_text(json.dumps(pairing.to_json()) + "\n", encoding="utf-8")
         _say(f"wrote {out} and {sidecar}")
         print(json.dumps({"square": str(out), "pairing": str(sidecar),
                           "bound": pairing.transversal_bound()}))
@@ -89,7 +89,7 @@ def cmd_generate(args) -> int:
             return _fail_usage(str(exc))
         squares.write_square(square, out)
         sidecar = out.with_suffix(".blocks.json")
-        sidecar.write_text(json.dumps(blocks.to_json(), indent=1) + "\n", encoding="utf-8")
+        sidecar.write_text(json.dumps(blocks.to_json()) + "\n", encoding="utf-8")
         _say(f"wrote {out} and {sidecar}")
         print(json.dumps({"square": str(out), "blocks": str(sidecar)}))
     elif kind == "cyclic":
@@ -195,7 +195,7 @@ def cmd_verify(args) -> int:
                 _say("certificate: bound exceeded")
                 print(json.dumps(report))
                 return 1
-        except (constructions.CertificateViolation, constructions.PairingMismatch) as exc:
+        except (constructions.CertificateViolation, constructions.PairingMismatch, OSError) as exc:
             _say(f"certificate: {type(exc).__name__}: {exc}")
             report["certificate"] = {"passed": False, "error": str(exc)}
             print(json.dumps(report))
@@ -370,7 +370,9 @@ def _summarize(name: str, rows: list[dict]) -> dict:
 
 # -------------------------------------------------------------------- main
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="equisquares",
         description="Equi-n-squares: generators, transversal solvers, verification, experiments.",
@@ -385,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=_int_at_least(1), default=None, help="block size (block kind)")
     g.add_argument("--seed", type=_int_at_least(0), default=0)
     g.add_argument("--out", required=True)
-    g.set_defaults(fn=cmd_generate)
 
     s = sub.add_parser("solve", help="find a transversal of a square file")
     s.add_argument("--method", required=True,
@@ -397,13 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--iterations", type=_int_at_least(0), default=None, help="local search steps")
     s.add_argument("--blocks", default=None, help="blocks sidecar (block method)")
     s.add_argument("--s", type=_int_at_least(1), default=None, help="component cap (block method)")
-    s.set_defaults(fn=cmd_solve)
 
     v = sub.add_parser("verify", help="validate a square / transversal / certificate")
     v.add_argument("--square", required=True)
     v.add_argument("--transversal", default=None)
     v.add_argument("--pairing", default=None)
-    v.set_defaults(fn=cmd_verify)
 
     e = sub.add_parser("experiment", help="run a trial suite, writing one CSV row per trial")
     e.add_argument("name", choices=EXPERIMENTS)
@@ -416,15 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--parallel", type=_int_at_least(1), default=1,
                    help="worker processes: at least 1, and capped at the CPU count")
     e.add_argument("--csv", required=True)
-    e.set_defaults(fn=cmd_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, not stored in the cached parser, so a command
+    # function rebound after the first call (by a tracer, say) is the one run.
+    command = {"generate": cmd_generate, "solve": cmd_solve, "verify": cmd_verify,
+               "experiment": cmd_experiment}[args.command]
     try:
-        return args.fn(args)
+        return command(args)
     except (squares.SquareError, constructions.PairingMismatch,
             constructions.BlockMismatch, halving.NotPowerOfTwo) as exc:
         _say(f"error: {type(exc).__name__}: {exc}")

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .solvers import _max_tripartite_matching
-from .squares import EquiNSquare, ParseError, _ints, _read_lines
+from .squares import EquiNSquare, ParseError, _ints, _lines
 
 Vertex = tuple[int, int]
 
@@ -257,7 +257,7 @@ def write_hypergraph(h: TripartiteHypergraph, path) -> None:
 
 
 def read_hypergraph(path) -> TripartiteHypergraph:
-    lines = _read_lines(path)
+    lines = _lines(Path(path).read_bytes())
     sizes = tuple(_ints(1, lines[0], 3, "class sizes", "class size"))
     if min(sizes) < 0:
         raise ParseError(1, f"negative class size in {sizes}")

@@ -170,24 +170,31 @@ def validate_transversal(square: EquiNSquare, cells: Iterable[tuple[int, int]]) 
 
 def write_square(square: EquiNSquare, path) -> None:
     """Write the text format: first line n, then n lines of n symbol ids."""
-    lines = [str(square.n)]
-    lines += [" ".join(map(str, row)) for row in square.grid.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    n = square.n
+    # One row of bytes per symbol: its digits and a space, zero-padded to a
+    # common width; zero is no byte of the text, so dropping zeros leaves it.
+    width = len(str(n - 1)) + 1
+    table = np.array([f"{s} " for s in range(n)], dtype=f"S{width}").view(np.uint8)
+    text = table.reshape(n, width)[square.grid]
+    row_ends = text[:, -1]
+    row_ends[row_ends == ord(" ")] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(b"%d\n" % n)
+        fh.write(text[text != 0])
 
 
-def _read_utf8(path) -> str:
-    """The text of path; ParseError at the offending line if it is not UTF-8."""
-    raw = Path(path).read_bytes()
+def _utf8(raw: bytes) -> str:
+    """The text of raw; ParseError at the offending line if it is not UTF-8."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(raw[:exc.start].count(b"\n") + 1, "not UTF-8 text") from None
 
 
-def _read_lines(path) -> list[str]:
-    """The UTF-8 text of path split on "\\n", less the empty line after a final
+def _lines(raw: bytes) -> list[str]:
+    """The UTF-8 text of raw split on "\\n", less the empty line after a final
     newline; ParseError if that leaves no line."""
-    lines = _read_utf8(path).split("\n")
+    lines = _utf8(raw).split("\n")
     if lines[-1] == "":
         lines.pop()
     if not lines:
@@ -207,20 +214,50 @@ def _ints(i: int, line: str, count: int, many: str = "entries", one: str = "entr
         raise ParseError(i, f"non-integer {one}") from None
 
 
+def _written_grid(raw: bytes) -> np.ndarray | None:
+    """The grid of a square file laid out as :func:`write_square` writes it,
+    parsed without a Python object per token; None for any other file.
+
+    The layout: only ASCII digits, spaces and newlines, the final newline
+    optional; one token on line 1 and n tokens on each of the n lines after
+    it; no token over 18 digits, so every token fits in an int64.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    digit = (buf - ord("0")) < 10  # uint8 arithmetic wraps the bytes below "0"
+    if not (digit | (buf == ord(" ")) | (buf == ord("\n"))).all():
+        return None
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, stops = edges[0::2], edges[1::2]
+    if starts.size == 0 or (stops - starts).max() > 18:
+        return None
+    # Tokens per line: those starting before each newline, then the rest.
+    newlines = np.flatnonzero(buf == ord("\n"))
+    counts = np.diff(np.searchsorted(starts, newlines), prepend=0, append=starts.size)
+    if raw.endswith(b"\n"):
+        counts = counts[:-1]
+    n = int(raw[starts[0]:stops[0]])
+    if n < 1 or counts.size != n + 1 or counts[0] != 1 or (counts[1:] != n).any():
+        return None
+    return np.fromstring(raw, dtype=np.int64, sep=" ")[1:].reshape(n, n)
+
+
 def read_square(path) -> EquiNSquare:
     """Parse and validate a square file written by :func:`write_square`."""
-    lines = _read_lines(path)
+    raw = Path(path).read_bytes()
+    grid = _written_grid(raw)
+    if grid is None:
+        lines = _lines(raw)
+        try:
+            n = int(lines[0])
+        except ValueError:
+            raise ParseError(1, f"expected integer order, got {lines[0]!r}") from None
+        if n < 1:
+            raise ParseError(1, f"order must be positive, got {n}")
+        if len(lines) != n + 1:
+            raise ParseError(len(lines) + 1, f"expected {n} grid rows, found {len(lines) - 1}")
+        grid = [_ints(i, line, n) for i, line in enumerate(lines[1:], start=2)]
     try:
-        n = int(lines[0])
-    except ValueError:
-        raise ParseError(1, f"expected integer order, got {lines[0]!r}") from None
-    if n < 1:
-        raise ParseError(1, f"order must be positive, got {n}")
-    if len(lines) != n + 1:
-        raise ParseError(len(lines) + 1, f"expected {n} grid rows, found {len(lines) - 1}")
-    grid = [_ints(i, line, n) for i, line in enumerate(lines[1:], start=2)]
-    try:
-        return validate_square(n, grid)
+        return validate_square(len(grid), grid)
     except (SquareError, OverflowError) as exc:
         raise ParseError(2, f"invalid square: {exc}") from exc
 
@@ -233,5 +270,6 @@ def write_transversal(transversal: Transversal, path) -> None:
 
 def read_transversal(path) -> list[Cell]:
     """Read 'row col' lines; validation against a square is the caller's job."""
+    text = _utf8(Path(path).read_bytes())
     return [Cell(*_ints(i, line, 2))
-            for i, line in enumerate(_read_utf8(path).splitlines(), start=1) if line.strip()]
+            for i, line in enumerate(text.splitlines(), start=1) if line.strip()]

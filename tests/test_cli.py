@@ -120,6 +120,7 @@ def test_solve_block_requires_sidecar(tmp_path, capsys):
                           + d["blocks"][1:]}),
     lambda d: json.dumps(d)[:-5],
     lambda d: "[" * 100_000 + "]" * 100_000,  # too deep for the JSON parser
+    lambda d: json.dumps(d)[:-1] + ', "x": ' + "1" * 5000 + "}",  # too long for int()
 ])
 def test_solve_block_malformed_sidecar_exits_1(tmp_path, capsys, corrupt):
     square_file = tmp_path / "b.txt"
@@ -217,6 +218,30 @@ def test_solve_deterministic_outputs(tmp_path, capsys):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_parser_reuse_keeps_no_flag_from_an_earlier_call(tmp_path, capsys):
+    square_file = tmp_path / "r.txt"
+    run_cli(["generate", "--kind", "random", "--n", "12", "--seed", "4", "--out", str(square_file)],
+            capsys)
+    outs = {}
+    for name, flags in (("seed5", ["--seed", "5"]), ("default", []), ("seed0", ["--seed", "0"])):
+        out = tmp_path / f"{name}.txt"
+        code, _, _ = run_cli(["solve", "--method", "greedy", "--in", str(square_file),
+                              "--out", str(out), *flags], capsys)
+        assert code == 0
+        outs[name] = out.read_bytes()
+    assert outs["default"] == outs["seed0"] != outs["seed5"]
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch, tmp_path, capsys):
+    # The parser is built once, so it must not hold the command functions:
+    # one rebound later, as a tracer rebinds them, is the one that runs.
+    run_cli(["verify", "--square", str(tmp_path / "absent.txt")], capsys)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.square) or 0)
+    assert cli.main(["verify", "--square", "s.txt"]) == 0
+    assert seen == ["s.txt"]
 
 
 def test_verify_paths(tmp_path, capsys):
@@ -378,6 +403,7 @@ def test_console_entry_point_runs():
                                          {**d["pairs"][1], "colour": d["pairs"][0]["colour"]},
                                          *d["pairs"][2:]]}),
     lambda d: "[" * 100_000 + "]" * 100_000,  # too deep for the JSON parser
+    lambda d: json.dumps(d)[:-1] + ', "x": ' + "1" * 5000 + "}",  # too long for int()
 ])
 def test_verify_malformed_pairing_exits_1(tmp_path, capsys, corrupt):
     square_file = tmp_path / "s.txt"
@@ -393,6 +419,17 @@ def test_verify_malformed_pairing_exits_1(tmp_path, capsys, corrupt):
     )
     assert code == 1
     assert "PairingMismatch" in err
+    assert json.loads(stdout)["certificate"]["passed"] is False
+
+
+def test_verify_unreadable_pairing_fails_its_check(tmp_path, capsys):
+    square_file = tmp_path / "s.txt"
+    run_cli(["generate", "--kind", "counterexample", "--n", "8", "--out", str(square_file)], capsys)
+    code, stdout, err = run_cli(
+        ["verify", "--square", str(square_file), "--pairing", str(tmp_path)], capsys
+    )
+    assert code == 1
+    assert "IsADirectoryError" in err
     assert json.loads(stdout)["certificate"]["passed"] is False
 
 

@@ -1,15 +1,21 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equisquares.squares import (
+    _written_grid,
     Cell,
     ColClash,
     CountViolation,
     DimensionMismatch,
     ParseError,
     RowClash,
+    SquareError,
     SymbolClash,
     SymbolOutOfRange,
     read_square,
@@ -198,3 +204,120 @@ def test_readers_accept_line_ending_variants(tmp_path):
     for data, cells in ((b"", []), (b"\n\n", []), (b"0 1\n 1 0 \n", [Cell(0, 1), Cell(1, 0)])):
         path.write_bytes(data)
         assert read_transversal(path) == cells
+
+
+def reference_read_square(path):
+    """read_square as a per-line parse, one str and one int per token: the
+    reference for the array path, which must accept, refuse and word alike."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(raw[:exc.start].count(b"\n") + 1, "not UTF-8 text") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError(1, "empty file")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ParseError(1, f"expected integer order, got {lines[0]!r}") from None
+    if n < 1:
+        raise ParseError(1, f"order must be positive, got {n}")
+    if len(lines) != n + 1:
+        raise ParseError(len(lines) + 1, f"expected {n} grid rows, found {len(lines) - 1}")
+    grid = []
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if len(parts) != n:
+            raise ParseError(i, f"expected {n} entries")
+        try:
+            grid.append([int(p) for p in parts])
+        except ValueError:
+            raise ParseError(i, "non-integer entry") from None
+    try:
+        return validate_square(n, grid)
+    except (SquareError, OverflowError) as exc:
+        raise ParseError(2, f"invalid square: {exc}") from exc
+
+
+def _outcome(read, path):
+    """The grid read from path, or the type and (line, reason) of the error."""
+    try:
+        square = read(path)
+    except ParseError as exc:
+        return type(exc), exc.line, exc.reason
+    return square.grid.dtype, square.grid.tolist()
+
+
+def _same_as_reference(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.txt"
+        path.write_bytes(data)
+        assert _outcome(read_square, path) == _outcome(reference_read_square, path)
+
+
+def written(grid) -> str:
+    """The text write_square writes for grid, built one token at a time."""
+    return "\n".join([str(len(grid))] + [" ".join(map(str, row)) for row in grid.tolist()]) + "\n"
+
+
+def _mutate(text: str, mutation: str, k: int) -> str:
+    """text with one mutation; k picks the token or space it applies to."""
+    if mutation.startswith("token:"):
+        tokens = list(re.finditer(r"[0-9]+", text))
+        m = tokens[k % len(tokens)]
+        return text[:m.start()] + mutation[len("token:"):] + text[m.end():]
+    if mutation in ("tab", "double space"):
+        spaces = [m.start() for m in re.finditer(" ", text)] or [text.index("\n") + 1]
+        at = spaces[k % len(spaces)]
+        return text[:at] + {"tab": "\t", "double space": "  "}[mutation] + text[at:].lstrip(" ")
+    return {
+        "crlf": lambda: text.replace("\n", "\r\n"),
+        "no final newline": lambda: text[:-1],
+        "trailing blank line": lambda: text + "\n",
+        "spaced header": lambda: " " + text.replace("\n", " \n", 1),
+        "unmutated": lambda: text,
+    }[mutation]()
+
+
+MUTATIONS = [f"token:{t}" for t in ("+1", "01", "١", "1_0", "9" * 18, "9" * 19, "1" * 5000)] + [
+    "tab", "double space", "crlf", "no final newline", "trailing blank line", "spaced header",
+    "unmutated"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from("0123456789 -\n\t+_x.\r١"), max_size=80))
+def test_read_square_matches_reference_on_fuzz_text(text):
+    _same_as_reference(text.encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 10**6), mutation=st.sampled_from(MUTATIONS),
+       k=st.integers(0, 200))
+def test_read_square_matches_reference_on_mutated_squares(n, seed, mutation, k):
+    text = written(random_equi_square(n, seed=seed).grid)
+    _same_as_reference(_mutate(text, mutation, k).encode("utf-8"))
+
+
+@pytest.mark.parametrize("data,line,reason", [
+    (b"1000000000\n0\n", 3, "expected 1000000000 grid rows, found 1"),
+    (b"99999999999999999999\n", 2, "expected 99999999999999999999 grid rows, found 0"),
+])
+def test_huge_header_is_refused_like_reference(tmp_path, data, line, reason):
+    path = tmp_path / "s.txt"
+    path.write_bytes(data)
+    assert _outcome(read_square, path) == _outcome(reference_read_square, path) \
+        == (ParseError, line, reason)
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 256, 1000])
+def test_write_square_bytes_match_token_by_token_text(tmp_path, n):
+    # These orders cover each change in the digit width of the largest symbol.
+    square = random_equi_square(n, seed=n)
+    path = tmp_path / "s.txt"
+    write_square(square, path)
+    assert path.read_bytes() == written(square.grid).encode("ascii")
+    assert _written_grid(path.read_bytes()) is not None  # the reader's array path takes it
+    assert read_square(path) == square
