@@ -98,10 +98,7 @@ def cmd_generate(args) -> int:
         _say(f"wrote {out}")
         print(json.dumps({"square": str(out)}))
     else:  # alon-kim
-        try:
-            h = hypergraph.alon_kim(args.n)
-        except hypergraph.InvalidParam as exc:
-            return _fail_usage(str(exc))
+        h = hypergraph.alon_kim(args.n)
         hypergraph.write_hypergraph(h, out)
         _say(f"wrote {out} (t={args.n}: {len(h.edges)} edges)")
         print(json.dumps({"hypergraph": str(out), "t": args.n,
@@ -332,7 +329,7 @@ def cmd_experiment(args) -> int:
         fn, params = _trial_peel, [(args.n, min_size, args.seed, t) for t in trials]
     try:
         rows = _run_trials(fn, params, args.parallel)
-    except (constructions.NotDivisible, constructions.TooSmall) as exc:
+    except (constructions.NotDivisible, constructions.TooSmall, halving.NotPowerOfTwo) as exc:
         sizes = f"--n {args.n}" if args.m is None else f"--n {args.n} --m {args.m}"
         return _fail_usage(f"{sizes}: {exc}")
 

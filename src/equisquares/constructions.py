@@ -17,23 +17,11 @@ from .squares import EquiNSquare, Transversal, validate_square, validate_transve
 
 
 class TooSmall(ValueError):
-    def __init__(self, n: int, reason: str = ""):
-        self.n = n
-        self.reason = reason
-        super().__init__(f"no paired-box construction for n={n}" + (f": {reason}" if reason else ""))
-
-    def __reduce__(self):  # so that an experiment worker process can pass it back
-        return type(self), (self.n, self.reason)
+    pass
 
 
 class NotDivisible(ValueError):
-    def __init__(self, n: int, m: int):
-        self.n = n
-        self.m = m
-        super().__init__(f"block size {m} does not divide n={n}")
-
-    def __reduce__(self):  # so that an experiment worker process can pass it back
-        return type(self), (self.n, self.m)
+    pass
 
 
 class CertificateViolation(AssertionError):
@@ -42,10 +30,6 @@ class CertificateViolation(AssertionError):
     This contradicts a proven property of the construction, so it flags an
     implementation bug rather than bad input.
     """
-
-    def __init__(self, k: int):
-        self.k = k
-        super().__init__(f"band group {k} has no missing colour")
 
 
 class PairingMismatch(ValueError):
@@ -60,7 +44,7 @@ def box_parameters(n: int) -> tuple[int, int, int, int]:
     b >= 1 fails for n = 9, the one order where this family degenerates.
     """
     if n < 8:
-        raise TooSmall(n)
+        raise TooSmall(f"no paired-box construction for n={n}")
     # Integer arithmetic: smallest m with 2m^2 >= n, then smallest r with
     # 2r^2 >= 2m^2 - n.
     m = math.isqrt((n + 1) // 2)
@@ -72,7 +56,7 @@ def box_parameters(n: int) -> tuple[int, int, int, int]:
         r += 1
     a, b = m + r, m - r
     if b < 1:
-        raise TooSmall(n, f"box height b = m - r = {b}")
+        raise TooSmall(f"no paired-box construction for n={n}: box height b = m - r = {b}")
     return m, r, a, b
 
 
@@ -219,7 +203,7 @@ def missing_colour_certificate(
         group = set(box[:, bands].ravel().tolist()) | set(box[bands].ravel().tolist())
         absent = frozenset(group - used)
         if not absent:
-            raise CertificateViolation(k)
+            raise CertificateViolation(f"band group {k} has no missing colour")
         missing.append(absent)
 
     return CertificateReport(
@@ -358,7 +342,7 @@ def block_structured_square(n: int, m: int, seed) -> tuple[EquiNSquare, BlockStr
     blocks it is given.
     """
     if n % m != 0:
-        raise NotDivisible(n, m)
+        raise NotDivisible(f"block size {m} does not divide n={n}")
     k = n // m
     rng = np.random.default_rng(seed)
     perms = rng.random((k, n)).argsort(axis=1)  # round t: column j -> symbol

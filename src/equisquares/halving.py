@@ -36,15 +36,12 @@ from .bipartite import (  # union_components is also importable from here
     PathCycleDecomposition,
     union_components,
 )
-from .constructions import BlockMismatch, BlockStructure, validate_block_structure
+from .constructions import BlockStructure, validate_block_structure
+from .hypergraph import InvalidParam  # one class, importable from here too
 from .squares import Cell, EquiNSquare, Transversal, validate_transversal
 
 
 class NotPowerOfTwo(ValueError):
-    pass
-
-
-class InvalidParam(ValueError):
     pass
 
 
@@ -342,9 +339,7 @@ def block_transversal(
     """
     n = square.n
     validate_block_structure(square, blocks)
-    if n % blocks.m:
-        raise BlockMismatch(f"block size {blocks.m} does not divide {n}")
-    k = n // blocks.m
+    k = n // blocks.m  # exact: blocks of m cells partition every column
     if k & (k - 1):
         raise NotPowerOfTwo(f"k = n/m = {k} must be a power of two")
 

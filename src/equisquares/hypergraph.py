@@ -12,10 +12,12 @@ matchings/colourings refer to edge indices.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from .bipartite import NotAMatching  # one class, importable from here too
 from .solvers import _max_tripartite_matching
 from .squares import EquiNSquare, ParseError, _ints, _lines
 
@@ -28,12 +30,6 @@ class SameVertex(ValueError):
 
 class InvalidParam(ValueError):
     pass
-
-
-class NotAMatching(ValueError):
-    def __init__(self, pairs):
-        self.pairs = pairs
-        super().__init__(f"high-codegree pair set is not a matching: {sorted(pairs)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,28 +144,25 @@ def split_high_codegree(h: TripartiteHypergraph, threshold: int):
     """
     if threshold < 1:
         raise InvalidParam(f"threshold must be >= 1, got {threshold}")
-    high: list[tuple[Vertex, Vertex]] = []
-    seen_pairs = set()
-    for i, e in enumerate(h.edges):
-        for ca, cb in ((0, 1), (0, 2), (1, 2)):
-            pair = ((ca, e[ca]), (cb, e[cb]))
-            if pair in seen_pairs:
-                continue
-            seen_pairs.add(pair)
-            if codegree(h, *pair) > threshold:
-                high.append(pair)
+    # Codegrees of every pair some edge covers, in order of first appearance.
+    codegrees = Counter(((ca, e[ca]), (cb, e[cb])) for e in h.edges
+                        for ca, cb in ((0, 1), (0, 2), (1, 2)))
+    high = [pair for pair, count in codegrees.items() if count > threshold]
     used: set[Vertex] = set()
     for x, y in high:
         if x in used or y in used:
-            raise NotAMatching(high)
+            raise NotAMatching(f"high-codegree pair set is not a matching: {sorted(high)}")
         used.update((x, y))
 
+    # The pairs are disjoint, so no edge holds two of them: each pair's
+    # edges are still unchanged in new_edges when its turn comes.
     sizes = list(h.class_sizes)
     new_edges = list(h.edges)
     for x_f, y_f in high:  # x_f is the lexicographically smaller vertex
         cls = x_f[0]
-        for i, e in enumerate(new_edges):
-            if e[cls] == x_f[1] and e[y_f[0]] == y_f[1]:
+        for i in h.incident(x_f):
+            e = new_edges[i]
+            if e[y_f[0]] == y_f[1]:
                 fresh = sizes[cls]
                 sizes[cls] += 1
                 moved = list(e)

@@ -17,9 +17,7 @@ from .squares import Cell, EquiNSquare, Transversal, validate_transversal
 
 
 class TooLarge(ValueError):
-    def __init__(self, n: int, limit: int):
-        self.n = n
-        super().__init__(f"n={n} exceeds the exhaustive-search limit {limit}")
+    pass
 
 
 _BRUTE_LIMIT = 7
@@ -33,7 +31,7 @@ def brute_force_max(square: EquiNSquare) -> tuple[int, Transversal]:
     """
     n = square.n
     if n > _BRUTE_LIMIT:
-        raise TooLarge(n, _BRUTE_LIMIT)
+        raise TooLarge(f"n={n} exceeds the exhaustive-search limit {_BRUTE_LIMIT}")
     grid = [[int(x) for x in row] for row in square.grid]
     best_cells: list[Cell] = []
     chosen: list[Cell] = []
@@ -168,8 +166,6 @@ def _max_tripartite_matching(
     def search(rows_left: list[int], avail: dict[int, int], sym_avail: dict[int, int],
                open_cols: int, open_syms: int, chosen: list[tuple[int, int, int]]):
         nonlocal best, nodes, out_of_budget
-        if out_of_budget:
-            return
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             out_of_budget = True

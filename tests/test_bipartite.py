@@ -42,6 +42,13 @@ def cycle_graph(length: int) -> tuple[BipartiteMultigraph, frozenset, frozenset]
     return g, m_a, m_b
 
 
+@pytest.mark.parametrize("left,right", [([0, 2], [0, 1]), ([0, 1], [0, 3]),
+                                        ([-1, 0], [0, 1]), ([0, 1], [0, -1])])
+def test_graph_rejects_endpoints_out_of_range(left, right):
+    with pytest.raises(ValueError, match="endpoint out of range"):
+        BipartiteMultigraph(2, 3, left, right)
+
+
 def test_perfect_matching_trivial():
     g = make_graph(3, 3, [(0, 1), (1, 2), (2, 0)])
     assert decompose_regular(g, 1)[0] == frozenset({0, 1, 2})

@@ -183,6 +183,10 @@ def _exit_code(argv) -> int:
     ["experiment", "survival", "--n", "8", "--m", "3"],
     ["experiment", "survival", "--parallel", "2", "--n", "8", "--m", "3"],
     ["experiment", "concentration", "--n", "8", "--m", "3"],
+    ["experiment", "survival", "--n", "12", "--m", "4"],  # n/m = 3, not a power of two
+    ["experiment", "survival", "--parallel", "2", "--n", "12", "--m", "4"],
+    ["experiment", "concentration", "--n", "12", "--m", "4"],
+    ["experiment", "missing-colour", "--parallel", "2", "--n", "9"],  # TooSmall from a worker
     ["experiment", "missing-colour", "--n", "3"],
     ["experiment", "greedy-baseline", "--n", "0"],
     ["experiment", "bound-tightness", "--n", "7"],
@@ -294,6 +298,29 @@ def test_experiment_missing_colour(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(stdout)["violations"] == 0
+
+
+def test_experiment_peel_rows_summary_and_parallel(tmp_path, capsys):
+    outputs = []
+    for workers in ("1", "2"):
+        csv_path = tmp_path / f"p{workers}.csv"
+        code, stdout, _ = run_cli(
+            ["experiment", "peel", "--n", "8", "--trials", "3", "--parallel", workers,
+             "--csv", str(csv_path)], capsys
+        )
+        assert code == 0
+        outputs.append((csv_path.read_bytes(), json.loads(stdout)))
+    assert outputs[0][0] == outputs[1][0]
+    lines = outputs[0][0].decode().splitlines()
+    assert lines[0] == "trial,seed,n,min_size,layers,total_cells"
+    rows = [dict(zip(lines[0].split(","), map(int, line.split(",")))) for line in lines[1:]]
+    assert [r["trial"] for r in rows] == [0, 1, 2]
+    for r in rows:
+        assert r["n"] == 8 and r["min_size"] == 8  # ceil(0.9 * 8)
+        assert r["total_cells"] >= r["layers"] * r["min_size"]
+    summary = outputs[0][1]
+    assert summary["experiment"] == "peel" and summary["trials"] == 3
+    assert summary["mean_layers"] == sum(r["layers"] for r in rows) / 3
 
 
 def test_experiment_greedy_baseline_parallel_determinism(tmp_path, capsys):

@@ -11,6 +11,7 @@ from equisquares.constructions import (
     BlockStructure,
     CertificateViolation,
     NotDivisible,
+    PairingMismatch,
     TooSmall,
     block_structured_square,
     box_parameters,
@@ -244,6 +245,51 @@ def test_block_validation_catches_corruption():
     short = BlockStructure(m=2, cols=blocks.cols, symbols=blocks.symbols, rows=blocks.rows[:, :1])
     with pytest.raises(BlockMismatch):
         validate_block_structure(square, short)
+
+
+def _with_blocks(blocks, **fields):
+    arrays = {"cols": blocks.cols, "symbols": blocks.symbols, "rows": blocks.rows, **fields}
+    return BlockStructure(m=blocks.m, **arrays)
+
+
+def test_block_validation_rejects_a_block_count_that_cannot_tile():
+    square, blocks = block_structured_square(8, 2, seed=1)
+    fewer = _with_blocks(blocks, cols=blocks.cols[1:], symbols=blocks.symbols[1:],
+                         rows=blocks.rows[1:])
+    with pytest.raises(BlockMismatch, match="31 blocks of size 2 cannot tile n=8"):
+        validate_block_structure(square, fewer)
+
+
+@pytest.mark.parametrize("field,value", [("rows", 8), ("rows", -1), ("cols", 8), ("cols", -1)])
+def test_block_validation_rejects_cells_out_of_range(field, value):
+    square, blocks = block_structured_square(8, 2, seed=1)
+    arr = getattr(blocks, field).copy()
+    arr.flat[-1] = value
+    with pytest.raises(BlockMismatch, match="block cell out of range"):
+        validate_block_structure(square, _with_blocks(blocks, **{field: arr}))
+
+
+def test_block_validation_rejects_a_block_listed_twice():
+    # Block 0 again in place of block 1: every block matches the grid and
+    # the count is right, but the cells of block 1 are left uncovered.
+    square, blocks = block_structured_square(8, 2, seed=1)
+    cols, symbols, rows = blocks.cols.copy(), blocks.symbols.copy(), blocks.rows.copy()
+    cols[1], symbols[1], rows[1] = cols[0], symbols[0], rows[0]
+    with pytest.raises(BlockMismatch, match="do not partition"):
+        validate_block_structure(square, _with_blocks(blocks, cols=cols, symbols=symbols, rows=rows))
+
+
+def test_certificate_rejects_a_square_or_pairing_it_was_not_built_with():
+    square, pairing = counterexample_square(12)
+    _, other_pairing = counterexample_square(18)
+    with pytest.raises(PairingMismatch, match=r"counterexample_square\(12\)"):
+        missing_colour_certificate(square, other_pairing, Transversal(()))
+    other_square = random_equi_square(12, seed=0)
+    with pytest.raises(PairingMismatch, match=r"counterexample_square\(12\)"):
+        missing_colour_certificate(other_square, pairing, Transversal(()))
+    # Order 9 has no construction at all, so no pairing can fit it.
+    with pytest.raises(PairingMismatch, match="no paired-box construction for n=9"):
+        missing_colour_certificate(random_equi_square(9, seed=0), pairing, Transversal(()))
 
 
 def test_block_structure_json_round_trip():

@@ -102,6 +102,13 @@ def test_iterated_halving_requires_power_of_two():
                          np.random.default_rng(0))
 
 
+def test_iterated_halving_rejects_an_input_that_is_not_a_matching():
+    # Labels 1 and 2 share left vertex 1, so the second input is no matching.
+    g = make_graph(2, 2, [(0, 0), (1, 1), (1, 0)])
+    with pytest.raises(bipartite.NotAMatching, match="matching 1 is not a matching"):
+        iterated_halving(g, [frozenset({0}), frozenset({1, 2})], 2, np.random.default_rng(0))
+
+
 def test_cap_below_one_rejected_for_any_number_of_matchings():
     g = make_graph(2, 2, [(0, 0), (1, 1)])
     m = frozenset({0, 1})

@@ -4,8 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
+from equisquares import bipartite, halving
 from equisquares.constructions import cyclic_latin, random_equi_square
 from equisquares.hypergraph import (
+    EdgeColouring,
     InvalidParam,
     NotAMatching,
     SameVertex,
@@ -216,6 +218,47 @@ def test_split_planted_instances():
         assert back.num_colours == col.num_colours
 
 
+def split_reference(h: TripartiteHypergraph, threshold: int) -> TripartiteHypergraph:
+    """The transform by pair scans: high pairs in order of first appearance
+    over edges and pairs (0,1), (0,2), (1,2), each found by `codegree`, and
+    the edges of each pair found by a scan of every edge."""
+    high = []
+    for e in h.edges:
+        for ca, cb in ((0, 1), (0, 2), (1, 2)):
+            pair = ((ca, e[ca]), (cb, e[cb]))
+            if pair not in high and codegree(h, *pair) > threshold:
+                high.append(pair)
+    sizes, edges = list(h.class_sizes), list(h.edges)
+    for (cls, x), (cy, y) in high:
+        for i, e in enumerate(edges):
+            if e[cls] == x and e[cy] == y:
+                edges[i] = tuple(sizes[cls] if c == cls else v for c, v in enumerate(e))
+                sizes[cls] += 1
+    return TripartiteHypergraph(tuple(sizes), tuple(edges))
+
+
+def test_split_matches_pair_scan_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        threshold = 1 + trial % 3
+        h = planted_split_instance(rng, n_pairs=1 + trial % 3, threshold=threshold)
+        # A few extra copies of edges already present can lift more pairs
+        # over the threshold; shuffling changes which high pair comes first.
+        edges = h.edges + tuple(h.edges[int(i)] for i in rng.integers(0, len(h.edges), size=trial % 4))
+        h = TripartiteHypergraph(h.class_sizes, tuple(edges[int(i)] for i in rng.permutation(len(edges))))
+        try:
+            h2, _ = split_high_codegree(h, threshold)
+        except NotAMatching:
+            continue
+        ref = split_reference(h, threshold)
+        assert (h2.class_sizes, h2.edges) == (ref.class_sizes, ref.edges)
+
+
+def test_error_names_shared_with_other_modules_are_one_class():
+    assert InvalidParam is halving.InvalidParam
+    assert NotAMatching is bipartite.NotAMatching
+
+
 def test_split_rejects_overlapping_high_pairs():
     # two high pairs sharing vertex (0,0)
     edges = tuple(
@@ -236,6 +279,15 @@ def test_greedy_colouring_trivial_and_bound():
     col = greedy_edge_colouring(h5)
     assert is_proper(h5, col)
     assert col.num_colours <= 3 * (5 - 1) + 1
+
+
+def test_is_proper_rejects_a_colour_repeated_at_a_vertex():
+    # Edge 2 meets edge 0 in column 0 and symbol 1, and edge 1 in row 1;
+    # edges 0 and 1 are disjoint.
+    h = TripartiteHypergraph((2, 2, 2), ((0, 0, 1), (1, 1, 0), (1, 0, 1)))
+    assert is_proper(h, EdgeColouring((0, 0, 1)))
+    assert not is_proper(h, EdgeColouring((0, 1, 0)))
+    assert not is_proper(h, EdgeColouring((0, 0, 0)))
 
 
 def test_greedy_colouring_classes_are_matchings_random():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from equisquares.squares import (
     _written_grid,
     Cell,
+    CellOutOfRange,
     ColClash,
     CountViolation,
     DimensionMismatch,
@@ -82,6 +83,13 @@ def test_transversal_clashes_carry_cells():
     sq3 = cyclic_latin(3)
     with pytest.raises(SymbolClash):
         validate_transversal(sq3, [(0, 1), (1, 0)])  # both symbol 1
+
+
+@pytest.mark.parametrize("cell", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+def test_validate_transversal_rejects_cells_outside_the_grid(cell):
+    sq = validate_square(2, [[0, 0], [1, 1]])
+    with pytest.raises(CellOutOfRange, match=r"outside \[0, 2\)"):
+        validate_transversal(sq, [cell])
 
 
 def test_projection_injectivity_is_equivalent_to_validity():
