@@ -141,6 +141,8 @@ def cmd_solve(args) -> int:
 
     squares.write_transversal(t, out)
     _say(f"{args.method}: size {t.size} of n={n}; cells in {out}")
+    # No transversal has more than n cells, so one of n cells is optimal.
+    optimal = optimal or t.size == n
     print(json.dumps({"size": t.size, "optimal": optimal, "cells_file": str(out)}))
     return 0
 
@@ -275,7 +277,8 @@ def _trial_peel(params: tuple) -> dict:
     layers = solvers.peel_decomposition(square, stream(seed, "peel"), min_size)
     return {"trial": trial, "seed": seed, "n": n, "min_size": min_size,
             "layers": len(layers),
-            "total_cells": sum(t.size for t in layers)}
+            "total_cells": sum(t.size for t in layers),
+            "smallest": min((t.size for t in layers), default=0)}
 
 
 def _order_bound_tightness(n: int) -> dict | None:

@@ -9,8 +9,6 @@ serves both `exact_max` and `hypergraph.max_matching_exact`.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .squares import Cell, EquiNSquare, Transversal, validate_transversal
@@ -319,15 +317,13 @@ def random_greedy(square: EquiNSquare, rng: np.random.Generator) -> Transversal:
 
 
 _DRAW_CHUNK = 1 << 16  # local search draws its cell indices this many at a time
+_SCREEN_WINDOW = 1 << 10  # and screens a chunk's allowed draws this many at a time
 
 
-def _draws(rng: np.random.Generator, high: int, count: int):
-    """count values of rng.integers(0, high) in bounded memory: the same values,
-    and the same final generator state, as one call per value.  Each chunk is
-    drawn when the one before it runs out."""
-    return itertools.chain.from_iterable(
-        rng.integers(0, high, size=min(_DRAW_CHUNK, count - done)).tolist()
-        for done in range(0, count, _DRAW_CHUNK))
+def _first(mask: np.ndarray) -> int:
+    """Flat index of the first True in a boolean array, or -1."""
+    hit = mask.ravel().nonzero()[0]
+    return int(hit[0]) if hit.size else -1
 
 
 def _masked_local_search(
@@ -338,61 +334,81 @@ def _masked_local_search(
     rng: np.random.Generator,
     iterations: int,
 ) -> list[Cell]:
-    # Cells are flat indices i*n + j; owner_* hold the index of the cell
-    # that takes a row, column or symbol, or -1.
+    """`iterations` one-out, up-to-two-in swaps on cells that `allowed` permits.
+
+    Each step draws a cell f from `rng.integers(0, n * n)`.  If f's row,
+    column and symbol are free, f is inserted.  If exactly one cell other
+    than f owns them, that cell is swapped out for f, and the first
+    admissible cell of its row, else of its column, else of its symbol
+    (row-major) refills what it freed.  Otherwise the step does nothing.
+
+    Screening.  The draws come in chunks of `_DRAW_CHUNK`.  Numpy drops the
+    draws that `allowed` forbids, then, `_SCREEN_WINDOW` of the rest at a
+    time, keeps those whose row or column is free: if both are taken, one
+    cell owning both is f itself and two cells are two owners, so the step
+    is a no-op.  The loop steps through the survivors in order.  An insert
+    frees no row or column, so a survivor it blocks just fails its step; a
+    swap can free some, so after one the screen restarts at the next draw.
+    The cells and the generator's final state are those of the plain loop.
+    """
     symbols = grid.ravel()
-    sym = symbols.tolist()
-    ok_list = allowed.ravel().tolist()
-    # Allowed cells grouped by symbol, row-major within each symbol.
-    candidates = np.flatnonzero(allowed)
-    by_symbol = candidates[np.argsort(symbols[candidates], kind="stable")]
-    bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(symbols[candidates], minlength=n)))
-    ).tolist()
+    ok = allowed.ravel()
+    # Cells are flat indices i*n + j.  owner_* hold the cell that takes a
+    # row, column or symbol, or -1; free_* mirror them for numpy.
+    owner_row, owner_col, owner_sym = [-1] * n, [-1] * n, [-1] * n
+    free_row, free_col, free_sym = (np.ones(n, dtype=bool) for _ in range(3))
 
-    owner_row = [-1] * n
-    owner_col = [-1] * n
-    owner_sym = [-1] * n
-
-    def insert(f: int):
+    def assign(f: int, s: int, owner: int):
+        """Give f's row, column and symbol s to owner; -1 frees them."""
         i, j = divmod(f, n)
-        owner_row[i] = owner_col[j] = owner_sym[sym[f]] = f
-
-    def admissible(f: int) -> bool:
-        i, j = divmod(f, n)
-        return ok_list[f] and owner_row[i] < 0 and owner_col[j] < 0 and owner_sym[sym[f]] < 0
+        owner_row[i] = owner_col[j] = owner_sym[s] = owner
+        free_row[i] = free_col[j] = free_sym[s] = owner < 0
 
     for cell in start:
-        insert(cell.row * n + cell.col)
+        f = cell.row * n + cell.col
+        assign(f, int(symbols[f]), f)
 
-    for f in _draws(rng, n * n, iterations):
-        if not ok_list[f]:
-            continue
-        i, j = divmod(f, n)
-        s = sym[f]
-        a, b, c = owner_row[i], owner_col[j], owner_sym[s]
-        victim = max(a, b, c)
-        if victim < 0:
-            insert(f)
-            continue
-        # A move swaps out exactly one cell, and never the drawn one.
-        if victim == f or a not in (-1, victim) or b not in (-1, victim) or c not in (-1, victim):
-            continue
-        vi, vj = divmod(victim, n)
-        vs = sym[victim]
-        owner_row[vi] = owner_col[vj] = owner_sym[vs] = -1
-        insert(f)
-        # Try to refill from the resources the swap freed.
-        refill = -1
-        if vi != i and owner_row[vi] < 0:
-            refill = next((g for g in range(vi * n, vi * n + n) if admissible(g)), -1)
-        if refill < 0 and vj != j and owner_col[vj] < 0:
-            refill = next((g for g in range(vj, n * n, n) if admissible(g)), -1)
-        if refill < 0 and vs != s and owner_sym[vs] < 0:
-            group = by_symbol[bounds[vs]:bounds[vs + 1]].tolist()
-            refill = next((g for g in group if admissible(g)), -1)
-        if refill >= 0:
-            insert(refill)
+    for done in range(0, iterations, _DRAW_CHUNK):
+        draws = rng.integers(0, n * n, size=min(_DRAW_CHUNK, iterations - done))
+        draws = draws[ok[draws]]
+        rows, cols = np.divmod(draws, n)
+        pos = 0
+        while pos < len(draws):
+            end = min(pos + _SCREEN_WINDOW, len(draws))
+            live = pos + (free_row[rows[pos:end]] | free_col[cols[pos:end]]).nonzero()[0]
+            pos = end
+            cells = draws[live]
+            for k, f, s in zip(live.tolist(), cells.tolist(), symbols[cells].tolist()):
+                i, j = divmod(f, n)
+                a, b, c = owner_row[i], owner_col[j], owner_sym[s]
+                victim = max(a, b, c)
+                if victim < 0:
+                    assign(f, s, f)
+                    continue
+                # A move swaps out exactly one cell, and never the drawn one.
+                if victim == f or a not in (-1, victim) or b not in (-1, victim) or c not in (-1, victim):
+                    continue
+                vi, vj = divmod(victim, n)
+                vs = int(symbols[victim])
+                assign(victim, vs, -1)
+                assign(f, s, f)
+                # Refill from what the swap freed; what f took is not free.
+                refill = -1
+                if free_row[vi]:
+                    g = _first(allowed[vi] & free_col & free_sym[grid[vi]])
+                    refill = -1 if g < 0 else vi * n + g
+                if refill < 0 and free_col[vj]:
+                    g = _first(allowed[:, vj] & free_row & free_sym[grid[:, vj]])
+                    refill = -1 if g < 0 else g * n + vj
+                if refill < 0 and free_sym[vs]:
+                    # Symbol vs on the free rows, row-major.
+                    lines = free_row.nonzero()[0]
+                    g = _first((grid[lines] == vs) & allowed[lines] & free_col)
+                    refill = -1 if g < 0 else int(lines[g // n]) * n + g % n
+                if refill >= 0:
+                    assign(refill, int(symbols[refill]), refill)
+                pos = k + 1
+                break
 
     return [Cell(*divmod(f, n)) for f in owner_row if f >= 0]
 
@@ -409,8 +425,13 @@ def local_search(
     and inserts at least one.  The cells that the iterations try are drawn
     from `rng.integers(0, n * n)` in chunks of fixed size; for the same
     generator this gives the same cells, and leaves the generator in the
-    same state, as one call per iteration.
+    same state, as one call per iteration.  Python steps only through the
+    draws whose row or column is free: with both taken, by the drawn cell
+    itself or by two cells, no move applies.  A negative `iterations` is a
+    ValueError.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations {iterations} is negative")
     validate_transversal(square, transversal.cells)
     allowed = np.ones((square.n, square.n), dtype=bool)
     cells = _masked_local_search(

@@ -46,9 +46,7 @@ class ClashError(SquareError):
     def __init__(self, first: "Cell", second: "Cell"):
         self.first = first
         self.second = second
-        super().__init__(
-            f"{type(self).__name__}: cells {tuple(first)} and {tuple(second)}"
-        )
+        super().__init__(f"cells {tuple(first)} and {tuple(second)}")
 
 
 class RowClash(ClashError):

@@ -114,6 +114,28 @@ def test_solve_block_requires_sidecar(tmp_path, capsys):
     validate_transversal(read_square(square_file), cells)
 
 
+def test_solve_reports_full_transversals_optimal(tmp_path, capsys):
+    # No transversal has more than n cells, so any method that finds n of
+    # them has found an optimum, proved or not.
+    one = tmp_path / "one.txt"
+    run_cli(["generate", "--kind", "cyclic", "--n", "1", "--out", str(one)], capsys)
+    block = tmp_path / "b.txt"
+    run_cli(["generate", "--kind", "block", "--n", "16", "--m", "4",
+             "--seed", "1", "--out", str(block)], capsys)
+    ce = tmp_path / "ce.txt"
+    run_cli(["generate", "--kind", "counterexample", "--n", "8", "--out", str(ce)], capsys)
+    for argv, size, optimal in [
+        (["--method", "local", "--in", str(one)], 1, True),
+        (["--method", "greedy", "--in", str(one)], 1, True),
+        (["--method", "exact", "--budget", "1", "--in", str(one)], 1, True),
+        (["--method", "block", "--in", str(block), "--blocks", str(tmp_path / "b.blocks.json")], 16, True),
+        (["--method", "exact", "--budget", "1", "--in", str(ce)], 6, False),
+    ]:
+        code, stdout, _ = run_cli(["solve", *argv], capsys)
+        report = json.loads(stdout)
+        assert code == 0 and (report["size"], report["optimal"]) == (size, optimal), argv
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda d: json.dumps({"format": 1}),
     lambda d: json.dumps({**d, "blocks": [{**d["blocks"][0], "rows": d["blocks"][0]["rows"][:1]}]
@@ -263,6 +285,18 @@ def test_verify_paths(tmp_path, capsys):
     assert code == 1
     assert "RowClash" in err
 
+    # the clash's name is printed once, before its cells
+    two = tmp_path / "s2.txt"
+    two.write_text("2\n0 1\n1 0\n")
+    dup = tmp_path / "dup.t"
+    dup.write_text("0 0\n0 0\n")
+    code, stdout, err = run_cli(
+        ["verify", "--square", str(two), "--transversal", str(dup)], capsys
+    )
+    assert code == 1
+    assert err.count("RowClash") == 1 and "RowClash: cells (0, 0) and (0, 0)" in err
+    assert json.loads(stdout)["transversal"]["error"] == "RowClash: cells (0, 0) and (0, 0)"
+
     # solver transversal + pairing -> certificate passes
     code, stdout, _ = run_cli(
         ["solve", "--method", "greedy", "--in", str(square_file), "--seed", "3"], capsys
@@ -312,12 +346,15 @@ def test_experiment_peel_rows_summary_and_parallel(tmp_path, capsys):
         outputs.append((csv_path.read_bytes(), json.loads(stdout)))
     assert outputs[0][0] == outputs[1][0]
     lines = outputs[0][0].decode().splitlines()
-    assert lines[0] == "trial,seed,n,min_size,layers,total_cells"
+    assert lines[0] == "trial,seed,n,min_size,layers,total_cells,smallest"
     rows = [dict(zip(lines[0].split(","), map(int, line.split(",")))) for line in lines[1:]]
     assert [r["trial"] for r in rows] == [0, 1, 2]
     for r in rows:
         assert r["n"] == 8 and r["min_size"] == 8  # ceil(0.9 * 8)
         assert r["total_cells"] >= r["layers"] * r["min_size"]
+        # every layer has at least min_size cells; 0 stands for no layer
+        assert r["smallest"] >= r["min_size"] if r["layers"] else r["smallest"] == 0
+        assert r["smallest"] * r["layers"] <= r["total_cells"]
     summary = outputs[0][1]
     assert summary["experiment"] == "peel" and summary["trials"] == 3
     assert summary["mean_layers"] == sum(r["layers"] for r in rows) / 3

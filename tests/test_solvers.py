@@ -184,6 +184,53 @@ def test_peel_layers_match_sequential_reference():
     assert ours.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("window", [1, 2, None], ids=["window1", "window2", "default"])
+def test_screened_loop_matches_reference_on_masked_squares(monkeypatch, window):
+    # At n >= 64 the refills scan the victim's row, its column and its
+    # symbol's cells with numpy masks; windows of 1 and 2 draws screen
+    # again after almost every draw.
+    if window is not None:
+        monkeypatch.setattr(solvers, "_SCREEN_WINDOW", window)
+    for square in (random_equi_square(64, 5), counterexample_square(64)[0]):
+        n = square.n
+        for seed in range(2):
+            allowed = np.random.default_rng(300 + seed).random((n, n)) < 0.8
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            start = _masked_greedy(square.grid, n, allowed, ours)
+            assert start == reference_masked_greedy(square.grid, n, allowed, ref)
+            for cells in (start, []):
+                got = _masked_local_search(square.grid, n, allowed, list(cells), ours, 40 * n)
+                want = reference_masked_local_search(square.grid, n, allowed, list(cells), ref, 40 * n)
+                assert got == want, (n, seed, len(cells))
+                assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+def test_full_transversal_start_is_kept(masked):
+    # Every row and column is taken, so the screen drops every draw.
+    n = 65
+    square = cyclic_latin(n)
+    start = [Cell(i, i) for i in range(n)]  # symbols 2i mod n, distinct for odd n
+    allowed = np.random.default_rng(4).random((n, n)) < 0.5 if masked else np.ones((n, n), dtype=bool)
+    allowed[np.arange(n), np.arange(n)] = True
+    ours, ref = np.random.default_rng(6), np.random.default_rng(6)
+    got = _masked_local_search(square.grid, n, allowed, list(start), ours, 40 * n)
+    assert got == reference_masked_local_search(square.grid, n, allowed, list(start), ref, 40 * n)
+    assert got == start
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_local_search_rejects_negative_iterations():
+    sq = cyclic_latin(3)
+    t = validate_transversal(sq, [(0, 0)])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="negative"):
+        local_search(sq, t, rng, -1)
+    assert rng.bit_generator.state == state
+    assert local_search(sq, t, rng, 0) == t
+
+
 def test_brute_force_trivial_and_limit():
     assert brute_force_max(validate_square(1, [[0]]))[0] == 1
     with pytest.raises(TooLarge):
