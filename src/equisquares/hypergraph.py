@@ -2,7 +2,8 @@
 codegrees, the low-matching obstruction family, vertex blow-ups, the
 high-codegree splitting transform, greedy proper edge colouring, and exact
 maximum matching for small instances (by the branch-and-bound in `solvers`
-that `exact_max` uses too).
+that `exact_max` uses too; its state is a bitset of the usable edges, so a
+row and column pair that carries several symbols needs no special case).
 
 Vertices are addressed as (class, index) with class in {0, 1, 2}; for a
 square's hypergraph the classes are rows, columns, symbols.  Edge indices
@@ -32,6 +33,13 @@ class InvalidParam(ValueError):
     pass
 
 
+def _out_of_range(edge, class_sizes) -> str:
+    """Why edge has no vertex in some class, or "" if it fits."""
+    if all(0 <= v < size for v, size in zip(edge, class_sizes)):
+        return ""
+    return f"edge {edge} out of range for classes {class_sizes}"
+
+
 @dataclass(frozen=True, eq=False)
 class TripartiteHypergraph:
     """Edge list over three vertex classes; multi-edges allowed."""
@@ -41,9 +49,8 @@ class TripartiteHypergraph:
 
     def __post_init__(self):
         for e in self.edges:
-            for cls in range(3):
-                if not 0 <= e[cls] < self.class_sizes[cls]:
-                    raise ValueError(f"edge {e} out of range for classes {self.class_sizes}")
+            if reason := _out_of_range(e, self.class_sizes):
+                raise ValueError(reason)
 
     @property
     def num_vertices(self) -> int:
@@ -227,19 +234,19 @@ def greedy_edge_colouring(h: TripartiteHypergraph) -> EdgeColouring:
 def max_matching_exact(h: TripartiteHypergraph, budget: int | None = None):
     """Exact maximum matching by the branch-and-bound of `exact_max`.
 
-    Class 0 plays the rows; edges on one row and one column form one
-    cell, which may carry several symbols.  Twin vertices (two vertices
-    of one class on the same pairs of the other two, as the copies in a
-    `blow_up` are) are searched once per orbit; see
-    `solvers._max_tripartite_matching`.  `budget` caps the search nodes,
-    as `exact_max`'s node_budget does; the flag in the returned
-    (edge_indices, optimal) pair reports whether the search completed.
-    An edge listed several times is reported by its smallest index.
+    Class 0 plays the rows.  The search state is one bitset of the edges
+    still usable, so a row and column pair that carries several symbols
+    needs no special case.  Twin vertices (two vertices of one class on the
+    same pairs of the other two, as the copies in a `blow_up` are) are
+    searched once per orbit; see `solvers._max_tripartite_matching`.
+    `budget` caps the search nodes, as `exact_max`'s node_budget does; the
+    flag in the returned (edge_indices, optimal) pair reports whether the
+    search completed.  An edge listed several times is reported by its
+    smallest index.
     """
-    if not h.edges:
-        return (), True
     triples, optimal = _max_tripartite_matching(h.class_sizes, h.edges, budget)
-    return tuple(sorted(h.edges.index(t) for t in triples)), optimal
+    index = {e: i for i, e in reversed(list(enumerate(h.edges)))}  # smallest index wins
+    return tuple(sorted(index[t] for t in triples)), optimal
 
 
 def write_hypergraph(h: TripartiteHypergraph, path) -> None:
@@ -255,7 +262,7 @@ def read_hypergraph(path) -> TripartiteHypergraph:
     if min(sizes) < 0:
         raise ParseError(1, f"negative class size in {sizes}")
     edges = [tuple(_ints(i, line, 3)) for i, line in enumerate(lines[1:], start=2)]
-    try:
-        return TripartiteHypergraph(sizes, tuple(edges))
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from exc
+    for i, edge in enumerate(edges, start=2):
+        if reason := _out_of_range(edge, sizes):
+            raise ParseError(i, reason)
+    return TripartiteHypergraph(sizes, tuple(edges))

@@ -4,7 +4,9 @@ extraction of disjoint transversals.
 
 A transversal is a matching in the square's 3-partite hypergraph on rows,
 columns and symbols, so one branch-and-bound over tripartite edge lists
-serves both `exact_max` and `hypergraph.max_matching_exact`.
+serves both `exact_max` and `hypergraph.max_matching_exact`.  Its whole
+state is one bitset of the edges still usable; a cell with several
+symbols is just several edges.
 """
 
 from __future__ import annotations
@@ -78,165 +80,129 @@ def _max_tripartite_matching(
 ) -> tuple[list[tuple[int, int, int]], bool]:
     """Branch-and-bound maximum matching of a 3-partite 3-uniform hypergraph.
 
-    Classes 0, 1 and 2 play rows, columns and symbols; the edges on one row
-    and column form a cell, which may carry several symbols.  Depth-first
-    over rows in most-constrained order, tracking per row the columns with
-    a free symbol and the symbols with a free column as bitmasks.  Prunes
-    on live rows and on the free-column and free-symbol unions.  The
-    incumbent starts as the row-major greedy matching.  Returns (chosen
-    (row, col, symbol) triples, optimal); the budget counts search nodes,
-    and once it is exhausted the incumbent is returned with optimal=False.
+    Classes 0, 1 and 2 play rows, columns and symbols.  The distinct edges
+    are numbered in (row, column, symbol) order, and the search state is
+    one bitset `avail` of the edges still usable: choosing an edge clears
+    every edge that meets it, and skipping a row clears the row's edges.  A
+    cell with several symbols is just several edges.  A node is pruned when
+    the rows, the columns or the symbols with an edge in `avail` are too few
+    to beat the incumbent.  Otherwise it branches on the live row with the
+    fewest usable edges, lowest index on ties: first on each of the row's
+    edges in ascending order, then on skipping the row.  The incumbent
+    starts as the greedy matching in edge order.  Returns (chosen (row, col,
+    symbol) triples, optimal); the budget counts search nodes, and once it
+    is exhausted the incumbent is returned with optimal=False.
 
-    Twins.  Two rows are twins when they have the same symbols in every
-    column, two columns when they have the same symbols in every row, and
-    two symbols when they sit on the same (row, column) cells.  Swapping two
-    twins maps the hypergraph onto itself, so the search explores each orbit
-    of matchings under these swaps once.  The slot of an edge (r, j, s) is
-    the pair (class of j, class of s), ordered lexicographically; no swap
-    changes any edge's slot.  The rules are:
-      (R) twin rows are branched in index order; skipping a row drops its
-          later twins, and a row may not take a slot smaller than the slot
-          its last used earlier twin took;
-      (C) a column is not branched while an earlier twin of it is free;
-      (S) a symbol is not branched while an earlier twin of it is free.
-    Twin rows keep equal column and symbol masks while both are unused, so
-    the most-constrained choice meets them in index order.
+    Twins.  Two vertices of one class are twins when they lie on the same
+    pairs of the other two classes: two rows on the same (column, symbol)
+    pairs, two columns on the same (row, symbol) pairs, two symbols on the
+    same (row, column) pairs.  Swapping two twins maps the hypergraph onto
+    itself, so the search explores each orbit of matchings under these
+    swaps once.  The slot of an edge (r, j, s) is the pair (class of j,
+    class of s), ordered lexicographically; no swap changes any edge's
+    slot.  The rules are:
+      (R) twin rows are branched in index order; skipping a row clears the
+          edges of its later twins too, and a row may not take a slot
+          smaller than the slot its last used earlier twin took;
+      (C) an edge is not branched while an earlier twin of its column is free;
+      (S) an edge is not branched while an earlier twin of its symbol is free.
+    Twin rows keep equal numbers of usable edges while both are unused, so
+    the fewest-edges choice meets them in index order.
 
-    Why no optimum is lost: call a matching M fitting a node, whose chosen
-    set is P, if M contains P, uses no row the node has dropped, and in
-    each row class uses a prefix of the rows in index order with slots that
-    never decrease along it.  Row swaps sort any maximum matching into this
-    form, so some maximum matching fits the root.  Let M fit a node that
-    branches row r.  If M does not use r it uses no later twin of r either,
-    and M fits the skip child.  If M uses (r, j, s), let j0 and s0 be the
-    first free members of the classes of j and of s; swapping j with j0
-    and s with s0 fixes P (all four are unused by P) and every slot, so the
-    image M' still fits and uses (r, j0, s0), which passes (C) and (S).
+    Why no optimum is lost: a node has chosen a set P and dropped the rows
+    it skipped, with their later twins; `avail` holds exactly the edges
+    that meet no edge of P and lie on no dropped row.  Call a matching M
+    fitting the node if M contains P, uses no dropped row, and in each row
+    class uses a prefix of the rows in index order with slots that never
+    decrease along it.  Row swaps sort any maximum matching into this form,
+    so some maximum matching fits the root.  Let M fit a node that branches
+    row r.  If M does not use r it uses no later twin of r either, and M
+    fits the skip child.  If M uses (r, j, s), let j0 and s0 be the first
+    members of the classes of j and of s that P leaves free; swapping j
+    with j0 and s with s0 fixes P (all four are unused by P) and every
+    slot, so the image M' still fits and uses (r, j0, s0), which passes (C)
+    and (S), and which is in `avail` because M' is a matching containing P.
     Rule (R) passes too: r's earlier twins are all in P, and the last of
     them took a slot no larger than r's slot in M', since M' fits.  So M'
-    fits the child that chooses (r, j0, s0).  Bounds prune only nodes with
-    no extension larger than the incumbent, and a fitting maximum matching
-    ends at a leaf as P itself.  Without twins every class is a singleton
-    and no rule removes a branch.
+    fits the child that chooses (r, j0, s0).  The edges of M outside P lie
+    in `avail`, so the three counts bound every extension: bounds prune
+    only nodes with no extension larger than the incumbent, and a fitting
+    maximum matching ends at a leaf as P itself.  Without twins every class
+    is a singleton and no rule removes a branch.
     """
-    n_rows, n_cols, n_syms = class_sizes
-    cell_sets = [[set() for _ in range(n_cols)] for _ in range(n_rows)]
-    carrying = [dict() for _ in range(n_rows)]  # per row: symbol -> columns carrying it
-    for r, c, s in edges:
-        cell_sets[r][c].add(s)
-        carrying[r][s] = carrying[r].get(s, 0) | 1 << c
-    syms = [[tuple(sorted(ss)) for ss in row] for row in cell_sets]
-    sym_mask = [[sum(1 << s for s in ss) for ss in row] for row in syms]
-    multi = [sum(1 << c for c, ss in enumerate(row) if len(ss) > 1) for row in syms]
-    only = [{s: cols & ~multi[r] for s, cols in carrying[r].items()} for r in range(n_rows)]
+    edges = sorted(set(edges))
+    n_rows = class_sizes[0]
+    # masks[cls][v]: the edges on vertex v of class cls; keys[cls][v]: the
+    # pairs of the other two classes that those edges join v to.
+    masks = [[0] * size for size in class_sizes]
+    keys = [[[] for _ in range(size)] for size in class_sizes]
+    for e, edge in enumerate(edges):
+        for cls, v in enumerate(edge):
+            masks[cls][v] |= 1 << e
+            keys[cls][v].append(edge[:cls] + edge[cls + 1:])
+    row_edges, col_edges, sym_edges = masks
+    conflict = [row_edges[r] | col_edges[j] | sym_edges[s] for r, j, s in edges]
 
     # Rules (C) and (S) as masks: a column (symbol) is open once its earlier
     # twins are all used, so taking one opens its next twin.
-    col_class, later_cols, first_cols = _twin_classes(
-        [tuple(row[c] for row in syms) for c in range(n_cols)])
-    sym_class, later_syms, first_syms = _twin_classes(
-        [tuple(row.get(s, 0) for row in carrying) for s in range(n_syms)])
+    col_class, later_cols, first_cols = _twin_classes([tuple(k) for k in keys[1]])
+    sym_class, later_syms, first_syms = _twin_classes([tuple(k) for k in keys[2]])
     next_col = [m & -m for m in later_cols]
     next_sym = [m & -m for m in later_syms]
-    _, later_rows, first_rows = _twin_classes([tuple(row) for row in syms])
+    _, later_rows, _ = _twin_classes([tuple(k) for k in keys[0]])
     next_row = [(m & -m).bit_length() - 1 for m in later_rows]
-    # Rule (R) concerns only rows with a twin; the others skip its slot work.
-    twinned = [bool(later_rows[r]) or not first_rows >> r & 1 for r in range(n_rows)]
+    skip = [row_edges[r] | sum(row_edges[t] for t in range(n_rows) if later_rows[r] >> t & 1)
+            for r in range(n_rows)]
     n_sym_classes = max(sym_class, default=0) + 1
-    col_slot = [k * n_sym_classes for k in col_class]
+    slot = [col_class[j] * n_sym_classes + sym_class[s] for _, j, s in edges]
     # floor[r]: the least slot row r may take, set when its previous twin is used.
     floor = [0] * n_rows
 
     best: list[tuple[int, int, int]] = []
-    used_cols = used_syms = 0
-    for r in range(n_rows):
-        hit = next(((c, s) for c, ss in enumerate(syms[r]) for s in ss
-                    if not (used_cols >> c | used_syms >> s) & 1), None)
-        if hit is not None:
-            c, s = hit
-            best.append((r, c, s))
-            used_cols |= 1 << c
-            used_syms |= 1 << s
+    taken = 0
+    for e, edge in enumerate(edges):
+        if not taken >> e & 1:
+            best.append(edge)
+            taken |= conflict[e]
 
     nodes = 0
     out_of_budget = False
 
-    def search(rows_left: list[int], avail: dict[int, int], sym_avail: dict[int, int],
-               open_cols: int, open_syms: int, chosen: list[tuple[int, int, int]]):
+    def search(avail: int, open_cols: int, open_syms: int, chosen: list[tuple[int, int, int]]):
         nonlocal best, nodes, out_of_budget
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             out_of_budget = True
             return
-        size = len(chosen)
-        if size > len(best):
+        if len(chosen) > len(best):
             best = list(chosen)
-        live = [r for r in rows_left if avail[r]]
-        if not live:
+        gap = len(best) - len(chosen)
+        counts = [(avail & m).bit_count() for m in row_edges]
+        if n_rows - counts.count(0) <= gap:
             return
-        gap = len(best) - size
-        if len(live) <= gap:
+        if (sum(1 for m in col_edges if avail & m) <= gap
+                or sum(1 for m in sym_edges if avail & m) <= gap):
             return
-        union_cols = 0
-        union_syms = 0
-        for r in live:
-            union_cols |= avail[r]
-            union_syms |= sym_avail[r]
-        if min(union_cols.bit_count(), union_syms.bit_count()) <= gap:
-            return
-        _, row = min((avail[r].bit_count(), r) for r in live)
-        mask = avail[row] & open_cols
-        open_row_syms = sym_avail[row] & open_syms
-        rest = [r for r in live if r != row]
-        ranked = twinned[row]
-        if ranked:
-            twin = next_row[row]
-            lo = floor[row]
-        while mask:
-            jbit = mask & -mask
-            mask &= mask - 1
-            j = jbit.bit_length() - 1
-            for s in syms[row][j]:
-                sbit = 1 << s
-                if not open_row_syms & sbit:
-                    continue
-                if ranked:
-                    slot = col_slot[j] + sym_class[s]
-                    if slot < lo:
-                        continue  # rule (R)
-                    if twin >= 0:
-                        floor[twin] = slot
-                avail2 = {}
-                sym_avail2 = {}
-                for r in rest:
-                    # A column leaves row r once its last free symbol is taken.
-                    a = avail[r] & ~(jbit | only[r].get(s, 0))
-                    sa = sym_avail[r] & ~sbit
-                    several = a & multi[r]
-                    while several:
-                        c = (several & -several).bit_length() - 1
-                        several &= several - 1
-                        if not sym_mask[r][c] & sa:
-                            a &= ~(1 << c)
-                    for t in syms[r][j]:
-                        if t != s and sa >> t & 1 and not a & carrying[r][t]:
-                            sa &= ~(1 << t)
-                    avail2[r] = a
-                    sym_avail2[r] = sa
-                chosen.append((row, j, s))
-                search(rest, avail2, sym_avail2, open_cols | next_col[j],
-                       open_syms | next_sym[s], chosen)
-                chosen.pop()
-                if out_of_budget:
-                    return
-        # Skip branch: rule (R) drops the later twins too.
-        twins = later_rows[row]
-        rest2 = [r for r in rest if not twins >> r & 1] if twins else rest
-        search(rest2, avail, sym_avail, open_cols, open_syms, chosen)
+        _, row = min((k, r) for r, k in enumerate(counts) if k)
+        twin = next_row[row]
+        mine = avail & row_edges[row]
+        while mine:
+            bit = mine & -mine
+            mine ^= bit
+            e = bit.bit_length() - 1
+            _, j, s = edges[e]
+            if not open_cols >> j & open_syms >> s & 1 or slot[e] < floor[row]:
+                continue  # rules (C), (S) and (R)
+            if twin >= 0:
+                floor[twin] = slot[e]
+            chosen.append(edges[e])
+            search(avail & ~conflict[e], open_cols | next_col[j], open_syms | next_sym[s], chosen)
+            chosen.pop()
+            if out_of_budget:
+                return
+        search(avail & ~skip[row], open_cols, open_syms, chosen)
 
-    avail = {r: sum(1 << c for c, ss in enumerate(syms[r]) if ss) for r in range(n_rows)}
-    sym_avail = {r: sum(1 << s for s in carrying[r]) for r in range(n_rows)}
-    search(list(range(n_rows)), avail, sym_avail, first_cols, first_syms, [])
+    search((1 << len(edges)) - 1, first_cols, first_syms, [])
     return best, not out_of_budget
 
 

@@ -387,8 +387,9 @@ HYPERGRAPH_READ_ERRORS = [  # file bytes, ParseError.line, ParseError.reason
     (b"1 1 1\n\n", 2, "expected 3 entries"),
     (b"1 1 1\n0 0 z\n", 2, "non-integer entry"),
     (b"1 1 1\n0 0 0\n\xfe\n", 3, "not UTF-8 text"),
-    (b"1 1 1\n0 0 1\n", 1, "edge (0, 0, 1) out of range for classes (1, 1, 1)"),
-    (b"1 1 1\n0 -1 0\n", 1, "edge (0, -1, 0) out of range for classes (1, 1, 1)"),
+    (b"1 1 1\n0 0 1\n", 2, "edge (0, 0, 1) out of range for classes (1, 1, 1)"),
+    (b"1 1 1\n0 -1 0\n", 2, "edge (0, -1, 0) out of range for classes (1, 1, 1)"),
+    (b"1 1 1\n0 0 0\n0 0 5\n", 3, "edge (0, 0, 5) out of range for classes (1, 1, 1)"),
 ]
 
 

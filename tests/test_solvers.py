@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from equisquares import solvers
 from equisquares.constructions import (
@@ -7,7 +8,7 @@ from equisquares.constructions import (
     cyclic_latin,
     random_equi_square,
 )
-from equisquares.hypergraph import alon_kim, from_square, max_matching_exact
+from equisquares.hypergraph import alon_kim, blow_up, from_square, max_matching_exact
 from equisquares.solvers import (
     TooLarge,
     _masked_greedy,
@@ -294,6 +295,43 @@ def test_twin_classes_prove_box_squares_within_small_budgets():
     assert optimal and len(matching) == 8
 
 
+def milp_max_matching(h):
+    """Edge indices of a maximum matching of h by HiGHS, through scipy's
+    milp: one binary x per edge and each vertex covered at most once.  An
+    oracle that shares nothing with the branch-and-bound; x is rounded at
+    0.5 and the callers validate what it picks."""
+    edges = np.array(h.edges, dtype=np.int64).reshape(-1, 3)
+    offsets = np.cumsum((0,) + h.class_sizes[:2])
+    cover = np.zeros((sum(h.class_sizes), len(edges)))
+    for cls in range(3):
+        cover[offsets[cls] + edges[:, cls], np.arange(len(edges))] = 1
+    res = milp(-np.ones(len(edges)), constraints=LinearConstraint(cover, 0, 1),
+               integrality=np.ones(len(edges)), bounds=Bounds(0, 1))
+    assert res.status == 0  # proved optimal
+    chosen = np.flatnonzero(res.x > 0.5).tolist()
+    assert len(chosen) == round(-res.fun)
+    return chosen
+
+
+def test_exact_search_matches_milp_above_brute_force_orders():
+    rng = np.random.default_rng(89)
+    squares = [counterexample_square(n)[0] for n in (8, 10, 16)]
+    squares += [cyclic_latin(n) for n in (8, 9, 10)]
+    squares += [twin_square(n, row_group, col_group, rng)
+                for n, row_group, col_group in [(8, 2, 2), (8, 4, 1), (9, 3, 3), (9, 3, 1)]]
+    for sq in squares:
+        chosen = milp_max_matching(from_square(sq))
+        t = validate_transversal(sq, [divmod(e, sq.n) for e in chosen])  # edge i*n + j is cell (i, j)
+        found, optimal = exact_max(sq)
+        assert optimal and found.size == t.size, sq.grid.tolist()
+    for h in [alon_kim(t) for t in (1, 2, 3, 4)] + [blow_up(alon_kim(2), 2)]:
+        chosen = milp_max_matching(h)
+        for cls in range(3):
+            assert len({h.edges[e][cls] for e in chosen}) == len(chosen)
+        matching, optimal = max_matching_exact(h)
+        assert optimal and len(matching) == len(chosen)
+
+
 def test_exact_max_counterexample8():
     sq, pairing = counterexample_square(8)
     t, optimal = exact_max(sq)
@@ -318,6 +356,19 @@ def test_exact_search_returns_pinned_answers():
     assert [tuple(c) for c in t.cells] == [
         (0, 0), (1, 1), (2, 2), (3, 3), (4, 5), (5, 6), (6, 7)]
     assert max_matching_exact(alon_kim(2)) == ((0, 9, 13, 22), True)
+
+
+@pytest.mark.parametrize("square,nodes", [
+    (counterexample_square(8)[0], 79),
+    (counterexample_square(10)[0], 41),
+    (counterexample_square(16)[0], 614),
+    (cyclic_latin(8), 2226),
+], ids=["counterexample8", "counterexample10", "counterexample16", "cyclic8"])
+def test_exact_search_tree_size_is_pinned(square, nodes):
+    # The node count of a full search pins its tree: the branching order,
+    # the bounds and the twin rules all change it.
+    assert exact_max(square, node_budget=nodes)[1]
+    assert not exact_max(square, node_budget=nodes - 1)[1]
 
 
 def test_exact_max_budget_exhaustion_returns_incumbent():

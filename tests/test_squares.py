@@ -51,6 +51,43 @@ def test_validate_square_shape_and_range():
     assert exc.value.cell == Cell(0, 1)
 
 
+@pytest.mark.parametrize("grid,value,cell", [
+    ([[0.5, 1], [1, 0.9]], 0.5, Cell(0, 0)),
+    ([[0, 1], [1, 0.5]], 0.5, Cell(1, 1)),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, Cell(0, 0)),
+    ([[True, False], [False, True]], True, Cell(0, 0)),
+    ([["0", "1"], ["1", "0"]], "0", Cell(0, 0)),
+    ([[0, 1], [None, 0]], None, Cell(1, 0)),
+], ids=["float", "one-float", "integral-float", "bool", "str", "object"])
+def test_validate_square_refuses_non_integer_grids(grid, value, cell):
+    with pytest.raises(SymbolOutOfRange) as exc:
+        validate_square(2, grid)
+    assert (exc.value.value, exc.value.cell) == (value, cell)
+
+
+@pytest.mark.parametrize("grid", [
+    [[0, 1], [1, 0]],
+    np.array([[0, 1], [1, 0]], dtype=np.uint8),
+    np.array([[0, 1], [1, 0]], dtype=np.int32),
+    np.array([[0, 1], [1, 0]], dtype=object),
+])
+def test_validate_square_takes_integer_grids_as_int64(grid):
+    sq = validate_square(2, grid)
+    assert sq.grid.dtype == np.int64 and sq.grid.tolist() == [[0, 1], [1, 0]]
+
+
+def test_validate_square_lets_python_ints_beyond_int64_overflow():
+    for big in (2**63, 2**70):
+        with pytest.raises(OverflowError):
+            validate_square(2, [[0, big], [1, 0]])
+
+
+def test_validate_square_checks_the_shape_before_the_entries():
+    for grid in ([0.5, 1], [[[0.5]]], 0.5):
+        with pytest.raises(DimensionMismatch):
+            validate_square(2, grid)
+
+
 def test_symbol_counts_sum_to_n_squared():
     for n in (1, 3, 7, 12):
         sq = random_equi_square(n, seed=n)
@@ -90,6 +127,14 @@ def test_validate_transversal_rejects_cells_outside_the_grid(cell):
     sq = validate_square(2, [[0, 0], [1, 1]])
     with pytest.raises(CellOutOfRange, match=r"outside \[0, 2\)"):
         validate_transversal(sq, [cell])
+
+
+@pytest.mark.parametrize("cell", [(0.9, 0.2), ("1", "1"), (2.5, 2.99), (1, None)])
+def test_validate_transversal_refuses_non_integer_cells(cell):
+    with pytest.raises(CellOutOfRange, match="non-integer index"):
+        validate_transversal(cyclic_latin(3), [(0, 0), cell])
+    cells = [(np.int64(1), np.int32(1)), (np.uint8(0), 0)]
+    assert validate_transversal(cyclic_latin(3), cells).cells == (Cell(0, 0), Cell(1, 1))
 
 
 def test_projection_injectivity_is_equivalent_to_validity():
