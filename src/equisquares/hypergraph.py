@@ -1,9 +1,8 @@
 """Tripartite 3-uniform hypergraphs: the hypergraph view of a square,
 codegrees, the low-matching obstruction family, vertex blow-ups, the
 high-codegree splitting transform, greedy proper edge colouring, and exact
-maximum matching for small instances (by the branch-and-bound in `solvers`
-that `exact_max` uses too; its state is a bitset of the usable edges, so a
-row and column pair that carries several symbols needs no special case).
+maximum matching for small instances (by the bitset branch-and-bound in
+`solvers` that `exact_max` uses too; multi-symbol cells are plain edges).
 
 Vertices are addressed as (class, index) with class in {0, 1, 2}; for a
 square's hypergraph the classes are rows, columns, symbols.  Edge indices
@@ -34,8 +33,8 @@ class InvalidParam(ValueError):
 
 
 def _out_of_range(edge, class_sizes) -> str:
-    """Why edge has no vertex in some class, or "" if it fits."""
-    if all(0 <= v < size for v, size in zip(edge, class_sizes)):
+    """Why edge is not one vertex of each class, or "" if it is."""
+    if len(edge) == 3 and all(0 <= v < size for v, size in zip(edge, class_sizes)):
         return ""
     return f"edge {edge} out of range for classes {class_sizes}"
 
@@ -234,18 +233,19 @@ def greedy_edge_colouring(h: TripartiteHypergraph) -> EdgeColouring:
 def max_matching_exact(h: TripartiteHypergraph, budget: int | None = None):
     """Exact maximum matching by the branch-and-bound of `exact_max`.
 
-    Class 0 plays the rows.  The search state is one bitset of the edges
-    still usable, so a row and column pair that carries several symbols
-    needs no special case.  Twin vertices (two vertices of one class on the
-    same pairs of the other two, as the copies in a `blow_up` are) are
-    searched once per orbit; see `solvers._max_tripartite_matching`.
-    `budget` caps the search nodes, as `exact_max`'s node_budget does; the
-    flag in the returned (edge_indices, optimal) pair reports whether the
-    search completed.  An edge listed several times is reported by its
-    smallest index.
+    Class 0 plays the rows; the search state is one bitset of the usable
+    edges, so a cell with several symbols is just several edges.  Twin
+    vertices (two of one class on the same pairs of the other two, as the
+    copies in a `blow_up` are) are searched once per orbit; see
+    `solvers._max_tripartite_matching`.  `budget` caps the search nodes, as
+    `exact_max`'s node_budget does; the returned (edge_indices, optimal)
+    flag reports whether the search completed, so `budget=0` never reports
+    optimal.  An edge listed several times is reported by its smallest index.
     """
     triples, optimal = _max_tripartite_matching(h.class_sizes, h.edges, budget)
-    index = {e: i for i, e in reversed(list(enumerate(h.edges)))}  # smallest index wins
+    index: dict[tuple[int, int, int], int] = {}
+    for i, e in enumerate(h.edges):
+        index.setdefault(e, i)
     return tuple(sorted(index[t] for t in triples)), optimal
 
 

@@ -73,6 +73,14 @@ def _twin_classes(keys: list) -> tuple[list[int], list[int], int]:
     return ids, later, sum(1 << group[0] for group in groups.values())
 
 
+def _bitset(indices: list[int], size: int) -> int:
+    """The int with exactly the bits `indices` set, in one pass over size/8 bytes."""
+    buf = bytearray((size + 7) // 8)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 def _max_tripartite_matching(
     class_sizes: tuple[int, int, int],
     edges,
@@ -132,16 +140,16 @@ def _max_tripartite_matching(
     """
     edges = sorted(set(edges))
     n_rows = class_sizes[0]
-    # masks[cls][v]: the edges on vertex v of class cls; keys[cls][v]: the
-    # pairs of the other two classes that those edges join v to.
-    masks = [[0] * size for size in class_sizes]
+    # on[cls][v]: the indices of the edges on vertex v of class cls;
+    # keys[cls][v]: the pairs of the other two classes they join v to.
+    on = [[[] for _ in range(size)] for size in class_sizes]
     keys = [[[] for _ in range(size)] for size in class_sizes]
     for e, edge in enumerate(edges):
         for cls, v in enumerate(edge):
-            masks[cls][v] |= 1 << e
+            on[cls][v].append(e)
             keys[cls][v].append(edge[:cls] + edge[cls + 1:])
-    row_edges, col_edges, sym_edges = masks
-    conflict = [row_edges[r] | col_edges[j] | sym_edges[s] for r, j, s in edges]
+    # The edges on each vertex as a bitset: 3 * (class size) ints of len(edges) bits.
+    row_edges, col_edges, sym_edges = ([_bitset(ix, len(edges)) for ix in cls_on] for cls_on in on)
 
     # Rules (C) and (S) as masks: a column (symbol) is open once its earlier
     # twins are all used, so taking one opens its next twin.
@@ -151,19 +159,23 @@ def _max_tripartite_matching(
     next_sym = [m & -m for m in later_syms]
     _, later_rows, _ = _twin_classes([tuple(k) for k in keys[0]])
     next_row = [(m & -m).bit_length() - 1 for m in later_rows]
-    skip = [row_edges[r] | sum(row_edges[t] for t in range(n_rows) if later_rows[r] >> t & 1)
-            for r in range(n_rows)]
+    # skip[r]: the edges of row r and of its later twins.
+    skip = list(row_edges)
+    for r in reversed(range(n_rows)):
+        if next_row[r] >= 0:
+            skip[r] |= skip[next_row[r]]
     n_sym_classes = max(sym_class, default=0) + 1
     slot = [col_class[j] * n_sym_classes + sym_class[s] for _, j, s in edges]
     # floor[r]: the least slot row r may take, set when its previous twin is used.
     floor = [0] * n_rows
 
     best: list[tuple[int, int, int]] = []
-    taken = 0
-    for e, edge in enumerate(edges):
-        if not taken >> e & 1:
+    used: list[set[int]] = [set(), set(), set()]
+    for edge in edges:
+        if not any(v in vs for v, vs in zip(edge, used)):
             best.append(edge)
-            taken |= conflict[e]
+            for v, vs in zip(edge, used):
+                vs.add(v)
 
     nodes = 0
     out_of_budget = False
@@ -196,7 +208,8 @@ def _max_tripartite_matching(
             if twin >= 0:
                 floor[twin] = slot[e]
             chosen.append(edges[e])
-            search(avail & ~conflict[e], open_cols | next_col[j], open_syms | next_sym[s], chosen)
+            search(avail & ~(row_edges[row] | col_edges[j] | sym_edges[s]),
+                   open_cols | next_col[j], open_syms | next_sym[s], chosen)
             chosen.pop()
             if out_of_budget:
                 return

@@ -122,23 +122,18 @@ class Transversal:
 
 
 def validate_square(n: int, grid) -> EquiNSquare:
-    """Check dimensions, symbol range, and per-symbol counts; return the square.
-
-    Symbols are integers: a grid of floats, bools, strings or other objects
-    is refused at its first entry that is not one."""
+    """Check dimensions, integer symbols in range, and per-symbol counts; return the square."""
     arr = np.asarray(grid)
     if n < 1:
         raise DimensionMismatch(f"n must be positive, got {n}")
     if arr.shape != (n, n):
         raise DimensionMismatch(f"grid shape {arr.shape}, expected ({n}, {n})")
     if arr.dtype.kind not in "iu":
-        # Judge the entries as given: numpy infers float64 or object for
-        # Python ints beyond int64, which overflow in the conversion below.
+        # Check the given entries, not arr: Python ints past int64 make it float or object.
         for cell, x in np.ndenumerate(np.asarray(grid, dtype=object)):
             if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
                 raise SymbolOutOfRange(x, Cell(*cell))
-    if arr.dtype != np.int64:
-        arr = np.asarray(grid, dtype=np.int64)
+    arr = arr if arr.dtype == np.int64 else np.asarray(grid, dtype=np.int64)
     bad = (arr < 0) | (arr >= n)
     if bad.any():
         r, c = np.argwhere(bad)[0]
@@ -156,11 +151,10 @@ def validate_transversal(square: EquiNSquare, cells: Iterable[tuple[int, int]]) 
     n = square.n
     normed = []
     for rc in cells:
-        row, col = rc[0], rc[1]
         try:
-            cell = Cell(operator.index(row), operator.index(col))
+            cell = Cell(operator.index(rc[0]), operator.index(rc[1]))
         except TypeError:
-            raise CellOutOfRange(f"cell {(row, col)} has a non-integer index") from None
+            raise CellOutOfRange(f"cell {tuple(rc)} has a non-integer index") from None
         if not (0 <= cell.row < n and 0 <= cell.col < n):
             raise CellOutOfRange(f"cell {tuple(cell)} outside [0, {n})^2")
         normed.append(cell)

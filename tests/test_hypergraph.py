@@ -358,6 +358,18 @@ def test_max_matching_exact_oracle_blow_ups():
     assert greedy_short >= 25
 
 
+@pytest.mark.parametrize("edge", [(0, 0, 1), (0, -1, 0), (0, 0), (0, 0, 0, 0)])
+def test_constructor_rejects_edges_outside_the_classes(edge):
+    with pytest.raises(ValueError, match="out of range"):
+        TripartiteHypergraph((1, 1, 1), ((0, 0, 0), edge))
+
+
+def test_max_matching_exact_on_no_edges():
+    empty = TripartiteHypergraph((1, 1, 1), ())
+    assert max_matching_exact(empty) == ((), True)
+    assert max_matching_exact(empty, budget=0) == ((), False)  # no node may run
+
+
 def test_max_matching_budget_flag():
     h = blow_up(alon_kim(2), 2)
     matching, optimal = max_matching_exact(h, budget=5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -377,6 +379,20 @@ def test_exact_max_budget_exhaustion_returns_incumbent():
     assert not optimal
     assert t.size >= 1
     validate_transversal(sq, t.cells)
+
+
+def test_budgeted_exact_max_stays_small_on_large_squares():
+    # A table of one E-bit conflict mask per edge would take E^2/8 = 32 MiB
+    # here (E = n^2 = 16 384); the search keeps O(n^3) bits of masks.
+    square, _ = counterexample_square(128)
+    tracemalloc.start()
+    try:
+        t, optimal = exact_max(square, node_budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert not optimal and t.size == 120  # the greedy incumbent
 
 
 def test_exact_max_invariant_under_permutations():
