@@ -299,6 +299,14 @@ def _int_array(values: list, key: str, ndim: int) -> np.ndarray:
         arr = None
     if arr is None or (arr.size and (arr.dtype.kind != "i" or arr.ndim != ndim)):
         raise BlockMismatch(f"block '{key}' entries must be integers")
+    # Among integers numpy reads true and false as 1 and 0, so only the
+    # entries equal to 0 or 1 can be booleans.
+    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
+        entry = values
+        for i in index:
+            entry = entry[i]
+        if isinstance(entry, bool):
+            raise BlockMismatch(f"block '{key}' entries must be integers, not {entry!r}")
     return arr.astype(np.int64)
 
 

@@ -101,6 +101,17 @@ def _max_tripartite_matching(
     symbol) triples, optimal); the budget counts search nodes, and once it
     is exhausted the incumbent is returned with optimal=False.
 
+    Live lists.  A vertex with no edge in `avail` never gets one back, so a
+    node tests only the rows, columns and symbols that still had an edge at
+    its parent, and hands the ones that still have one to its children: its
+    work scales with the live vertices, not with the class sizes.  The skip
+    child keeps its parent's row counts, less the skipped row and its later
+    twins.  When those counts already rule it out, the parent counts it as
+    one node, against the budget as well, and makes no call.  Neither
+    changes which nodes exist or the order they are met in, so the tree,
+    the node counts, the result at every budget and the proof below are
+    those of the search that tests every vertex at every node.
+
     Twins.  Two vertices of one class are twins when they lie on the same
     pairs of the other two classes: two rows on the same (column, symbol)
     pairs, two columns on the same (row, symbol) pairs, two symbols on the
@@ -180,7 +191,10 @@ def _max_tripartite_matching(
     nodes = 0
     out_of_budget = False
 
-    def search(avail: int, open_cols: int, open_syms: int, chosen: list[tuple[int, int, int]]):
+    def search(avail: int, open_cols: int, open_syms: int, chosen: list[tuple[int, int, int]],
+               rows: list[int], cols: list[int], syms: list[int]):
+        # rows, cols, syms: the vertices with an edge in the parent's avail,
+        # in index order; no other vertex has one in avail.
         nonlocal best, nodes, out_of_budget
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -189,15 +203,21 @@ def _max_tripartite_matching(
         if len(chosen) > len(best):
             best = list(chosen)
         gap = len(best) - len(chosen)
-        counts = [(avail & m).bit_count() for m in row_edges]
-        if n_rows - counts.count(0) <= gap:
+        counts = [(avail & row_edges[r]).bit_count() for r in rows]
+        live = [r for r, k in zip(rows, counts) if k]
+        if len(live) <= gap:
             return
-        if (sum(1 for m in col_edges if avail & m) <= gap
-                or sum(1 for m in sym_edges if avail & m) <= gap):
+        cols = [j for j in cols if avail & col_edges[j]]
+        if len(cols) <= gap:
             return
-        _, row = min((k, r) for r, k in enumerate(counts) if k)
+        syms = [s for s in syms if avail & sym_edges[s]]
+        if len(syms) <= gap:
+            return
+        # The live row with the fewest usable edges, lowest index on ties.
+        row = rows[counts.index(min(filter(None, counts)))]
         twin = next_row[row]
         mine = avail & row_edges[row]
+        live.remove(row)
         while mine:
             bit = mine & -mine
             mine ^= bit
@@ -209,13 +229,23 @@ def _max_tripartite_matching(
                 floor[twin] = slot[e]
             chosen.append(edges[e])
             search(avail & ~(row_edges[row] | col_edges[j] | sym_edges[s]),
-                   open_cols | next_col[j], open_syms | next_sym[s], chosen)
+                   open_cols | next_col[j], open_syms | next_sym[s], chosen, live, cols, syms)
             chosen.pop()
             if out_of_budget:
                 return
-        search(avail & ~skip[row], open_cols, open_syms, chosen)
+        # The skip child keeps every count but those of row and its later
+        # twins; when they already rule it out, count it without the call.
+        if twin >= 0:
+            live = [r for r in live if not later_rows[row] >> r & 1]
+        if len(live) > len(best) - len(chosen):
+            search(avail & ~skip[row], open_cols, open_syms, chosen, live, cols, syms)
+        else:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                out_of_budget = True
 
-    search((1 << len(edges)) - 1, first_cols, first_syms, [])
+    search((1 << len(edges)) - 1, first_cols, first_syms, [],
+           list(range(n_rows)), list(range(class_sizes[1])), list(range(class_sizes[2])))
     return best, not out_of_budget
 
 

@@ -143,6 +143,7 @@ def test_solve_reports_full_transversals_optimal(tmp_path, capsys):
     lambda d: json.dumps(d)[:-5],
     lambda d: "[" * 100_000 + "]" * 100_000,  # too deep for the JSON parser
     lambda d: json.dumps(d)[:-1] + ', "x": ' + "1" * 5000 + "}",  # too long for int()
+    lambda d: json.dumps({**d, "blocks": [{**d["blocks"][0], "col": False}] + d["blocks"][1:]}),
 ])
 def test_solve_block_malformed_sidecar_exits_1(tmp_path, capsys, corrupt):
     square_file = tmp_path / "b.txt"

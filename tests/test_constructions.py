@@ -318,6 +318,9 @@ def test_block_structure_json_round_trip():
     lambda d: d["blocks"].__setitem__(0, [0, 0, [0, 1]]),
     lambda d: d.update(m=-1, blocks=[]),
     lambda d: d.update(m=0),
+    lambda d: d["blocks"][3]["rows"].__setitem__(0, True),
+    lambda d: d["blocks"][0].update(col=False),
+    lambda d: d["blocks"][5].update(symbol=True),
 ])
 def test_block_structure_from_json_rejects_malformed(mutate):
     _, blocks = block_structured_square(8, 2, seed=1)

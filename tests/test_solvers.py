@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -365,12 +366,44 @@ def test_exact_search_returns_pinned_answers():
     (counterexample_square(10)[0], 41),
     (counterexample_square(16)[0], 614),
     (cyclic_latin(8), 2226),
-], ids=["counterexample8", "counterexample10", "counterexample16", "cyclic8"])
+    (cyclic_latin(10), 44322),
+], ids=["counterexample8", "counterexample10", "counterexample16", "cyclic8", "cyclic10"])
 def test_exact_search_tree_size_is_pinned(square, nodes):
     # The node count of a full search pins its tree: the branching order,
     # the bounds and the twin rules all change it.
     assert exact_max(square, node_budget=nodes)[1]
     assert not exact_max(square, node_budget=nodes - 1)[1]
+
+
+@pytest.mark.parametrize("h,nodes", [
+    (alon_kim(3), 544),
+    (from_square(cyclic_latin(8)), 2226),
+], ids=["alon_kim3", "from_square_cyclic8"])
+def test_hypergraph_exact_search_tree_size_is_pinned(h, nodes):
+    assert max_matching_exact(h, budget=nodes)[1]
+    assert not max_matching_exact(h, budget=nodes - 1)[1]
+
+
+@pytest.mark.parametrize("solve,nodes,digest", [
+    (lambda b: exact_max(counterexample_square(8)[0], node_budget=b), 79, "1c0e9215b2ff01a3"),
+    (lambda b: exact_max(random_equi_square(7, 3), node_budget=b), 26, "d75ad0c411a9bade"),
+    (lambda b: exact_max(random_equi_square(7, 5), node_budget=b), 54, "5b47932ed8ba7610"),
+    (lambda b: exact_max(cyclic_latin(6), node_budget=b), 206, "3bd1540931e2f2fb"),
+    (lambda b: max_matching_exact(blow_up(alon_kim(2), 2), budget=b), 58, "5b0d481f8643999f"),
+    (lambda b: max_matching_exact(alon_kim(2), budget=b), 49, "4f0928b5c48ea403"),
+], ids=["counterexample8", "random7_3", "random7_5", "cyclic6", "blow_up_alon_kim2", "alon_kim2"])
+def test_exact_search_result_at_every_budget_is_pinned(solve, nodes, digest):
+    # (cells, optimal) for every budget from 1 to the full tree, digested.
+    # Some budgets run out on a skip child that its parent rules out by
+    # row counts and counts without calling; that node still spends one
+    # unit of budget, so these digests hold only if it is counted.
+    results = []
+    for budget in range(1, nodes + 1):
+        found, optimal = solve(budget)
+        if isinstance(found, Transversal):
+            found = [tuple(c) for c in found.cells]
+        results.append((found, optimal))
+    assert hashlib.sha256(repr(results).encode()).hexdigest()[:16] == digest
 
 
 def test_exact_max_budget_exhaustion_returns_incumbent():
