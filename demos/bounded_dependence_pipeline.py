@@ -43,7 +43,7 @@ for h, level in enumerate(trace.levels, start=1):
 print(f"final matching: {len(final)} of {n} columns selected")
 
 t, trace, loads = eq.block_transversal(square, blocks, 6, np.random.default_rng(12))
-print(f"completed to a perfect matching of {len(trace.completed)} blocks; "
+print(f"completed to a perfect matching of {len(trace.completed_labels)} blocks; "
       f"transversal size {t.size}")
 print(f"per-row loads of the halving output: {loads.loads.tolist()}")
 print(f"(loads concentrate near n/4 = {n // 4}; every surviving edge kept w.p. 1/4)")
@@ -60,7 +60,7 @@ for s in (4, 8, 16, 32, 64, 256):
     t, trace, _ = eq.block_transversal(square, blocks, s, np.random.default_rng(1))
     d1 = sum(len(p.cap.deleted) for p in trace.levels[0])
     d2 = sum(len(p.cap.deleted) for p in trace.levels[1])
-    print(f"{s:>6} {d1:>10} {d2:>10} {len(trace.final):>8} {len(trace.completed):>8} "
+    print(f"{s:>6} {d1:>10} {d2:>10} {len(trace.final):>8} {len(trace.completed_labels):>8} "
           f"{t.size:>8} {t.size / n:>8.3f}")
 print()
 print("small caps bound the dependence tightly but delete ~1/(s+1) of the")

@@ -135,9 +135,7 @@ def cmd_solve(args) -> int:
         blocks = constructions.BlockStructure.from_json(
             _read_json(args.blocks, constructions.BlockMismatch, "blocks sidecar"))
         s = halving.default_cap(n) if args.s is None else args.s
-        t, _, _ = halving.block_transversal(
-            square, blocks, s, stream(args.seed, "block"), rng_seed=args.seed
-        )
+        t, _, _ = halving.block_transversal(square, blocks, s, stream(args.seed, "block"))
 
     squares.write_transversal(t, out)
     _say(f"{args.method}: size {t.size} of n={n}; cells in {out}")
@@ -249,7 +247,7 @@ def _trial_concentration(params: tuple) -> dict:
     seed = trial_seed(base_seed, trial)
     square, blocks = constructions.block_structured_square(n, m, seed=seed)
     rng = stream(seed, "concentration")
-    _, trace, loads = halving.block_transversal(square, blocks, s, rng, rng_seed=seed)
+    _, trace, loads = halving.block_transversal(square, blocks, s, rng)
     # Centre m: a perfect matching of n blocks of m cells over n rows has mean row load m.
     dev = np.abs(loads.loads.astype(np.float64) - m)
     within = int((dev <= m / 2).sum())

@@ -13,7 +13,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .squares import EquiNSquare, Transversal, validate_square, validate_transversal
+from .squares import (
+    DimensionMismatch,
+    EquiNSquare,
+    Transversal,
+    validate_square,
+    validate_transversal,
+)
 
 
 class TooSmall(ValueError):
@@ -215,6 +221,8 @@ def missing_colour_certificate(
 
 def random_equi_square(n: int, seed) -> EquiNSquare:
     """Uniformly shuffled multiset of n copies of each symbol, row-major."""
+    if n < 1:
+        raise DimensionMismatch(f"n must be positive, got {n}")
     rng = np.random.default_rng(seed)
     symbols = np.repeat(np.arange(n, dtype=np.int64), n)
     rng.shuffle(symbols)
@@ -349,6 +357,10 @@ def block_structured_square(n: int, m: int, seed) -> tuple[EquiNSquare, BlockStr
     The blocks are not validated here; block_transversal validates the
     blocks it is given.
     """
+    if n < 1:
+        raise DimensionMismatch(f"n must be positive, got {n}")
+    if m < 1:
+        raise NotDivisible(f"block size must be positive, got {m}")
     if n % m != 0:
         raise NotDivisible(f"block size {m} does not divide n={n}")
     k = n // m

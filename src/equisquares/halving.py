@@ -15,8 +15,8 @@ completion restores every column and symbol that capping left unmatched.
 
 The matchings pass through the pipeline as int64 label arrays.  The
 HalvingTrace keeps those arrays, one HalvingLevel per level, and builds
-its PairTrace, CapResult, Component and frozenset views only when they
-are read.
+its PairTrace, CapResult, Component and final-matching views only when
+they are read.
 """
 
 from __future__ import annotations
@@ -137,16 +137,16 @@ class HalvingTrace:
     and steps holds one HalvingLevel per level.  completed_labels is the
     perfect matching that block_transversal builds from the halving
     output, ascending; iterated_halving leaves it None.  The object views
-    initial_matchings, levels, final and completed are built on first read
-    and cached; to_json, equality and realized_effect_squares read the
-    arrays.  to_json is the one JSON form of a run: the PairTrace,
-    CapResult and PathCycleDecomposition views carry no serializer.
+    levels and final are built on first read and cached; to_json and
+    realized_effect_squares read the arrays.  to_json is the one record of
+    a run: it writes every array, and two traces are equal when their
+    to_json() are.  The PairTrace, CapResult and PathCycleDecomposition
+    views carry no serializer.
     """
 
     initial: np.ndarray
     initial_sizes: tuple[int, ...]
     steps: tuple[HalvingLevel, ...]
-    rng_seed: int | None = None
     completed_labels: np.ndarray | None = None
 
     def __post_init__(self):
@@ -166,10 +166,6 @@ class HalvingTrace:
             inputs = [pair[-1] for pair in pairs]
 
     @cached_property
-    def initial_matchings(self) -> tuple[frozenset, ...]:
-        return tuple(map(frozenset, _runs(self.initial.tolist(), self.initial_sizes)))
-
-    @cached_property
     def levels(self) -> tuple[tuple[PairTrace, ...], ...]:
         return tuple(tuple(_pair_trace(*pair) for pair in level) for level in self._pairs())
 
@@ -177,33 +173,20 @@ class HalvingTrace:
     def final(self) -> frozenset:
         return frozenset(self._final_labels().tolist())
 
-    @cached_property
-    def completed(self) -> frozenset | None:
-        return None if self.completed_labels is None else frozenset(self.completed_labels.tolist())
-
     def to_json(self) -> dict:
         completed = self.completed_labels
         return {
             "format": 1,
-            "rng_seed": self.rng_seed,
             "initial_matchings": _runs(self.initial.tolist(), self.initial_sizes),
             "levels": [[_pair_json(*pair) for pair in level] for level in self._pairs()],
             "final": self._final_labels().tolist(),
             "completed": None if completed is None else completed.tolist(),
         }
 
-    def _arrays(self):
-        yield self.initial
-        yield self.completed_labels
-        for level in self.steps:
-            yield from (getattr(level, f.name) for f in fields(level))
-
     def __eq__(self, other):
         if not isinstance(other, HalvingTrace):
             return NotImplemented
-        return (self.rng_seed == other.rng_seed and self.initial_sizes == other.initial_sizes
-                and len(self.steps) == len(other.steps)
-                and all(map(np.array_equal, self._arrays(), other._arrays())))
+        return self.to_json() == other.to_json()
 
 
 @dataclass(frozen=True)
@@ -252,7 +235,7 @@ def _halve_level(graph: BipartiteMultigraph, labels: np.ndarray, sizes: list[int
 
 
 def _halve(graph: BipartiteMultigraph, labels: np.ndarray, sizes: list[int], s: int,
-           rng: np.random.Generator, rng_seed: int | None) -> HalvingTrace:
+           rng: np.random.Generator) -> HalvingTrace:
     """iterated_halving on matchings given as labels back to back, sizes[g] for matching g."""
     count = len(sizes)
     if count == 0 or count & (count - 1):
@@ -270,15 +253,11 @@ def _halve(graph: BipartiteMultigraph, labels: np.ndarray, sizes: list[int], s: 
     while len(level_sizes) > 1:
         levels.append(_halve_level(graph, labels, level_sizes, s, rng))
         labels, level_sizes = levels[-1].output, levels[-1].output_sizes.tolist()
-    return HalvingTrace(initial, tuple(sizes), tuple(levels), rng_seed)
+    return HalvingTrace(initial, tuple(sizes), tuple(levels))
 
 
 def iterated_halving(
-    graph: BipartiteMultigraph,
-    matchings,
-    s: int,
-    rng: np.random.Generator,
-    rng_seed: int | None = None,
+    graph: BipartiteMultigraph, matchings, s: int, rng: np.random.Generator
 ) -> tuple[frozenset, HalvingTrace]:
     """Halve 2^levels matchings down to one, recording a full trace.
 
@@ -294,7 +273,7 @@ def iterated_halving(
     """
     matchings = [frozenset(m) for m in matchings]
     labels = bipartite._labels(graph, itertools.chain.from_iterable(matchings))
-    trace = _halve(graph, labels, [len(m) for m in matchings], s, rng, rng_seed)
+    trace = _halve(graph, labels, [len(m) for m in matchings], s, rng)
     return trace.final, trace
 
 
@@ -304,11 +283,7 @@ def build_block_multigraph(square: EquiNSquare, blocks: BlockStructure) -> Bipar
 
 
 def block_transversal(
-    square: EquiNSquare,
-    blocks: BlockStructure,
-    s: int,
-    rng: np.random.Generator,
-    rng_seed: int | None = None,
+    square: EquiNSquare, blocks: BlockStructure, s: int, rng: np.random.Generator
 ) -> tuple[Transversal, HalvingTrace, RowLoads]:
     """Transversal via a bounded-dependence random matching of blocks.
 
@@ -334,8 +309,8 @@ def block_transversal(
 
     The matchings stay int64 label arrays from the decomposition to the
     row-column graph.  The returned trace records M as trace.final and C
-    as trace.completed.  The returned RowLoads are those of M, the halving
-    output, not of C.
+    as trace.completed_labels.  The returned RowLoads are those of M, the
+    halving output, not of C.
     """
     n = square.n
     validate_block_structure(square, blocks)
@@ -345,7 +320,7 @@ def block_transversal(
 
     graph = build_block_multigraph(square, blocks)
     matchings = bipartite._decompose(graph, k)
-    trace = _halve(graph, matchings.ravel(), [n] * k, s, rng, rng_seed)
+    trace = _halve(graph, matchings.ravel(), [n] * k, s, rng)
     selected = _complete(graph, trace._final_labels(), matchings[0])
     trace = replace(trace, completed_labels=selected)
 
@@ -418,7 +393,7 @@ def mcdiarmid_bound(c, t: float) -> float:
     result is clamped to 1.
     """
     arr = np.asarray(c, dtype=np.float64)
-    if arr.size == 0 or (arr < 0).any():
+    if arr.size == 0 or not (arr >= 0).all():  # NaN is not >= 0
         raise InvalidParam("c must be nonnegative and nonempty")
     if not t > 0:
         raise InvalidParam(f"t must be positive, got {t}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -598,3 +599,32 @@ def test_unusable_path_exits_2_without_traceback(tmp_path, capsys, command):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ") and str(tmp_path) in err
+
+
+BLOCK_PATH_GOLDEN = {  # SHA-256 prefixes: solve's (transversal file, stdout), each experiment's CSV
+    "solve": ("8e70c642ba55128e", "f698b56ebb9c5bca"),
+    "concentration": "6a5729c740258678",
+    "survival": "6032bb0572092da5",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_block_path_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    # Relative paths keep stdout free of tmp_path, so its bytes are fixed too.
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "--kind", "block", "--n", "64", "--m", "4", "--seed", "3",
+             "--out", "b.txt"], capsys)
+    code, stdout, _ = run_cli(["solve", "--method", "block", "--in", "b.txt",
+                               "--blocks", "b.blocks.json", "--seed", "5", "--out", "t.txt"], capsys)
+    assert code == 0
+    assert (_sha((tmp_path / "t.txt").read_bytes()), _sha(stdout.encode())) == BLOCK_PATH_GOLDEN["solve"]
+    for name, argv in [
+        ("concentration", ["--n", "64", "--m", "16", "--trials", "3", "--seed", "1"]),
+        ("survival", ["--n", "8", "--m", "2", "--trials", "20"]),
+    ]:
+        code, _, _ = run_cli(["experiment", name, *argv, "--csv", f"{name}.csv"], capsys)
+        assert code == 0
+        assert _sha((tmp_path / f"{name}.csv").read_bytes()) == BLOCK_PATH_GOLDEN[name]

@@ -22,7 +22,7 @@ from equisquares.constructions import (
     validate_block_structure,
 )
 from equisquares.solvers import brute_force_max, local_search, random_greedy
-from equisquares.squares import Transversal, validate_square, validate_transversal
+from equisquares.squares import DimensionMismatch, Transversal, validate_square, validate_transversal
 
 
 def test_box_parameters_reference_values():
@@ -177,6 +177,9 @@ def test_random_equi_square_examples():
     assert a == b
     big = random_equi_square(100, 7)
     assert big.n == 100  # validate_square ran inside
+    for n in (0, -2):
+        with pytest.raises(DimensionMismatch, match="n must be positive"):
+            random_equi_square(n, 1)
 
 
 def test_block_structured_square_m1():
@@ -202,6 +205,12 @@ def test_block_structured_square_determinism_and_divisibility():
     assert a[1] == b[1]
     with pytest.raises(NotDivisible):
         block_structured_square(8, 3, seed=0)
+    for m in (0, -2):
+        with pytest.raises(NotDivisible):
+            block_structured_square(8, m, 1)
+    for n in (0, -8):
+        with pytest.raises(DimensionMismatch, match="n must be positive"):
+            block_structured_square(n, 4, 1)
 
 
 def test_block_structured_squares_pass_validation():
