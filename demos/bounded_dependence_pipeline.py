@@ -45,7 +45,7 @@ print(f"final matching: {len(final)} of {n} columns selected")
 t, trace, loads = eq.block_transversal(square, blocks, 6, np.random.default_rng(12))
 print(f"completed to a perfect matching of {len(trace.completed_labels)} blocks; "
       f"transversal size {t.size}")
-print(f"per-row loads of the halving output: {loads.loads.tolist()}")
+print(f"per-row loads of the halving output: {loads.tolist()}")
 print(f"(loads concentrate near n/4 = {n // 4}; every surviving edge kept w.p. 1/4)")
 
 print()

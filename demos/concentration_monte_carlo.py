@@ -40,7 +40,7 @@ worst_bound = 0.0
 for trial in range(5):
     square, blocks = eq.block_structured_square(n, m, seed=trial)
     _, trace, loads = eq.block_transversal(square, blocks, s, stream(trial, "demo-conc"))
-    dev = np.abs(loads.loads.astype(float) - n / 4)
+    dev = np.abs(loads.astype(float) - n / 4)
     alls.append(dev)
     sumsq = halving.realized_effect_squares(trace, blocks, n)
     worst_bound = max(worst_bound, float(

@@ -25,7 +25,6 @@ from .constructions import (
 from .bipartite import (
     BipartiteMultigraph,
     decompose_regular,
-    max_matching,
     union_components,
 )
 from .hypergraph import (
@@ -40,7 +39,6 @@ from .hypergraph import (
 )
 from .halving import (
     HalvingTrace,
-    RowLoads,
     block_transversal,
     default_cap,
     iterated_halving,

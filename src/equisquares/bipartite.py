@@ -5,11 +5,12 @@ matching unions, and component capping.
 An edge's label is its index 0 ... E-1; the graph stores the left and right
 endpoint of every edge as two parallel arrays.  Matchings are frozensets of
 labels only at the public boundary; inside they are int64 label arrays.
-One index, `_parallel_runs`, sorts the edges by (left, right, label) and
-cuts them into runs of parallel edges; `max_matching` and `_decompose`
-both run Hopcroft-Karp on one edge per run.  `_decompose` returns the k
-perfect matchings of a k-regular graph as one (k, n) label array, and
-`decompose_regular` wraps it.  The components of the unions of many
+`matching_pairs_from_arrays` is the one maximum-matching entry point: a
+Hopcroft-Karp (HK) matching of a graph given as edge arrays.  `_decompose`
+sorts the edges by (left, right, label), cuts them into runs of parallel
+edges and runs HK on one edge per live run, once per round; it returns
+the k perfect matchings of a k-regular graph as one (k, n) label array,
+and `decompose_regular` wraps it.  The components of the unions of many
 matching pairs, a whole halving level, come from one array pass
 (`_walks`) and are capped by another (`_cut`); `union_components` is the
 one-pair form of `_walks`.  `Component`, `PathCycleDecomposition` and
@@ -119,7 +120,8 @@ def matching_pairs_from_arrays(
 ) -> list[tuple[int, int]]:
     """Maximum matching of the bipartite graph given as parallel edge arrays.
 
-    Returns matched (row, col) pairs.  Hopcroft-Karp via scipy.
+    Returns matched (row, col) pairs, rows ascending.  Hopcroft-Karp via
+    scipy; repeated edges count once.
     """
     if len(rows) == 0 or n_rows == 0 or n_cols == 0:
         return []
@@ -145,35 +147,6 @@ def _hopcroft_karp(u: np.ndarray, v: np.ndarray, left_size: int, right_size: int
     return maximum_bipartite_matching(mat, perm_type="column")
 
 
-def _parallel_runs(graph: BipartiteMultigraph):
-    """The edges sorted by (left, right, label), cut into runs of parallel edges.
-
-    Returns (by_ends, start, run_u, run_v): every label in that order, where
-    each run starts in by_ends, and each run's endpoints, one edge per run
-    in the sorted, repeat-free form that _hopcroft_karp takes.
-    """
-    by_ends = np.argsort(graph.left * graph.right_size + graph.right, kind="stable")
-    u, v = graph.left[by_ends], graph.right[by_ends]
-    opens = np.ones(by_ends.size, dtype=bool)
-    opens[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    start = np.flatnonzero(opens)
-    return by_ends, start, u[start], v[start].astype(np.int32)
-
-
-def max_matching(graph: BipartiteMultigraph) -> frozenset:
-    """Maximum-cardinality matching, returned as a frozenset of edge labels.
-
-    Parallel edges are collapsed; the smallest label of each matched
-    (left, right) pair, the first of its run, is reported, so output is
-    deterministic.
-    """
-    if not graph.left.size:
-        return frozenset()
-    by_ends, start, run_u, run_v = _parallel_runs(graph)
-    matched = _hopcroft_karp(run_u, run_v, graph.left_size, graph.right_size)[run_u] == run_v
-    return frozenset(by_ends[start[matched]].tolist())
-
-
 def _decompose(graph: BipartiteMultigraph, k: int) -> np.ndarray:
     """The k perfect matchings of decompose_regular, as a (k, left_size) label array.
 
@@ -193,7 +166,12 @@ def _decompose(graph: BipartiteMultigraph, k: int) -> np.ndarray:
     out = np.empty((max(k, 0), nl), dtype=np.int64)
     if not graph.left.size:
         return out
-    by_ends, start, run_u, run_v = _parallel_runs(graph)
+    by_ends = np.argsort(graph.left * nr + graph.right, kind="stable")
+    u, v = graph.left[by_ends], graph.right[by_ends]
+    opens = np.ones(by_ends.size, dtype=bool)
+    opens[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    start = np.flatnonzero(opens)
+    run_u, run_v = u[start], v[start].astype(np.int32)
     size = np.diff(np.append(start, by_ends.size))
     taken = np.zeros(start.size, dtype=np.int64)  # edges each run has lost
     live = np.arange(start.size)

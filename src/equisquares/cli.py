@@ -63,46 +63,37 @@ def _read_json(path, error: type[Exception], what: str):
 
 def cmd_generate(args) -> int:
     out = Path(args.out)
-    kind = args.kind
-    if kind == "counterexample":
-        try:
-            square, pairing = constructions.counterexample_square(args.n)
-        except constructions.TooSmall as exc:
-            return _fail_usage(str(exc))
-        squares.write_square(square, out)
-        sidecar = out.with_suffix(".pairing.json")
-        sidecar.write_text(json.dumps(pairing.to_json()) + "\n", encoding="utf-8")
-        _say(f"wrote {out} and {sidecar}")
-        print(json.dumps({"square": str(out), "pairing": str(sidecar),
-                          "bound": pairing.transversal_bound()}))
-    elif kind == "random":
-        square = constructions.random_equi_square(args.n, seed=args.seed)
-        squares.write_square(square, out)
-        _say(f"wrote {out}")
-        print(json.dumps({"square": str(out)}))
-    elif kind == "block":
-        if args.m is None:
-            return _fail_usage("--m is required for block squares")
-        try:
-            square, blocks = constructions.block_structured_square(args.n, args.m, seed=args.seed)
-        except constructions.NotDivisible as exc:
-            return _fail_usage(str(exc))
-        squares.write_square(square, out)
-        sidecar = out.with_suffix(".blocks.json")
-        sidecar.write_text(json.dumps(blocks.to_json()) + "\n", encoding="utf-8")
-        _say(f"wrote {out} and {sidecar}")
-        print(json.dumps({"square": str(out), "blocks": str(sidecar)}))
-    elif kind == "cyclic":
-        square = constructions.cyclic_latin(args.n)
-        squares.write_square(square, out)
-        _say(f"wrote {out}")
-        print(json.dumps({"square": str(out)}))
-    else:  # alon-kim
+    if args.kind == "alon-kim":
         h = hypergraph.alon_kim(args.n)
         hypergraph.write_hypergraph(h, out)
         _say(f"wrote {out} (t={args.n}: {len(h.edges)} edges)")
-        print(json.dumps({"hypergraph": str(out), "t": args.n,
-                          "edges": len(h.edges)}))
+        print(json.dumps({"hypergraph": str(out), "t": args.n, "edges": len(h.edges)}))
+        return 0
+    if args.kind == "block" and args.m is None:
+        return _fail_usage("--m is required for block squares")
+    sidecar, extra = None, {}  # sidecar: (name, JSON document)
+    try:
+        if args.kind == "counterexample":
+            square, pairing = constructions.counterexample_square(args.n)
+            sidecar, extra = ("pairing", pairing.to_json()), {"bound": pairing.transversal_bound()}
+        elif args.kind == "block":
+            square, blocks = constructions.block_structured_square(args.n, args.m, seed=args.seed)
+            sidecar = ("blocks", blocks.to_json())
+        elif args.kind == "random":
+            square = constructions.random_equi_square(args.n, seed=args.seed)
+        else:  # cyclic
+            square = constructions.cyclic_latin(args.n)
+    except (constructions.TooSmall, constructions.NotDivisible) as exc:
+        return _fail_usage(str(exc))
+    squares.write_square(square, out)
+    report = {"square": str(out)}
+    if sidecar:
+        name, data = sidecar
+        path = out.with_suffix(f".{name}.json")
+        path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+        report[name] = str(path)
+    _say("wrote " + " and ".join(report.values()))
+    print(json.dumps({**report, **extra}))
     return 0
 
 
@@ -249,7 +240,7 @@ def _trial_concentration(params: tuple) -> dict:
     rng = stream(seed, "concentration")
     _, trace, loads = halving.block_transversal(square, blocks, s, rng)
     # Centre m: a perfect matching of n blocks of m cells over n rows has mean row load m.
-    dev = np.abs(loads.loads.astype(np.float64) - m)
+    dev = np.abs(loads.astype(np.float64) - m)
     within = int((dev <= m / 2).sum())
     sumsq = halving.realized_effect_squares(trace, blocks, n)
     with np.errstate(divide="ignore"):

@@ -383,7 +383,7 @@ def block_structured_square(n: int, m: int, seed) -> tuple[EquiNSquare, BlockStr
 def cyclic_latin(n: int) -> EquiNSquare:
     """grid[i][j] = (i + j) mod n; every Latin square is an equi-n-square."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise DimensionMismatch(f"n must be positive, got {n}")
     idx = np.arange(n)
     grid = (idx[:, None] + idx[None, :]) % n
     return validate_square(n, grid)

@@ -189,22 +189,6 @@ class HalvingTrace:
         return self.to_json() == other.to_json()
 
 
-@dataclass(frozen=True)
-class RowLoads:
-    """Per-row count of selected blocks containing a cell in that row."""
-
-    loads: np.ndarray
-
-    def __post_init__(self):
-        self.loads.setflags(write=False)
-
-    def to_csv(self, path) -> None:
-        lines = ["row_index,load"]
-        lines += [f"{i},{int(v)}" for i, v in enumerate(self.loads)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in lines))
-
-
 def _halve_level(graph: BipartiteMultigraph, labels: np.ndarray, sizes: list[int],
                  s: int, rng: np.random.Generator) -> HalvingLevel:
     """Halve the pairs of matchings (0, 1), (2, 3), ... in one array pass.
@@ -284,7 +268,7 @@ def build_block_multigraph(square: EquiNSquare, blocks: BlockStructure) -> Bipar
 
 def block_transversal(
     square: EquiNSquare, blocks: BlockStructure, s: int, rng: np.random.Generator
-) -> tuple[Transversal, HalvingTrace, RowLoads]:
+) -> tuple[Transversal, HalvingTrace, np.ndarray]:
     """Transversal via a bounded-dependence random matching of blocks.
 
     Decomposes the k-regular block multigraph into k perfect matchings
@@ -309,8 +293,8 @@ def block_transversal(
 
     The matchings stay int64 label arrays from the decomposition to the
     row-column graph.  The returned trace records M as trace.final and C
-    as trace.completed_labels.  The returned RowLoads are those of M, the
-    halving output, not of C.
+    as trace.completed_labels.  The third value is the row_loads array of
+    M, the halving output, not of C.
     """
     n = square.n
     validate_block_structure(square, blocks)
@@ -376,14 +360,21 @@ def _block_rows(blocks: BlockStructure, labels: np.ndarray, n_rows: int) -> np.n
     return rows
 
 
-def row_loads(blocks: BlockStructure, matching, n_rows: int) -> RowLoads:
-    """Per-row count of the blocks in `matching` that have a cell in that row.
+def row_loads(blocks: BlockStructure, matching, n_rows: int) -> np.ndarray:
+    """Per-row count of the blocks in `matching` that have a cell in that row, as int64.
 
-    matching is any collection of block labels.  InvalidParam if a label
-    is not a block or a block covers a row >= n_rows.
+    matching is an integer array or any collection of block labels.
+    InvalidParam if a label is not an integer or not a block, or a block
+    covers a row >= n_rows.
     """
-    labels = np.fromiter(matching, dtype=np.int64)
-    return RowLoads(loads=np.bincount(_block_rows(blocks, labels, n_rows).ravel(), minlength=n_rows))
+    labels = matching
+    if not (isinstance(matching, np.ndarray) and matching.dtype.kind in "iu"):
+        labels = list(matching)
+        for x in labels:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise InvalidParam(f"label {x!r} is not an integer")
+        labels = np.array(labels, dtype=np.int64)
+    return np.bincount(_block_rows(blocks, labels, n_rows).ravel(), minlength=n_rows)
 
 
 def mcdiarmid_bound(c, t: float) -> float:

@@ -69,6 +69,10 @@ class TripartiteHypergraph:
         return {v: tuple(ix) for v, ix in inc.items()}
 
     def incident(self, v: Vertex) -> tuple[int, ...]:
+        """Indices of the edges at v; InvalidParam unless v is a vertex of the hypergraph."""
+        cls, idx = v
+        if cls not in (0, 1, 2) or idx not in range(self.class_sizes[cls]):
+            raise InvalidParam(f"vertex {v} is not in classes {self.class_sizes}")
         return self._incidence.get(v, ())
 
     def degree(self, v: Vertex) -> int:
@@ -90,13 +94,12 @@ def from_square(square: EquiNSquare) -> TripartiteHypergraph:
 
 
 def codegree(h: TripartiteHypergraph, x: Vertex, y: Vertex) -> int:
-    """Number of edges containing both x and y."""
+    """Number of edges containing both x and y; InvalidParam unless both are
+    vertices of h.  Edges hold one vertex per class, so two vertices of one
+    class share none."""
     if x == y:
         raise SameVertex(f"codegree needs distinct vertices, got {x} twice")
-    if x[0] == y[0]:
-        return 0  # edges hold one vertex per class
-    a, b = sorted((x, y))
-    return sum(1 for i in h.incident(a) if h.edges[i][b[0]] == b[1])
+    return len(set(h.incident(x)).intersection(h.incident(y)))
 
 
 def alon_kim(t: int) -> TripartiteHypergraph:

@@ -161,7 +161,7 @@ def test_criterion_07_row_load_concentration():
         _, trace, loads = eq.block_transversal(
             square, blocks, s, stream(700 + trial, "acceptance-concentration")
         )
-        dev = np.abs(loads.loads.astype(float) - n / 4)
+        dev = np.abs(loads.astype(float) - n / 4)
         within += int((dev <= n / 8).sum())
         rows_total += n
         p99s.append(float(np.percentile(dev, 99)))

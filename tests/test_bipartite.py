@@ -13,7 +13,7 @@ from equisquares.bipartite import (
     decompose_regular,
     is_matching,
     make_graph,
-    max_matching,
+    matching_pairs_from_arrays,
     union_components,
 )
 from equisquares.halving import iterated_halving
@@ -149,6 +149,17 @@ def test_decompose_regular_matches_round_by_round_reference():
             assert decompose_regular(g, k) == reference_decompose_regular(g, k)
             graphs += 1
     assert graphs == 200
+
+
+def max_matching(g: BipartiteMultigraph) -> frozenset:
+    """matching_pairs_from_arrays on g's edge arrays, each matched pair as
+    the label of its first edge (a KeyError if the pair is not an edge)."""
+    first: dict = {}
+    for label, pair in g.by_label.items():
+        first.setdefault(pair, label)
+    pairs = matching_pairs_from_arrays(g.left, g.right, g.left_size, g.right_size)
+    assert len(set(pairs)) == len(pairs)
+    return frozenset(first[pair] for pair in pairs)
 
 
 def test_max_matching_empty_and_complete():

@@ -628,3 +628,40 @@ def test_block_path_outputs_are_pinned(tmp_path, capsys, monkeypatch):
         code, _, _ = run_cli(["experiment", name, *argv, "--csv", f"{name}.csv"], capsys)
         assert code == 0
         assert _sha((tmp_path / f"{name}.csv").read_bytes()) == BLOCK_PATH_GOLDEN[name]
+
+
+GENERATE_GOLDEN = {  # exit code, SHA-256 prefixes of stdout and stderr, and of each written file
+    "counterexample --n 18":
+        (0, "1aa71f39d75d5228", "0bf6d1d78367c388", {"g.pairing.json": "1eac48b2839b2250", "g.txt": "c0c602dd9805ef8a"}),
+    "random --n 12 --seed 3":
+        (0, "1e71e544a9e76689", "809bc435eb3c18f2", {"g.txt": "a0ecca12dcd77714"}),
+    "block --n 16 --m 4 --seed 2":
+        (0, "cdc4183a9f541be4", "95fc2ac8be027470", {"g.blocks.json": "773e5af875519fae", "g.txt": "d478b864836d8c2c"}),
+    "cyclic --n 7":
+        (0, "1e71e544a9e76689", "809bc435eb3c18f2", {"g.txt": "4630732ba29bc20a"}),
+    "alon-kim --n 2":
+        (0, "01868991398f75bc", "ddf1bad77a0e3e52", {"g.txt": "af6ab9bee8b80064"}),
+    "counterexample --n 7":
+        (2, "e3b0c44298fc1c14", "7d65736c510e36ad", {}),
+    "block --n 16":
+        (2, "e3b0c44298fc1c14", "b811d9e192ea2147", {}),
+    "block --n 16 --m 3":
+        (2, "e3b0c44298fc1c14", "0c79e35cb6b34614", {}),
+}
+
+
+def _generate_record(args: str, tmp_path, capsys) -> tuple:
+    """generate --kind args into tmp_path, its outputs hashed with tmp_path masked."""
+    kind, *rest = args.split()
+    code, stdout, err = run_cli(["generate", "--kind", kind, *rest,
+                                 "--out", str(tmp_path / "g.txt")], capsys)
+    mask = str(tmp_path).encode()
+    files = {path.name: _sha(path.read_bytes().replace(mask, b"TMP"))
+             for path in sorted(tmp_path.iterdir())}
+    return (code, _sha(stdout.encode().replace(mask, b"TMP")),
+            _sha(err.encode().replace(mask, b"TMP")), files)
+
+
+@pytest.mark.parametrize("args", GENERATE_GOLDEN)
+def test_generate_outputs_are_pinned(args, tmp_path, capsys):
+    assert _generate_record(args, tmp_path, capsys) == GENERATE_GOLDEN[args]

@@ -345,6 +345,9 @@ def test_cyclic_latin_is_latin_and_equi():
         for i in range(n):
             assert len(set(sq.grid[i].tolist())) == n
             assert len(set(sq.grid[:, i].tolist())) == n
+    for n in (0, -2):
+        with pytest.raises(DimensionMismatch, match="n must be positive"):
+            cyclic_latin(n)
 
 
 def test_cyclic_small_maxima():

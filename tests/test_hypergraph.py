@@ -87,6 +87,20 @@ def test_codegree_empty():
     assert codegree(h, (0, 0), (1, 0)) == 0
 
 
+def test_vertices_outside_the_classes_are_rejected():
+    h = alon_kim(1)  # classes of 3 vertices
+    for x, y in (((3, 0), (0, 0)), ((0, 99), (1, 0)), ((0, -1), (1, 0)), ((0, 0), (-1, 0)),
+                 ((0, 3), (0, 1))):
+        with pytest.raises(InvalidParam, match="not in classes"):
+            codegree(h, x, y)
+    for v in ((7, 0), (1, 3), (2, -1), (0, 1.5)):
+        with pytest.raises(InvalidParam, match="not in classes"):
+            h.degree(v)
+        with pytest.raises(InvalidParam, match="not in classes"):
+            h.incident(v)
+    assert codegree(h, (0, 2), (0, 1)) == 0 and h.degree((2, 2)) == 2
+
+
 def test_alon_kim_counts():
     h = alon_kim(1)
     assert h.class_sizes == (3, 3, 3)

@@ -1,9 +1,13 @@
 """Rules the source tree keeps, checked by parsing it."""
 
 import ast
+import inspect
 from pathlib import Path
 
+import equisquares
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+DEMOS = SRC.parent / "demos"
 
 
 def test_no_assert_statements_in_src():
@@ -77,3 +81,20 @@ def test_no_unreferenced_private_methods_in_src():
         if not any(member.name in _names_used(other, member) for other in trees.values())
     ]
     assert dead == []
+
+
+def test_every_exported_name_has_a_caller():
+    # A function or class the package exports that nothing in src/ or demos/
+    # names, past its own definition and the re-export in __init__.py, is
+    # kept alive by tests alone.
+    exported = [name for name in equisquares.__all__
+                if inspect.isfunction(obj := getattr(equisquares, name)) or inspect.isclass(obj)]
+    assert exported
+    trees = [tree for path, tree in _src_trees().items() if path.name != "__init__.py"]
+    trees += [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+              for path in sorted(DEMOS.glob("*.py"))]
+    definitions = {node.name: node for tree in trees for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    unused = [name for name in exported
+              if not any(name in _names_used(tree, definitions.get(name)) for tree in trees)]
+    assert unused == []
