@@ -21,6 +21,8 @@ from .constructions import (
     cyclic_latin,
     missing_colour_certificate,
     random_equi_square,
+    read_blocks,
+    write_blocks,
 )
 from .bipartite import (
     BipartiteMultigraph,

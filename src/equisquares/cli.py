@@ -50,13 +50,14 @@ def _int_at_least(lowest: int):
     return integer
 
 
-def _read_json(path, error: type[Exception], what: str):
-    """The JSON document in path; `error` if the file is not UTF-8 JSON, nests
-    too deeply for the parser, or holds an integer too long to convert."""
+def _read_pairing(path):
+    """The JSON document in path; PairingMismatch if the file is not UTF-8
+    JSON, nests too deeply for the parser, or holds an integer too long to
+    convert."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError included
-        raise error(f"{what} is not JSON: {exc}") from None
+        raise constructions.PairingMismatch(f"pairing sidecar is not JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------- generate
@@ -71,14 +72,16 @@ def cmd_generate(args) -> int:
         return 0
     if args.kind == "block" and args.m is None:
         return _fail_usage("--m is required for block squares")
-    sidecar, extra = None, {}  # sidecar: (name, JSON document)
+    sidecar, extra = None, {}  # sidecar: (name, function writing it to a path)
     try:
         if args.kind == "counterexample":
             square, pairing = constructions.counterexample_square(args.n)
-            sidecar, extra = ("pairing", pairing.to_json()), {"bound": pairing.transversal_bound()}
+            text = json.dumps(pairing.to_json()) + "\n"
+            sidecar = ("pairing", lambda path: path.write_text(text, encoding="utf-8"))
+            extra = {"bound": pairing.transversal_bound()}
         elif args.kind == "block":
             square, blocks = constructions.block_structured_square(args.n, args.m, seed=args.seed)
-            sidecar = ("blocks", blocks.to_json())
+            sidecar = ("blocks", lambda path: constructions.write_blocks(blocks, path))
         elif args.kind == "random":
             square = constructions.random_equi_square(args.n, seed=args.seed)
         else:  # cyclic
@@ -88,9 +91,9 @@ def cmd_generate(args) -> int:
     squares.write_square(square, out)
     report = {"square": str(out)}
     if sidecar:
-        name, data = sidecar
+        name, write = sidecar
         path = out.with_suffix(f".{name}.json")
-        path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+        write(path)
         report[name] = str(path)
     _say("wrote " + " and ".join(report.values()))
     print(json.dumps({**report, **extra}))
@@ -123,8 +126,7 @@ def cmd_solve(args) -> int:
     else:  # block
         if not args.blocks:
             return _fail_usage("--blocks sidecar is required for the block method")
-        blocks = constructions.BlockStructure.from_json(
-            _read_json(args.blocks, constructions.BlockMismatch, "blocks sidecar"))
+        blocks = constructions.read_blocks(args.blocks)
         s = halving.default_cap(n) if args.s is None else args.s
         t, _, _ = halving.block_transversal(square, blocks, s, stream(args.seed, "block"))
 
@@ -163,7 +165,7 @@ def cmd_verify(args) -> int:
     if args.pairing:
         target = transversal if transversal is not None else squares.Transversal(())
         try:
-            sidecar = _read_json(args.pairing, constructions.PairingMismatch, "pairing sidecar")
+            sidecar = _read_pairing(args.pairing)
             try:
                 _, pairing = constructions.counterexample_square(square.n)
             except constructions.TooSmall as exc:

@@ -6,10 +6,13 @@ missing-colour certificate that audits the adversarial bound.
 
 from __future__ import annotations
 
+import io
+import json
 import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from .squares import (
     DimensionMismatch,
     EquiNSquare,
     Transversal,
+    _digit_runs,
     validate_square,
     validate_transversal,
 )
@@ -261,19 +265,9 @@ class BlockStructure:
             for f in ("cols", "symbols", "rows")
         )
 
-    def to_json(self) -> dict:
-        return {
-            "format": 1,
-            "m": self.m,
-            "blocks": [
-                {"col": c, "symbol": s, "rows": r}
-                for c, s, r in zip(self.cols.tolist(), self.symbols.tolist(), self.rows.tolist())
-            ],
-        }
-
     @classmethod
     def from_json(cls, data) -> "BlockStructure":
-        """Read a sidecar; BlockMismatch if it is malformed."""
+        """The blocks of a parsed sidecar document; BlockMismatch if it is malformed."""
         if not isinstance(data, dict) or data.get("format") != 1:
             fmt = data.get("format") if isinstance(data, dict) else None
             raise BlockMismatch(f"unsupported blocks format {fmt!r}")
@@ -316,6 +310,105 @@ def _int_array(values: list, key: str, ndim: int) -> np.ndarray:
         if isinstance(entry, bool):
             raise BlockMismatch(f"block '{key}' entries must be integers, not {entry!r}")
     return arr.astype(np.int64)
+
+
+# The blocks sidecar, format 1, is json.dumps of {"format": 1, "m": m,
+# "blocks": [{"col": c, "symbol": s, "rows": [r, ...]}, ...]} and a newline.
+_SIDECAR = b'{"format": %b, "m": %b, "blocks": [%b]}\n'
+_DIGITS = b"0123456789"
+_SPACE_OUT = bytes(c if c in _DIGITS else ord(" ") for c in range(256))  # for bytes.translate
+
+
+def _block_pieces(m: int) -> list[bytes]:
+    """The bytes of one block of the sidecar, and of the ", " after it,
+    around the block's m + 2 numbers: column, symbol, and rows."""
+    return [b'{"col": ', b', "symbol": ', b', "rows": [', *[b", "] * (m - 1), b"]}, "]
+
+
+def write_blocks(blocks: BlockStructure, path) -> None:
+    """Write the blocks sidecar, format 1 as one line of JSON.
+
+    BlockMismatch, and no file, unless the blocks could tile a square: K
+    blocks of m cells with K*m = n*n, n >= 1, and every column, symbol and
+    row in [0, n).
+    """
+    m, cols, symbols, rows = blocks.m, blocks.cols, blocks.symbols, blocks.rows
+    count = cols.size
+    n = math.isqrt(count * m) if m > 0 else 0
+    if n < 1 or n * n != count * m:
+        raise BlockMismatch(f"{count} blocks of size {m} cannot tile a square")
+    if cols.shape != (count,) or symbols.shape != (count,) or rows.shape != (count, m):
+        raise BlockMismatch(f"block rows have shape {rows.shape}, expected ({count}, {m}) "
+                            f"for {count} columns and {symbols.size} symbols")
+    fields = (cols, symbols, rows)
+    if min(a.min() for a in fields) < 0 or max(a.max() for a in fields) >= n:
+        raise BlockMismatch(f"block entry out of range [0, {n})")
+    # Each block is one row of bytes with a slot of `width` zero bytes per
+    # number.  The slots take the numbers' digits, zero-padded, and zero is
+    # no byte of the text, so dropping zeros leaves it.
+    width = len(str(n - 1))
+    digits = np.array([str(v) for v in range(n)], dtype=f"S{width}").view(np.uint8).reshape(n, width)
+    template = np.frombuffer(bytes(width).join(_block_pieces(m)), dtype=np.uint8)
+    text = np.tile(template, (count, 1))
+    text[:, template == 0] = digits[np.column_stack(fields)].reshape(count, -1)
+    body = text[text != 0].tobytes()[:-2]  # less the ", " after the last block
+    Path(path).write_bytes(_SIDECAR % (b"1", b"%d" % m, body))
+
+
+def _written_layout(raw: bytes) -> tuple[int, int] | None:
+    """(m, K) if raw is a sidecar of K blocks laid out byte for byte as
+    :func:`write_blocks` writes it; None for any other file.
+
+    The numbers are the maximal runs of ASCII digits: none over 18 digits,
+    so each fits an int64, and none with a leading zero, which JSON forbids.
+    The first is the format, 1, the second m; the bytes between them must
+    be the layout's for m and the count of blocks the other numbers make.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    starts, stops = _digit_runs(buf)[1:]
+    sizes = stops - starts
+    if starts.size < 2 or sizes.max() > 18 or ((buf[starts] == ord("0")) & (sizes > 1)).any():
+        return None
+    m = int(raw[starts[1]:stops[1]])
+    count, extra = divmod(starts.size - 2, m + 2)
+    if raw[starts[0]:stops[0]] != b"1" or m < 1 or count < 1 or extra:
+        return None
+    # Each gap between numbers has the layout's length, and all the gaps
+    # together the layout's bytes; so each gap has the layout's bytes.
+    head, pieces = _SIDECAR.split(b"%b"), _block_pieces(m)
+    lengths = [len(p) for p in pieces]
+    # After a block's last row come its end and the next block's start.
+    block_gaps = [*lengths[1:-1], lengths[-1] + lengths[0]]
+    gaps = starts[1:] - stops[:-1]
+    if (starts[0] != len(head[0]) or gaps[0] != len(head[1]) or gaps[1] != len(head[2]) + lengths[0]
+            or not np.array_equal(gaps[2:], np.tile(block_gaps, count)[:-1])
+            or raw.translate(None, _DIGITS) != _SIDECAR % (b"", b"", (b"".join(pieces) * count)[:-2])):
+        return None
+    return m, count
+
+
+def read_blocks(path) -> BlockStructure:
+    """Read a blocks sidecar; BlockMismatch if it is not format-1 JSON.
+
+    A file in write_blocks' layout is parsed by array passes, any other
+    through json.loads and :meth:`BlockStructure.from_json`; both accept
+    and refuse the same files.
+    """
+    raw = Path(path).read_bytes()
+    layout = _written_layout(raw)
+    if layout is not None:
+        m, count = layout
+        # Spaces for every other byte leave only numbers to parse, so no warning.
+        numbers = np.fromstring(raw.translate(_SPACE_OUT), dtype=np.int64, sep=" ")
+        fields = numbers[2:].reshape(count, m + 2)
+        return BlockStructure(m=m, cols=fields[:, 0].copy(), symbols=fields[:, 1].copy(),
+                              rows=fields[:, 2:].copy())
+    try:
+        # Decoded as Path.read_text decodes, universal newlines included.
+        data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError included
+        raise BlockMismatch(f"blocks sidecar is not JSON: {exc}") from None
+    return BlockStructure.from_json(data)
 
 
 def validate_block_structure(square: EquiNSquare, blocks: BlockStructure) -> None:

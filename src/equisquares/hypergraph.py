@@ -12,6 +12,7 @@ matchings/colourings refer to edge indices.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,11 +70,15 @@ class TripartiteHypergraph:
         return {v: tuple(ix) for v, ix in inc.items()}
 
     def incident(self, v: Vertex) -> tuple[int, ...]:
-        """Indices of the edges at v; InvalidParam unless v is a vertex of the hypergraph."""
-        cls, idx = v
+        """Indices of the edges at v; InvalidParam unless v is a vertex of the
+        hypergraph: a pair of integers, a class in {0, 1, 2} and an index in it."""
+        try:
+            cls, idx = map(operator.index, v)
+        except (TypeError, ValueError):  # not a pair, or not of integers
+            cls = idx = -1
         if cls not in (0, 1, 2) or idx not in range(self.class_sizes[cls]):
-            raise InvalidParam(f"vertex {v} is not in classes {self.class_sizes}")
-        return self._incidence.get(v, ())
+            raise InvalidParam(f"vertex {v!r} is not in classes {self.class_sizes}")
+        return self._incidence.get((cls, idx), ())
 
     def degree(self, v: Vertex) -> int:
         return len(self.incident(v))

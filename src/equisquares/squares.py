@@ -222,6 +222,14 @@ def _ints(i: int, line: str, count: int, many: str = "entries", one: str = "entr
         raise ParseError(i, f"non-integer {one}") from None
 
 
+def _digit_runs(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the bytes buf: which are ASCII digits, and the start and stop
+    offsets of its maximal runs of them."""
+    digit = (buf - ord("0")) < 10  # uint8 arithmetic wraps the bytes below "0"
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    return digit, edges[0::2], edges[1::2]
+
+
 def _written_grid(raw: bytes) -> np.ndarray | None:
     """The grid of a square file laid out as :func:`write_square` writes it,
     parsed without a Python object per token; None for any other file.
@@ -231,11 +239,9 @@ def _written_grid(raw: bytes) -> np.ndarray | None:
     it; no token over 18 digits, so every token fits in an int64.
     """
     buf = np.frombuffer(raw, dtype=np.uint8)
-    digit = (buf - ord("0")) < 10  # uint8 arithmetic wraps the bytes below "0"
+    digit, starts, stops = _digit_runs(buf)
     if not (digit | (buf == ord(" ")) | (buf == ord("\n"))).all():
         return None
-    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    starts, stops = edges[0::2], edges[1::2]
     if starts.size == 0 or (stops - starts).max() > 18:
         return None
     # Tokens per line: those starting before each newline, then the rest.

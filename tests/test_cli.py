@@ -2,10 +2,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from equisquares import cli, solvers
+from equisquares import cli, constructions, solvers
 from equisquares.rng import stream
 from equisquares.squares import (
     read_square,
@@ -599,6 +600,94 @@ def test_unusable_path_exits_2_without_traceback(tmp_path, capsys, command):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def _json_path(path):
+    """The blocks sidecar read through json.loads and from_json alone."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise constructions.BlockMismatch(f"blocks sidecar is not JSON: {exc}") from None
+    return constructions.BlockStructure.from_json(data)
+
+
+def _blocks_outcome(read, path):
+    try:
+        return read(path)
+    except constructions.BlockMismatch as exc:
+        return f"BlockMismatch: {exc}"
+
+
+def _generated_sidecar(tmp_path, capsys, n, m) -> Path:
+    code, _, _ = run_cli(["generate", "--kind", "block", "--n", str(n), "--m", str(m), "--seed", "4",
+                          "--out", str(tmp_path / "b.txt")], capsys)
+    assert code == 0
+    return tmp_path / "b.blocks.json"
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (4, 1), (8, 8), (16, 4), (128, 1), (256, 64)])
+def test_read_blocks_matches_json_path_on_generated_sidecars(tmp_path, capsys, n, m):
+    path = _generated_sidecar(tmp_path, capsys, n, m)
+    assert constructions._written_layout(path.read_bytes()) is not None  # the array path takes it
+    assert constructions.read_blocks(path) == _json_path(path)
+
+
+def _with_first_block(text, field, value):
+    data = json.loads(text)
+    data["blocks"][0][field] = value
+    return json.dumps(data) + "\n"
+
+
+SIDECAR_LAYOUTS = {  # each from the text of a generated sidecar at n = 8, m = 2
+    "indent=2": lambda text: json.dumps(json.loads(text), indent=2) + "\n",
+    "reordered keys": lambda text: json.dumps(dict(reversed(json.loads(text).items()))) + "\n",
+    "reordered block keys": lambda text: json.dumps(
+        {**json.loads(text), "blocks": [dict(reversed(b.items())) for b in json.loads(text)["blocks"]]}) + "\n",
+    "no final newline": lambda text: text[:-1],
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "token 07": lambda text: text.replace('"col": 7', '"col": 07', 1),
+    "token -0": lambda text: text.replace('"col": 0', '"col": -0', 1),
+    "negative row": lambda text: _with_first_block(text, "rows", [-1, 3]),
+    "true as a column": lambda text: _with_first_block(text, "col", True),
+    "float symbol": lambda text: _with_first_block(text, "symbol", 1.0),
+    "doubled space": lambda text: text.replace(", ", ",  ", 1),
+    "number moved into a key": lambda text: text.replace('"col": 7', '"c7ol": ', 1),
+    "number moved past a space": lambda text: text.replace('"col": 7', '"col":7 ', 1),
+    "empty blocks list": lambda text: json.dumps({**json.loads(text), "blocks": []}) + "\n",
+    "format 2": lambda text: text.replace('"format": 1', '"format": 2'),
+    "m 0": lambda text: text.replace('"m": 2', '"m": 0'),
+    "m 3 with 2 rows": lambda text: text.replace('"m": 2', '"m": 3'),
+    "short last block": lambda text: text[:text.rindex(",")] + "]}]}\n",
+    "token of 19 digits": lambda text: text.replace('"col": 7', '"col": ' + "9" * 19, 1),
+    "token of 5000 digits": lambda text: text.replace('"col": 7', '"col": ' + "9" * 5000, 1),
+    "unicode digit": lambda text: text.replace('"col": 7', '"col": \u0667', 1),
+    "not UTF-8": lambda text: text.encode().replace(b'"col": 7', b'"col": \xff', 1),
+    "unchanged": lambda text: text,
+}
+
+
+@pytest.mark.parametrize("layout", SIDECAR_LAYOUTS)
+def test_read_blocks_matches_json_path_on_other_layouts(tmp_path, capsys, layout):
+    # The array path declines every layout but generate's own, and the
+    # JSON path then reads or refuses it.
+    path = _generated_sidecar(tmp_path, capsys, 8, 2)
+    changed = SIDECAR_LAYOUTS[layout](path.read_text(encoding="utf-8"))
+    path.write_bytes(changed if isinstance(changed, bytes) else changed.encode("utf-8"))
+    taken = constructions._written_layout(path.read_bytes()) is not None
+    assert taken == (layout == "unchanged")
+    assert _blocks_outcome(constructions.read_blocks, path) == _blocks_outcome(_json_path, path)
+
+
+def test_read_blocks_parses_generated_sidecars_without_json(tmp_path, capsys, monkeypatch):
+    # A silent fall back to json.loads would keep every output and lose the
+    # array path's speed; with json.loads gone, generate's layout still reads.
+    path = _generated_sidecar(tmp_path, capsys, 64, 4)
+    expected = _json_path(path)
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("json.loads called on a sidecar in generate's layout")
+    monkeypatch.setattr(json, "loads", no_json)
+    assert constructions.read_blocks(path) == expected
 
 
 BLOCK_PATH_GOLDEN = {  # SHA-256 prefixes: solve's (transversal file, stdout), each experiment's CSV

@@ -19,7 +19,9 @@ from equisquares.constructions import (
     cyclic_latin,
     missing_colour_certificate,
     random_equi_square,
+    read_blocks,
     validate_block_structure,
+    write_blocks,
 )
 from equisquares.solvers import brute_force_max, local_search, random_greedy
 from equisquares.squares import DimensionMismatch, Transversal, validate_square, validate_transversal
@@ -301,14 +303,51 @@ def test_certificate_rejects_a_square_or_pairing_it_was_not_built_with():
         missing_colour_certificate(random_equi_square(9, seed=0), pairing, Transversal(()))
 
 
-def test_block_structure_json_round_trip():
+def _written_json(blocks, tmp_path):
+    path = tmp_path / "b.blocks.json"
+    write_blocks(blocks, path)
+    return json.loads(path.read_bytes())
+
+
+def test_block_structure_json_round_trip(tmp_path):
     square, blocks = block_structured_square(8, 2, seed=1)
-    data = json.loads(json.dumps(blocks.to_json()))
+    data = _written_json(blocks, tmp_path)
     assert data["blocks"][0] == {"col": 0, "symbol": int(blocks.symbols[0]),
                                  "rows": blocks.rows[0].tolist()}
     again = BlockStructure.from_json(data)
     assert again == blocks
     validate_block_structure(square, again)
+    assert read_blocks(tmp_path / "b.blocks.json") == blocks
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (10, 2), (12, 4), (101, 1)])
+def test_write_blocks_writes_json_dumps_bytes(tmp_path, n, m):
+    # Format 1 is json.dumps of the document and a newline, for every width
+    # of number; 101 has one-, two- and three-digit rows.
+    _, blocks = block_structured_square(n, m, seed=2)
+    document = {"format": 1, "m": m, "blocks": [
+        {"col": c, "symbol": s, "rows": r}
+        for c, s, r in zip(blocks.cols.tolist(), blocks.symbols.tolist(), blocks.rows.tolist())]}
+    write_blocks(blocks, tmp_path / "b.json")
+    assert (tmp_path / "b.json").read_bytes() == (json.dumps(document) + "\n").encode()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda b: {"m": 3}, "cannot tile a square"),  # 32 blocks of 3 cells: 96 is not a square
+    (lambda b: {"cols": b.cols[:0], "symbols": b.symbols[:0], "rows": b.rows[:0]}, "0 blocks"),
+    (lambda b: {"m": 0, "rows": b.rows[:, :0]}, "cannot tile a square"),
+    (lambda b: {"symbols": b.symbols[:-1]}, "for 32 columns and 31 symbols"),
+    (lambda b: {"rows": b.rows.reshape(16, 4)}, r"shape \(16, 4\), expected \(32, 2\)"),
+    (lambda b: {"rows": np.where(b.rows == 3, 8, b.rows)}, r"out of range \[0, 8\)"),
+    (lambda b: {"cols": np.where(b.cols == 0, -1, b.cols)}, "out of range"),
+    (lambda b: {"symbols": b.symbols + 1}, "out of range"),
+])
+def test_write_blocks_refuses_blocks_that_tile_no_square(tmp_path, change, message):
+    _, blocks = block_structured_square(8, 2, seed=1)
+    fields = {"m": blocks.m, "cols": blocks.cols, "symbols": blocks.symbols, "rows": blocks.rows}
+    with pytest.raises(BlockMismatch, match=message):
+        write_blocks(BlockStructure(**{**fields, **change(blocks)}), tmp_path / "b.json")
+    assert not (tmp_path / "b.json").exists()
 
 
 @pytest.mark.parametrize("mutate", [
@@ -331,9 +370,9 @@ def test_block_structure_json_round_trip():
     lambda d: d["blocks"][0].update(col=False),
     lambda d: d["blocks"][5].update(symbol=True),
 ])
-def test_block_structure_from_json_rejects_malformed(mutate):
+def test_block_structure_from_json_rejects_malformed(tmp_path, mutate):
     _, blocks = block_structured_square(8, 2, seed=1)
-    data = blocks.to_json()
+    data = _written_json(blocks, tmp_path)
     mutate(data)
     with pytest.raises(BlockMismatch):
         BlockStructure.from_json(data)

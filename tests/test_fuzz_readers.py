@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from equisquares import cli
-from equisquares.constructions import BlockMismatch, BlockStructure, counterexample_square
+from equisquares.constructions import (
+    BlockMismatch,
+    BlockStructure,
+    block_structured_square,
+    counterexample_square,
+    read_blocks,
+    write_blocks,
+)
 from equisquares.hypergraph import read_hypergraph
 from equisquares.squares import SquareError, read_square, read_transversal
 
@@ -87,3 +95,53 @@ def test_blocks_from_json_raises_only_block_mismatch(data):
         BlockStructure.from_json(json.loads(json.dumps(data)))
     except BlockMismatch:
         pass
+
+
+def _read_blocks_outcome(path):
+    """read_blocks(path), or the message of its BlockMismatch; any warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return read_blocks(path)
+        except BlockMismatch as exc:
+            return str(exc)
+
+
+def _json_outcome(path):
+    """The same through json.loads and from_json alone."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        return f"blocks sidecar is not JSON: {exc}"
+    try:
+        return BlockStructure.from_json(data)
+    except BlockMismatch as exc:
+        return str(exc)
+
+
+@FUZZ
+@given(content=file_bytes)
+def test_read_blocks_raises_only_block_mismatch(content):
+    _with_file(content, _read_blocks_outcome)
+
+
+def _written_sidecar() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "b.blocks.json"
+        write_blocks(block_structured_square(8, 2, seed=1)[1], path)
+        return path.read_bytes()
+
+
+_SIDECAR = _written_sidecar()
+
+
+@FUZZ
+@given(at=st.integers(0, len(_SIDECAR)), byte=st.integers(0, 255),
+       edit=st.sampled_from(["replace", "insert", "delete"]))
+def test_read_blocks_on_one_byte_edits_of_a_sidecar(at, byte, edit):
+    # Every edit is read or refused with BlockMismatch, and as the JSON path
+    # alone would read or refuse it.
+    head, tail = _SIDECAR[:at], _SIDECAR[at:]
+    content = {"replace": head + bytes([byte]) + tail[1:], "insert": head + bytes([byte]) + tail,
+               "delete": head + tail[1:]}[edit]
+    assert _with_file(content, _read_blocks_outcome) == _with_file(content, _json_outcome)

@@ -101,6 +101,21 @@ def test_vertices_outside_the_classes_are_rejected():
     assert codegree(h, (0, 2), (0, 1)) == 0 and h.degree((2, 2)) == 2
 
 
+@pytest.mark.parametrize("v", [(1.0, 0), (0, 1.0), (0,), (0, 1, 2), (), None, 5, "01", (0, "1"),
+                               ((0,), 1)], ids=repr)
+def test_vertices_that_are_not_pairs_of_integers_are_rejected(v):
+    h = alon_kim(1)
+    for call in (h.incident, h.degree, lambda v: codegree(h, v, (2, 2)),
+                 lambda v: codegree(h, (2, 2), v)):
+        with pytest.raises(InvalidParam, match="not in classes"):
+            call(v)
+
+
+def test_vertices_given_as_other_pairs_of_integers_are_read_as_tuples():
+    h = alon_kim(1)
+    assert h.incident([0, 1]) == h.incident((np.int64(0), np.int64(1))) == h.incident((0, 1))
+
+
 def test_alon_kim_counts():
     h = alon_kim(1)
     assert h.class_sizes == (3, 3, 3)
