@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 
 class NotRegular(ValueError):
@@ -125,6 +123,9 @@ def matching_pairs_from_arrays(
     """
     if len(rows) == 0 or n_rows == 0 or n_cols == 0:
         return []
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     data = np.ones(len(rows), dtype=np.int8)
     mat = sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
     match = maximum_bipartite_matching(mat, perm_type="column")  # row -> column, or -1
@@ -139,6 +140,9 @@ def _hopcroft_karp(u: np.ndarray, v: np.ndarray, left_size: int, right_size: int
     CSR matrix is built directly; it is the canonical one (rows in order,
     columns ascending, no duplicates) that the COO route would build.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     # int32 indices are what the matching code takes, so scipy copies nothing
     indptr = np.zeros(left_size + 1, dtype=np.int32)
     np.cumsum(np.bincount(u, minlength=left_size), out=indptr[1:])

@@ -145,10 +145,14 @@ def blow_up(h: TripartiteHypergraph, factor: int) -> TripartiteHypergraph:
 def split_high_codegree(h: TripartiteHypergraph, threshold: int):
     """Split every pair with codegree above `threshold` through fresh vertices.
 
-    The pair set E = {(x, y): cod(x, y) > threshold} must be a matching.
-    For each pair, the lexicographically smaller vertex x_f is replaced, in
-    each edge covering the pair, by a fresh vertex private to that edge, so
-    all codegrees in the result are <= threshold.
+    The pair set E = {(x, y): cod(x, y) > threshold} must be a matching;
+    otherwise NotAMatching names a vertex that two high pairs share, and
+    the two pairs.  Block squares raise it: in
+    `from_square(block_structured_square(16, 4, 1)[0])` at threshold 1 the
+    high pairs share vertices, so this transform cannot give a block square
+    codegree control.  For each pair, the lexicographically smaller vertex
+    x_f is replaced, in each edge covering the pair, by a fresh vertex
+    private to that edge, so all codegrees in the result are <= threshold.
 
     Returns (h2, pullback) where h2 has the same edge indices and pullback
     maps an EdgeColouring of h2 to one of h with the same colour count.
@@ -162,11 +166,12 @@ def split_high_codegree(h: TripartiteHypergraph, threshold: int):
     codegrees = Counter(((ca, e[ca]), (cb, e[cb])) for e in h.edges
                         for ca, cb in ((0, 1), (0, 2), (1, 2)))
     high = [pair for pair, count in codegrees.items() if count > threshold]
-    used: set[Vertex] = set()
-    for x, y in high:
-        if x in used or y in used:
-            raise NotAMatching(f"high-codegree pair set is not a matching: {sorted(high)}")
-        used.update((x, y))
+    owner: dict[Vertex, tuple[Vertex, Vertex]] = {}  # vertex -> the high pair on it
+    for pair in high:
+        for v in pair:
+            if v in owner:
+                raise NotAMatching(f"high-codegree pairs {owner[v]} and {pair} share vertex {v}")
+            owner[v] = pair
 
     # The pairs are disjoint, so no edge holds two of them: each pair's
     # edges are still unchanged in new_edges when its turn comes.

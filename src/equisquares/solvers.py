@@ -104,10 +104,14 @@ def _max_tripartite_matching(
     Live lists.  A vertex with no edge in `avail` never gets one back, so a
     node tests only the rows, columns and symbols that still had an edge at
     its parent, and hands the ones that still have one to its children: its
-    work scales with the live vertices, not with the class sizes.  The skip
+    work scales with the live vertices, not with the class sizes.  One pass
+    over those rows counts each row's usable edges once and keeps the live
+    rows and the branching row.  Columns and symbols travel as their edge
+    bitsets, not their indices, so `filter(avail.__and__, ...)` keeps the
+    live ones in C; the branching reads j and s off the edge.  The skip
     child keeps its parent's row counts, less the skipped row and its later
     twins.  When those counts already rule it out, the parent counts it as
-    one node, against the budget as well, and makes no call.  Neither
+    one node, against the budget as well, and makes no call.  None of this
     changes which nodes exist or the order they are met in, so the tree,
     the node counts, the result at every budget and the proof below are
     those of the search that tests every vertex at every node.
@@ -193,8 +197,9 @@ def _max_tripartite_matching(
 
     def search(avail: int, open_cols: int, open_syms: int, chosen: list[tuple[int, int, int]],
                rows: list[int], cols: list[int], syms: list[int]):
-        # rows, cols, syms: the vertices with an edge in the parent's avail,
-        # in index order; no other vertex has one in avail.
+        # rows: the rows with an edge in the parent's avail, in index order;
+        # cols, syms: the edge bitsets of the columns and symbols with one,
+        # in index order.  No other vertex has an edge in avail.
         nonlocal best, nodes, out_of_budget
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -203,18 +208,24 @@ def _max_tripartite_matching(
         if len(chosen) > len(best):
             best = list(chosen)
         gap = len(best) - len(chosen)
-        counts = [(avail & row_edges[r]).bit_count() for r in rows]
-        live = [r for r, k in zip(rows, counts) if k]
+        # One pass: the live rows, and the one with the fewest usable edges,
+        # lowest index on ties.
+        live = []
+        fewest = len(edges) + 1
+        for r in rows:
+            k = (avail & row_edges[r]).bit_count()
+            if k:
+                live.append(r)
+                if k < fewest:
+                    fewest, row = k, r
         if len(live) <= gap:
             return
-        cols = [j for j in cols if avail & col_edges[j]]
+        cols = list(filter(avail.__and__, cols))
         if len(cols) <= gap:
             return
-        syms = [s for s in syms if avail & sym_edges[s]]
+        syms = list(filter(avail.__and__, syms))
         if len(syms) <= gap:
             return
-        # The live row with the fewest usable edges, lowest index on ties.
-        row = rows[counts.index(min(filter(None, counts)))]
         twin = next_row[row]
         mine = avail & row_edges[row]
         live.remove(row)
@@ -245,7 +256,7 @@ def _max_tripartite_matching(
                 out_of_budget = True
 
     search((1 << len(edges)) - 1, first_cols, first_syms, [],
-           list(range(n_rows)), list(range(class_sizes[1])), list(range(class_sizes[2])))
+           list(range(n_rows)), col_edges, sym_edges)
     return best, not out_of_budget
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -443,6 +444,23 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def test_generate_does_not_load_scipy(tmp_path):
+    # scipy is imported by the bipartite matching alone, so a fresh process
+    # that imports the CLI and generates a square never loads it.
+    argv = ["generate", "--kind", "counterexample", "--n", "64", "--out", str(tmp_path / "s.txt")]
+    script = (
+        "import sys\n"
+        "from equisquares import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("corrupt", [

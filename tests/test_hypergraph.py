@@ -1,11 +1,12 @@
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from equisquares import bipartite, halving
-from equisquares.constructions import cyclic_latin, random_equi_square
+from equisquares.constructions import block_structured_square, cyclic_latin, random_equi_square
 from equisquares.hypergraph import (
     EdgeColouring,
     InvalidParam,
@@ -294,8 +295,16 @@ def test_split_rejects_overlapping_high_pairs():
         [(0, 0, z) for z in range(3)] + [(0, z, 0) for z in range(3)]
     )
     h = TripartiteHypergraph((1, 3, 3), edges)
-    with pytest.raises(NotAMatching):
+    with pytest.raises(NotAMatching, match=re.escape(
+            "high-codegree pairs ((0, 0), (1, 0)) and ((0, 0), (2, 0)) share vertex (0, 0)")):
         split_high_codegree(h, 1)
+    # A block square's high pairs share vertices too; the message names one
+    # vertex and two pairs, not the whole pair set.
+    h = from_square(block_structured_square(16, 4, 1)[0])
+    with pytest.raises(NotAMatching, match=re.escape(
+            "high-codegree pairs ((0, 0), (2, 4)) and ((1, 0), (2, 4)) share vertex (2, 4)")) as info:
+        split_high_codegree(h, 1)
+    assert len(str(info.value)) < 100
 
 
 def test_greedy_colouring_trivial_and_bound():

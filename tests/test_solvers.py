@@ -365,9 +365,11 @@ def test_exact_search_returns_pinned_answers():
     (counterexample_square(8)[0], 79),
     (counterexample_square(10)[0], 41),
     (counterexample_square(16)[0], 614),
+    (counterexample_square(18)[0], 108620),
     (cyclic_latin(8), 2226),
     (cyclic_latin(10), 44322),
-], ids=["counterexample8", "counterexample10", "counterexample16", "cyclic8", "cyclic10"])
+], ids=["counterexample8", "counterexample10", "counterexample16", "counterexample18", "cyclic8",
+        "cyclic10"])
 def test_exact_search_tree_size_is_pinned(square, nodes):
     # The node count of a full search pins its tree: the branching order,
     # the bounds and the twin rules all change it.
