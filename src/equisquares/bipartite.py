@@ -63,11 +63,6 @@ class BipartiteMultigraph:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def by_label(self) -> dict:
-        """label -> (left, right) for every edge."""
-        return dict(enumerate(zip(self.left.tolist(), self.right.tolist())))
-
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.bincount(self.left, minlength=self.left_size),
                 np.bincount(self.right, minlength=self.right_size))

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bipartite, constructions, halving, hypergraph, solvers, squares
+from . import bipartite, constructions, halving, solvers, squares
 from .rng import stream, trial_seed
 
 EXPERIMENTS = ("missing-colour", "concentration", "greedy-baseline", "peel", "survival",
@@ -64,12 +64,6 @@ def _read_pairing(path):
 
 def cmd_generate(args) -> int:
     out = Path(args.out)
-    if args.kind == "alon-kim":
-        h = hypergraph.alon_kim(args.n)
-        hypergraph.write_hypergraph(h, out)
-        _say(f"wrote {out} (t={args.n}: {len(h.edges)} edges)")
-        print(json.dumps({"hypergraph": str(out), "t": args.n, "edges": len(h.edges)}))
-        return 0
     if args.kind == "block" and args.m is None:
         return _fail_usage("--m is required for block squares")
     sidecar, extra = None, {}  # sidecar: (name, function writing it to a path)
@@ -372,9 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a square (plus sidecars) to disk")
     g.add_argument("--kind", required=True,
-                   choices=["counterexample", "random", "block", "cyclic", "alon-kim"])
-    g.add_argument("--n", type=_int_at_least(1), required=True,
-                   help="order (for alon-kim: the parameter t)")
+                   choices=["counterexample", "random", "block", "cyclic"])
+    g.add_argument("--n", type=_int_at_least(1), required=True, help="order")
     g.add_argument("--m", type=_int_at_least(1), default=None, help="block size (block kind)")
     g.add_argument("--seed", type=_int_at_least(0), default=0)
     g.add_argument("--out", required=True)

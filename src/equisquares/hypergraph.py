@@ -16,11 +16,10 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 from .bipartite import NotAMatching  # one class, importable from here too
 from .solvers import _max_tripartite_matching
-from .squares import EquiNSquare, ParseError, _ints, _lines
+from .squares import EquiNSquare
 
 Vertex = tuple[int, int]
 
@@ -33,13 +32,6 @@ class InvalidParam(ValueError):
     pass
 
 
-def _out_of_range(edge, class_sizes) -> str:
-    """Why edge is not one vertex of each class, or "" if it is."""
-    if len(edge) == 3 and all(0 <= v < size for v, size in zip(edge, class_sizes)):
-        return ""
-    return f"edge {edge} out of range for classes {class_sizes}"
-
-
 @dataclass(frozen=True, eq=False)
 class TripartiteHypergraph:
     """Edge list over three vertex classes; multi-edges allowed."""
@@ -48,9 +40,14 @@ class TripartiteHypergraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        a, b, c = self.class_sizes
         for e in self.edges:
-            if reason := _out_of_range(e, self.class_sizes):
-                raise ValueError(reason)
+            try:
+                x, y, z = map(operator.index, e)
+            except (TypeError, ValueError):  # not three integers
+                x = y = z = -1
+            if not (0 <= x < a and 0 <= y < b and 0 <= z < c):
+                raise ValueError(f"edge {e} out of range for classes {self.class_sizes}")
 
     @property
     def num_vertices(self) -> int:
@@ -224,22 +221,20 @@ def is_proper(h: TripartiteHypergraph, colouring: EdgeColouring) -> bool:
 def greedy_edge_colouring(h: TripartiteHypergraph) -> EdgeColouring:
     """First-fit colouring over edges in index order.
 
-    Uses at most 3*(max_degree - 1) + 1 colours since an edge meets at most
-    that many others.
+    Each vertex keeps one int with a bit per colour already used at it, so
+    an edge takes the lowest bit clear in all three of its vertices.  Uses
+    at most 3*(max_degree - 1) + 1 colours since an edge meets at most that
+    many others.
     """
-    taken: dict[Vertex, set[int]] = {}
+    used0, used1, used2 = ([0] * size for size in h.class_sizes)
     colours = []
-    for e in h.edges:
-        verts = [(0, e[0]), (1, e[1]), (2, e[2])]
-        blocked = set()
-        for v in verts:
-            blocked |= taken.get(v, set())
-        c = 0
-        while c in blocked:
-            c += 1
-        colours.append(c)
-        for v in verts:
-            taken.setdefault(v, set()).add(c)
+    for a, b, c in h.edges:
+        blocked = used0[a] | used1[b] | used2[c]
+        bit = ~blocked & (blocked + 1)
+        used0[a] |= bit
+        used1[b] |= bit
+        used2[c] |= bit
+        colours.append(bit.bit_length() - 1)
     return EdgeColouring(tuple(colours))
 
 
@@ -260,22 +255,3 @@ def max_matching_exact(h: TripartiteHypergraph, budget: int | None = None):
     for i, e in enumerate(h.edges):
         index.setdefault(e, i)
     return tuple(sorted(index[t] for t in triples)), optimal
-
-
-def write_hypergraph(h: TripartiteHypergraph, path) -> None:
-    """Text format: line 1 '|A| |B| |C|', then one 'a b c' line per edge."""
-    lines = [" ".join(str(s) for s in h.class_sizes)]
-    lines += [f"{a} {b} {c}" for a, b, c in h.edges]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def read_hypergraph(path) -> TripartiteHypergraph:
-    lines = _lines(Path(path).read_bytes())
-    sizes = tuple(_ints(1, lines[0], 3, "class sizes", "class size"))
-    if min(sizes) < 0:
-        raise ParseError(1, f"negative class size in {sizes}")
-    edges = [tuple(_ints(i, line, 3)) for i, line in enumerate(lines[1:], start=2)]
-    for i, edge in enumerate(edges, start=2):
-        if reason := _out_of_range(edge, sizes):
-            raise ParseError(i, reason)
-    return TripartiteHypergraph(sizes, tuple(edges))

@@ -210,16 +210,16 @@ def _lines(raw: bytes) -> list[str]:
     return lines
 
 
-def _ints(i: int, line: str, count: int, many: str = "entries", one: str = "entry") -> list[int]:
+def _ints(i: int, line: str, count: int) -> list[int]:
     """The count whitespace-separated integers of line i; ParseError(i, ...)
     if there are more or fewer, or one is not an integer."""
     parts = line.split()
     if len(parts) != count:
-        raise ParseError(i, f"expected {count} {many}")
+        raise ParseError(i, f"expected {count} entries")
     try:
         return [int(p) for p in parts]
     except ValueError:
-        raise ParseError(i, f"non-integer {one}") from None
+        raise ParseError(i, "non-integer entry") from None
 
 
 def _digit_runs(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

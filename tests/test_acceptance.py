@@ -97,7 +97,7 @@ def test_criterion_04_regular_decomposition():
         for m in parts:
             okay &= len(m) == 200 and bipartite.is_matching(g, m) and not (seen & m)
             seen |= m
-        okay &= seen == set(g.by_label)
+        okay &= seen == set(range(g.left.size))
         if not okay:
             failures += 1
     ok = failures == 0

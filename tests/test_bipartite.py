@@ -96,7 +96,7 @@ def test_decompose_regular_partitions(k):
         assert is_matching(g, m)
         assert not (seen & m)
         seen |= m
-    assert seen == set(g.by_label)
+    assert seen == set(range(g.left.size))
 
 
 def reference_decompose_regular(graph, k: int) -> list[frozenset]:
@@ -155,7 +155,7 @@ def max_matching(g: BipartiteMultigraph) -> frozenset:
     """matching_pairs_from_arrays on g's edge arrays, each matched pair as
     the label of its first edge (a KeyError if the pair is not an edge)."""
     first: dict = {}
-    for label, pair in g.by_label.items():
+    for label, pair in enumerate(zip(g.left.tolist(), g.right.tolist())):
         first.setdefault(pair, label)
     pairs = matching_pairs_from_arrays(g.left, g.right, g.left_size, g.right_size)
     assert len(set(pairs)) == len(pairs)

@@ -59,14 +59,13 @@ def test_generate_block_writes_sidecar(tmp_path, capsys):
     assert blocks["format"] == 1 and len(blocks["blocks"]) == 32
 
 
-def test_generate_alon_kim(tmp_path, capsys):
+def test_generate_alon_kim_is_not_a_kind(tmp_path, capsys):
     out = tmp_path / "h.txt"
-    code, stdout, _ = run_cli(
-        ["generate", "--kind", "alon-kim", "--n", "2", "--out", str(out)], capsys
-    )
-    assert code == 0
-    assert json.loads(stdout)["edges"] == 24
-    assert out.read_text().splitlines()[0] == "6 6 6"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--kind", "alon-kim", "--n", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'alon-kim'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_bad_params_exit_2(tmp_path, capsys):
@@ -746,8 +745,6 @@ GENERATE_GOLDEN = {  # exit code, SHA-256 prefixes of stdout and stderr, and of 
         (0, "cdc4183a9f541be4", "95fc2ac8be027470", {"g.blocks.json": "773e5af875519fae", "g.txt": "d478b864836d8c2c"}),
     "cyclic --n 7":
         (0, "1e71e544a9e76689", "809bc435eb3c18f2", {"g.txt": "4630732ba29bc20a"}),
-    "alon-kim --n 2":
-        (0, "01868991398f75bc", "ddf1bad77a0e3e52", {"g.txt": "af6ab9bee8b80064"}),
     "counterexample --n 7":
         (2, "e3b0c44298fc1c14", "7d65736c510e36ad", {}),
     "block --n 16":

@@ -21,7 +21,6 @@ from equisquares.constructions import (
     read_blocks,
     write_blocks,
 )
-from equisquares.hypergraph import read_hypergraph
 from equisquares.squares import SquareError, read_square, read_transversal
 
 FUZZ = settings(max_examples=60, deadline=None,
@@ -47,8 +46,8 @@ def _with_file(content: bytes, read):
         return read(path)
 
 
-@pytest.mark.parametrize("read", [read_square, read_transversal, read_hypergraph],
-                         ids=["square", "transversal", "hypergraph"])
+@pytest.mark.parametrize("read", [read_square, read_transversal],
+                         ids=["square", "transversal"])
 @FUZZ
 @given(content=file_bytes)
 def test_text_readers_raise_only_square_error(read, content):

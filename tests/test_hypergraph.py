@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 import re
 
 import numpy as np
@@ -20,11 +22,9 @@ from equisquares.hypergraph import (
     greedy_edge_colouring,
     is_proper,
     max_matching_exact,
-    read_hypergraph,
     split_high_codegree,
-    write_hypergraph,
 )
-from equisquares.squares import ParseError, validate_square
+from equisquares.squares import validate_square
 
 
 def brute_max_matching(h: TripartiteHypergraph) -> int:
@@ -319,6 +319,21 @@ def test_greedy_colouring_trivial_and_bound():
     assert col.num_colours <= 3 * (5 - 1) + 1
 
 
+GREEDY_COLOURING_GOLDEN = [  # SHA-256 prefix of the colours as JSON, per hypergraph
+    (lambda: alon_kim(2), "9401e2be79af59d6"),
+    (lambda: blow_up(alon_kim(1), 3), "1559290e0839a509"),
+    (lambda: from_square(random_equi_square(64, 1)), "75bcb1b5246fde10"),
+    (lambda: from_square(block_structured_square(16, 4, 1)[0]), "c5685426a71f94ba"),
+]
+
+
+@pytest.mark.parametrize("make,digest", GREEDY_COLOURING_GOLDEN,
+                         ids=["alon_kim2", "blow_up_alon_kim1_3", "random64", "block16_4"])
+def test_greedy_colouring_is_pinned(make, digest):
+    colours = greedy_edge_colouring(make()).colours
+    assert hashlib.sha256(json.dumps(colours).encode()).hexdigest()[:16] == digest
+
+
 def test_is_proper_rejects_a_colour_repeated_at_a_vertex():
     # Edge 2 meets edge 0 in column 0 and symbol 1, and edge 1 in row 1;
     # edges 0 and 1 are disjoint.
@@ -402,6 +417,13 @@ def test_constructor_rejects_edges_outside_the_classes(edge):
         TripartiteHypergraph((1, 1, 1), ((0, 0, 0), edge))
 
 
+@pytest.mark.parametrize("edge", [(0.5, 0, 0), (1, 1.0, 1), (0, 0, "1"), (0, 0, None), 5],
+                         ids=repr)
+def test_constructor_rejects_vertices_that_are_not_integers(edge):
+    with pytest.raises(ValueError, match=re.escape(f"edge {edge} out of range")):
+        TripartiteHypergraph((2, 2, 2), (edge, (1, 1, 1)))
+
+
 def test_max_matching_exact_on_no_edges():
     empty = TripartiteHypergraph((1, 1, 1), ())
     assert max_matching_exact(empty) == ((), True)
@@ -413,43 +435,3 @@ def test_max_matching_budget_flag():
     matching, optimal = max_matching_exact(h, budget=5)
     assert not optimal
     assert len(matching) >= 1  # greedy incumbent is still returned
-
-
-def test_hypergraph_file_round_trip(tmp_path):
-    h = alon_kim(2)
-    path = tmp_path / "h.txt"
-    write_hypergraph(h, path)
-    again = read_hypergraph(path)
-    assert again.class_sizes == h.class_sizes
-    assert again.edges == h.edges
-    first = path.read_text().splitlines()[0]
-    assert first == "6 6 6"
-
-
-HYPERGRAPH_READ_ERRORS = [  # file bytes, ParseError.line, ParseError.reason
-    (b"", 1, "empty file"),
-    (b"\n", 1, "expected 3 class sizes"),
-    (b"1 1\n", 1, "expected 3 class sizes"),
-    (b"1 1 1 1\n", 1, "expected 3 class sizes"),
-    (b"1 x 1\n", 1, "non-integer class size"),
-    (b"1 -1 1\n", 1, "negative class size in (1, -1, 1)"),
-    (b"1 1 1\n0 0\n", 2, "expected 3 entries"),
-    (b"1 1 1\n\n", 2, "expected 3 entries"),
-    (b"1 1 1\n0 0 z\n", 2, "non-integer entry"),
-    (b"1 1 1\n0 0 0\n\xfe\n", 3, "not UTF-8 text"),
-    (b"1 1 1\n0 0 1\n", 2, "edge (0, 0, 1) out of range for classes (1, 1, 1)"),
-    (b"1 1 1\n0 -1 0\n", 2, "edge (0, -1, 0) out of range for classes (1, 1, 1)"),
-    (b"1 1 1\n0 0 0\n0 0 5\n", 3, "edge (0, 0, 5) out of range for classes (1, 1, 1)"),
-]
-
-
-@pytest.mark.parametrize("data,line,reason", HYPERGRAPH_READ_ERRORS,
-                         ids=[str(i) for i in range(len(HYPERGRAPH_READ_ERRORS))])
-def test_read_hypergraph_parse_errors_are_pinned(tmp_path, data, line, reason):
-    path = tmp_path / "h.txt"
-    path.write_bytes(data)
-    with pytest.raises(ParseError) as exc:
-        read_hypergraph(path)
-    assert (exc.value.line, exc.value.reason) == (line, reason)
-    path.write_bytes(b"1 1 1\n0 0 0")  # no final newline is fine
-    assert read_hypergraph(path).edges == ((0, 0, 0),)

@@ -83,6 +83,13 @@ def test_no_unreferenced_private_methods_in_src():
     assert dead == []
 
 
+def _caller_trees() -> list:
+    """The trees of src/, less __init__.py's re-exports, and of demos/."""
+    trees = [tree for path, tree in _src_trees().items() if path.name != "__init__.py"]
+    return trees + [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+                     for path in sorted(DEMOS.glob("*.py"))]
+
+
 def test_every_exported_name_has_a_caller():
     # A function or class the package exports that nothing in src/ or demos/
     # names, past its own definition and the re-export in __init__.py, is
@@ -90,11 +97,29 @@ def test_every_exported_name_has_a_caller():
     exported = [name for name in equisquares.__all__
                 if inspect.isfunction(obj := getattr(equisquares, name)) or inspect.isclass(obj)]
     assert exported
-    trees = [tree for path, tree in _src_trees().items() if path.name != "__init__.py"]
-    trees += [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-              for path in sorted(DEMOS.glob("*.py"))]
+    trees = _caller_trees()
     definitions = {node.name: node for tree in trees for node in tree.body
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
     unused = [name for name in exported
               if not any(name in _names_used(tree, definitions.get(name)) for tree in trees)]
+    assert unused == []
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller():
+    # The same rule for the public methods and properties of the classes the
+    # package exports: one that nothing in src/ or demos/ names, past its own
+    # definition, is kept alive by tests alone.
+    exported = {name for name in equisquares.__all__ if inspect.isclass(getattr(equisquares, name))}
+    trees = _caller_trees()
+    members = [
+        (node.name, member)
+        for tree in trees for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in exported
+        for member in node.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+    ]
+    assert members
+    unused = [f"{cls}.{member.name}" for cls, member in members
+              if not any(member.name in _names_used(tree, member) for tree in trees)]
     assert unused == []
