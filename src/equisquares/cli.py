@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -50,14 +51,37 @@ def _int_at_least(lowest: int):
     return integer
 
 
-def _read_pairing(path):
-    """The JSON document in path; PairingMismatch if the file is not UTF-8
-    JSON, nests too deeply for the parser, or holds an integer too long to
-    convert."""
+def _read_pairing(raw: bytes):
+    """The JSON document in the bytes raw; PairingMismatch if they are not
+    UTF-8 JSON, nest too deeply for the parser, or hold an integer too long
+    to convert."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        # Decoded as Path.read_text decodes, universal newlines included.
+        return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
     except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError included
         raise constructions.PairingMismatch(f"pairing sidecar is not JSON: {exc}") from None
+
+
+def _checked_pairing(path, n: int) -> constructions.BoxPairing:
+    """The pairing counterexample_square(n) builds, if the sidecar at path is
+    the one generate writes for n; PairingMismatch otherwise.
+
+    generate's own bytes are accepted without a parse.  Any other file must
+    be JSON equal to them, key order aside; dumping tells 1 from 1.0 and
+    true, which == would not.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = constructions._pairing_text(n)
+    except constructions.TooSmall as exc:
+        _read_pairing(raw)  # a sidecar that is not JSON says so first
+        raise constructions.PairingMismatch(str(exc)) from None
+    _, pairing = constructions.counterexample_square(n)
+    if raw != text and (json.dumps(_read_pairing(raw), sort_keys=True)
+                        != json.dumps(pairing.to_json(), sort_keys=True)):
+        raise constructions.PairingMismatch(
+            f"pairing sidecar is not the one generate writes for n={n}")
+    return pairing
 
 
 # ---------------------------------------------------------------- generate
@@ -70,8 +94,8 @@ def cmd_generate(args) -> int:
     try:
         if args.kind == "counterexample":
             square, pairing = constructions.counterexample_square(args.n)
-            text = json.dumps(pairing.to_json()) + "\n"
-            sidecar = ("pairing", lambda path: path.write_text(text, encoding="utf-8"))
+            text = constructions._pairing_text(args.n)
+            sidecar = ("pairing", lambda path: path.write_bytes(text))
             extra = {"bound": pairing.transversal_bound()}
         elif args.kind == "block":
             square, blocks = constructions.block_structured_square(args.n, args.m, seed=args.seed)
@@ -159,16 +183,7 @@ def cmd_verify(args) -> int:
     if args.pairing:
         target = transversal if transversal is not None else squares.Transversal(())
         try:
-            sidecar = _read_pairing(args.pairing)
-            try:
-                _, pairing = constructions.counterexample_square(square.n)
-            except constructions.TooSmall as exc:
-                raise constructions.PairingMismatch(str(exc)) from None
-            # Key order aside, the sidecar must be exactly what generate writes;
-            # dumping tells 1 from 1.0 and true, which == would not.
-            if json.dumps(sidecar, sort_keys=True) != json.dumps(pairing.to_json(), sort_keys=True):
-                raise constructions.PairingMismatch(
-                    f"pairing sidecar is not the one generate writes for n={square.n}")
+            pairing = _checked_pairing(args.pairing, square.n)
             cert = constructions.missing_colour_certificate(square, pairing, target)
             report["certificate"] = {
                 "passed": cert.passed,

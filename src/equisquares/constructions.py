@@ -20,7 +20,6 @@ from .squares import (
     DimensionMismatch,
     EquiNSquare,
     Transversal,
-    _digit_runs,
     validate_square,
     validate_transversal,
 )
@@ -165,6 +164,13 @@ def _counterexample(n: int) -> tuple[EquiNSquare, BoxPairing]:
     pairing = BoxPairing(n=n, m=m, r=r, a=a, b=b, pairs=tuple(pairs),
                          leftover_fill=tuple(zip(rows.tolist(), cols.tolist(), queue.tolist())))
     return square, pairing
+
+
+@lru_cache(maxsize=1)
+def _pairing_text(n: int) -> bytes:
+    """The pairing sidecar of order n as generate writes it: json.dumps of
+    the pairing's to_json() and a newline."""
+    return (json.dumps(_counterexample(n)[1].to_json()) + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -355,6 +361,13 @@ def write_blocks(blocks: BlockStructure, path) -> None:
     Path(path).write_bytes(_SIDECAR % (b"1", b"%d" % m, body))
 
 
+def _digit_runs(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start and stop offsets of the maximal runs of ASCII digits in the bytes buf."""
+    digit = (buf - ord("0")) < 10  # uint8 arithmetic wraps the bytes below "0"
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    return edges[0::2], edges[1::2]
+
+
 def _written_layout(raw: bytes) -> tuple[int, int] | None:
     """(m, K) if raw is a sidecar of K blocks laid out byte for byte as
     :func:`write_blocks` writes it; None for any other file.
@@ -365,7 +378,7 @@ def _written_layout(raw: bytes) -> tuple[int, int] | None:
     be the layout's for m and the count of blocks the other numbers make.
     """
     buf = np.frombuffer(raw, dtype=np.uint8)
-    starts, stops = _digit_runs(buf)[1:]
+    starts, stops = _digit_runs(buf)
     sizes = stops - starts
     if starts.size < 2 or sizes.max() > 18 or ((buf[starts] == ord("0")) & (sizes > 1)).any():
         return None

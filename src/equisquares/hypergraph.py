@@ -89,9 +89,7 @@ class TripartiteHypergraph:
 def from_square(square: EquiNSquare) -> TripartiteHypergraph:
     """One edge (row, col, symbol) per cell; the result is n-regular."""
     n = square.n
-    edges = tuple(
-        (i, j, int(square.grid[i, j])) for i in range(n) for j in range(n)
-    )
+    edges = tuple((i, j, s) for i, row in enumerate(square.grid.tolist()) for j, s in enumerate(row))
     return TripartiteHypergraph((n, n, n), edges)
 
 

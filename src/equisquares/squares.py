@@ -159,6 +159,11 @@ def validate_transversal(square: EquiNSquare, cells: Iterable[tuple[int, int]]) 
             raise CellOutOfRange(f"cell {tuple(cell)} outside [0, {n})^2")
         normed.append(cell)
     normed.sort()
+    # As many distinct rows, columns and symbols as cells: no clash.  Only a
+    # clash needs the walk in row order below, which names its two cells.
+    rows, cols = zip(*normed) if normed else ((), ())
+    if all(len(set(a)) == len(normed) for a in (rows, cols, square.grid[rows, cols].tolist())):
+        return Transversal(cells=tuple(normed))
     seen_row: dict[int, Cell] = {}
     seen_col: dict[int, Cell] = {}
     seen_sym: dict[int, Cell] = {}
@@ -222,37 +227,29 @@ def _ints(i: int, line: str, count: int) -> list[int]:
         raise ParseError(i, "non-integer entry") from None
 
 
-def _digit_runs(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the bytes buf: which are ASCII digits, and the start and stop
-    offsets of its maximal runs of them."""
-    digit = (buf - ord("0")) < 10  # uint8 arithmetic wraps the bytes below "0"
-    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    return digit, edges[0::2], edges[1::2]
-
-
 def _written_grid(raw: bytes) -> np.ndarray | None:
-    """The grid of a square file laid out as :func:`write_square` writes it,
-    parsed without a Python object per token; None for any other file.
+    """The grid of a square file laid out byte for byte as :func:`write_square`
+    writes it, parsed without a Python object per token; None for any other file.
 
-    The layout: only ASCII digits, spaces and newlines, the final newline
-    optional; one token on line 1 and n tokens on each of the n lines after
-    it; no token over 18 digits, so every token fits in an int64.
+    The layout: a header of 1 to 18 ASCII digits and a newline, then n lines
+    of n runs of ASCII digits, one space between runs and a newline after
+    each line; no token of 10**18 or more, so every token fits in an int64.
     """
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    digit, starts, stops = _digit_runs(buf)
-    if not (digit | (buf == ord(" ")) | (buf == ord("\n"))).all():
+    end = raw.find(b"\n")
+    if not (0 < end <= 18 and raw[:end].isdigit() and raw.endswith(b"\n")):
         return None
-    if starts.size == 0 or (stops - starts).max() > 18:
+    n = int(raw[:end])
+    # With the digits gone, the separators must be the layout's exactly.
+    separators = raw.translate(None, b"0123456789")
+    if n < 1 or len(separators) != n * n + 1 or separators != b"\n" + (b" " * (n - 1) + b"\n") * n:
         return None
-    # Tokens per line: those starting before each newline, then the rest.
-    newlines = np.flatnonzero(buf == ord("\n"))
-    counts = np.diff(np.searchsorted(starts, newlines), prepend=0, append=starts.size)
-    if raw.endswith(b"\n"):
-        counts = counts[:-1]
-    n = int(raw[starts[0]:stops[0]])
-    if n < 1 or counts.size != n + 1 or counts[0] != 1 or (counts[1:] != n).any():
+    # The header fills the place before the first separator, and nothing
+    # follows the last; so n * n + 1 tokens leave no place between two
+    # separators empty.
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if values.size != n * n + 1 or values.max() >= 10**18:
         return None
-    return np.fromstring(raw, dtype=np.int64, sep=" ")[1:].reshape(n, n)
+    return values[1:].reshape(n, n)
 
 
 def read_square(path) -> EquiNSquare:

@@ -539,6 +539,62 @@ def test_verify_rejects_recoloured_construction(tmp_path, capsys):
     assert json.loads(stdout)["certificate"]["passed"] is False
 
 
+PAIRING_LAYOUTS = {  # each JSON equal to the generated sidecar, but not byte equal
+    "reordered keys": lambda text: json.dumps(dict(reversed(json.loads(text).items()))) + "\n",
+    "indent=2": lambda text: json.dumps(json.loads(text), indent=2) + "\n",
+    "no final newline": lambda text: text[:-1],
+}
+
+
+def _counterexample_files(tmp_path, capsys):
+    """A generated n = 18 square, a greedy transversal of it and its pairing
+    sidecar, and verify's argv for the three."""
+    square_file = tmp_path / "s.txt"
+    run_cli(["generate", "--kind", "counterexample", "--n", "18", "--out", str(square_file)], capsys)
+    _, stdout, _ = run_cli(["solve", "--method", "greedy", "--in", str(square_file)], capsys)
+    sidecar = tmp_path / "s.pairing.json"
+    return sidecar, ["verify", "--square", str(square_file),
+                     "--transversal", json.loads(stdout)["cells_file"], "--pairing", str(sidecar)]
+
+
+@pytest.mark.parametrize("layout", PAIRING_LAYOUTS)
+def test_verify_accepts_json_equal_pairing_in_another_layout(tmp_path, capsys, layout):
+    sidecar, argv = _counterexample_files(tmp_path, capsys)
+    sidecar.write_text(PAIRING_LAYOUTS[layout](sidecar.read_text(encoding="utf-8")), encoding="utf-8")
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(stdout)["certificate"]["passed"] is True
+
+
+def test_verify_reads_generated_pairing_without_json(tmp_path, capsys, monkeypatch):
+    # A silent parse would keep every output and lose the speed; with
+    # json.loads gone, generate's own bytes still pass the check.
+    _, argv = _counterexample_files(tmp_path, capsys)
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("json.loads called on a pairing sidecar in generate's layout")
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", no_json)
+        code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(stdout)["certificate"]["passed"] is True
+
+
+@pytest.mark.parametrize("content, error", [
+    (b"{", "pairing sidecar is not JSON: Expecting property name enclosed in double quotes: "
+           "line 1 column 2 (char 1)"),
+    (b"{}", "no paired-box construction for n=2"),
+])
+def test_verify_pairing_reports_not_json_before_an_order_without_construction(
+        tmp_path, capsys, content, error):
+    square_file, sidecar = tmp_path / "s.txt", tmp_path / "s.pairing.json"
+    square_file.write_text("2\n0 1\n1 0\n")
+    sidecar.write_bytes(content)
+    code, stdout, _ = run_cli(["verify", "--square", str(square_file), "--pairing", str(sidecar)], capsys)
+    assert code == 1
+    assert json.loads(stdout)["certificate"] == {"passed": False, "error": error}
+
+
 def test_experiment_concentration_centres_on_block_size(tmp_path, capsys):
     # k = n/m = 16: the mean row load is m = 16, not n/4 = 64.
     csv_path = tmp_path / "conc.csv"

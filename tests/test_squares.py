@@ -354,6 +354,33 @@ def test_read_square_matches_reference_on_mutated_squares(n, seed, mutation, k):
     _same_as_reference(_mutate(text, mutation, k).encode("utf-8"))
 
 
+LAYOUTS = {  # each write_square's bytes for [[0, 1], [1, 0]] or cyclic_latin(8), changed
+    "doubled space": (b"2\n0  1\n1 0\n", False),
+    "trailing space": (b"2\n0 1 \n1 0\n", False),
+    "tab": (b"2\n0\t1\n1 0\n", False),
+    "crlf": (b"2\r\n0 1\r\n1 0\r\n", False),
+    "no final newline": (b"2\n0 1\n1 0", False),
+    "token 007": (b"2\n0 1\n1 007\n", True),
+    "header 08": (b"08\n" + written(cyclic_latin(8).grid).encode("ascii").split(b"\n", 1)[1], True),
+    "token of 19 digits": (b"2\n0 1\n1 " + b"9" * 19 + b"\n", False),
+    "token of 19 digits below n": (b"2\n0 1\n1 " + b"0" * 18 + b"0\n", True),
+    # A space moved to the start of a line keeps the separators, not the
+    # count of tokens.
+    "space at the start of a line": (b"2\n 01\n1 0\n", False),
+    # A token moved from a line into the place after the last newline
+    # keeps the separators and the count of tokens.
+    "token after the last newline": (b"2\n0 1\n 0\n1", False),
+    "unchanged": (b"2\n0 1\n1 0\n", True),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_read_square_matches_reference_on_layouts(layout):
+    data, taken = LAYOUTS[layout]
+    assert (_written_grid(data) is not None) == taken  # only write_square's layout takes the array path
+    _same_as_reference(data)
+
+
 @pytest.mark.parametrize("data,line,reason", [
     (b"1000000000\n0\n", 3, "expected 1000000000 grid rows, found 1"),
     (b"99999999999999999999\n", 2, "expected 99999999999999999999 grid rows, found 0"),
