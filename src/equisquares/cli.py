@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -49,39 +48,6 @@ def _int_at_least(lowest: int):
             raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
         return value
     return integer
-
-
-def _read_pairing(raw: bytes):
-    """The JSON document in the bytes raw; PairingMismatch if they are not
-    UTF-8 JSON, nest too deeply for the parser, or hold an integer too long
-    to convert."""
-    try:
-        # Decoded as Path.read_text decodes, universal newlines included.
-        return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError included
-        raise constructions.PairingMismatch(f"pairing sidecar is not JSON: {exc}") from None
-
-
-def _checked_pairing(path, n: int) -> constructions.BoxPairing:
-    """The pairing counterexample_square(n) builds, if the sidecar at path is
-    the one generate writes for n; PairingMismatch otherwise.
-
-    generate's own bytes are accepted without a parse.  Any other file must
-    be JSON equal to them, key order aside; dumping tells 1 from 1.0 and
-    true, which == would not.
-    """
-    raw = Path(path).read_bytes()
-    try:
-        text = constructions._pairing_text(n)
-    except constructions.TooSmall as exc:
-        _read_pairing(raw)  # a sidecar that is not JSON says so first
-        raise constructions.PairingMismatch(str(exc)) from None
-    _, pairing = constructions.counterexample_square(n)
-    if raw != text and (json.dumps(_read_pairing(raw), sort_keys=True)
-                        != json.dumps(pairing.to_json(), sort_keys=True)):
-        raise constructions.PairingMismatch(
-            f"pairing sidecar is not the one generate writes for n={n}")
-    return pairing
 
 
 # ---------------------------------------------------------------- generate
@@ -183,7 +149,7 @@ def cmd_verify(args) -> int:
     if args.pairing:
         target = transversal if transversal is not None else squares.Transversal(())
         try:
-            pairing = _checked_pairing(args.pairing, square.n)
+            pairing = constructions.read_pairing(args.pairing, square.n)
             cert = constructions.missing_colour_certificate(square, pairing, target)
             report["certificate"] = {
                 "passed": cert.passed,

@@ -173,6 +173,38 @@ def _pairing_text(n: int) -> bytes:
     return (json.dumps(_counterexample(n)[1].to_json()) + "\n").encode("utf-8")
 
 
+def _json_document(raw: bytes, error: type[ValueError], name: str):
+    """The JSON document in the bytes raw; error, naming the sidecar, if they
+    are not UTF-8 JSON, nest too deeply for the parser, or hold an integer
+    too long to convert."""
+    try:
+        # Decoded as Path.read_text decodes, universal newlines included.
+        return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError included
+        raise error(f"{name} sidecar is not JSON: {exc}") from None
+
+
+def read_pairing(path, n: int) -> BoxPairing:
+    """The pairing counterexample_square(n) builds, if the sidecar at path is
+    the one generate writes for n; PairingMismatch otherwise.
+
+    generate's own bytes are accepted without a parse.  Any other file must
+    be JSON equal to them, key order aside; dumping tells 1 from 1.0 and
+    true, which == would not.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = _pairing_text(n)
+    except TooSmall as exc:
+        _json_document(raw, PairingMismatch, "pairing")  # a sidecar that is not JSON says so first
+        raise PairingMismatch(str(exc)) from None
+    pairing = _counterexample(n)[1]
+    if raw != text and (json.dumps(_json_document(raw, PairingMismatch, "pairing"), sort_keys=True)
+                        != json.dumps(pairing.to_json(), sort_keys=True)):
+        raise PairingMismatch(f"pairing sidecar is not the one generate writes for n={n}")
+    return pairing
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Missing-colour audit of a transversal on an adversarial square."""
@@ -321,8 +353,7 @@ def _int_array(values: list, key: str, ndim: int) -> np.ndarray:
 # The blocks sidecar, format 1, is json.dumps of {"format": 1, "m": m,
 # "blocks": [{"col": c, "symbol": s, "rows": [r, ...]}, ...]} and a newline.
 _SIDECAR = b'{"format": %b, "m": %b, "blocks": [%b]}\n'
-_DIGITS = b"0123456789"
-_SPACE_OUT = bytes(c if c in _DIGITS else ord(" ") for c in range(256))  # for bytes.translate
+_SPACE_OUT = bytes(c if c in b"0123456789" else ord(" ") for c in range(256))  # for bytes.translate
 
 
 def _block_pieces(m: int) -> list[bytes]:
@@ -331,13 +362,8 @@ def _block_pieces(m: int) -> list[bytes]:
     return [b'{"col": ', b', "symbol": ', b', "rows": [', *[b", "] * (m - 1), b"]}, "]
 
 
-def write_blocks(blocks: BlockStructure, path) -> None:
-    """Write the blocks sidecar, format 1 as one line of JSON.
-
-    BlockMismatch, and no file, unless the blocks could tile a square: K
-    blocks of m cells with K*m = n*n, n >= 1, and every column, symbol and
-    row in [0, n).
-    """
+def _blocks_text(blocks: BlockStructure) -> bytes:
+    """The bytes :func:`write_blocks` writes for blocks, or its BlockMismatch."""
     m, cols, symbols, rows = blocks.m, blocks.cols, blocks.symbols, blocks.rows
     count = cols.size
     n = math.isqrt(count * m) if m > 0 else 0
@@ -353,75 +379,59 @@ def write_blocks(blocks: BlockStructure, path) -> None:
     # number.  The slots take the numbers' digits, zero-padded, and zero is
     # no byte of the text, so dropping zeros leaves it.
     width = len(str(n - 1))
-    digits = np.array([str(v) for v in range(n)], dtype=f"S{width}").view(np.uint8).reshape(n, width)
+    digits = np.array([str(v) for v in range(n)], dtype=f"S{width}")
     template = np.frombuffer(bytes(width).join(_block_pieces(m)), dtype=np.uint8)
     text = np.tile(template, (count, 1))
-    text[:, template == 0] = digits[np.column_stack(fields)].reshape(count, -1)
+    text[:, template == 0] = digits[np.column_stack(fields)].view(np.uint8)
     body = text[text != 0].tobytes()[:-2]  # less the ", " after the last block
-    Path(path).write_bytes(_SIDECAR % (b"1", b"%d" % m, body))
+    return _SIDECAR % (b"1", b"%d" % m, body)
 
 
-def _digit_runs(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The start and stop offsets of the maximal runs of ASCII digits in the bytes buf."""
-    digit = (buf - ord("0")) < 10  # uint8 arithmetic wraps the bytes below "0"
-    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    return edges[0::2], edges[1::2]
+def write_blocks(blocks: BlockStructure, path) -> None:
+    """Write the blocks sidecar, format 1 as one line of JSON.
 
-
-def _written_layout(raw: bytes) -> tuple[int, int] | None:
-    """(m, K) if raw is a sidecar of K blocks laid out byte for byte as
-    :func:`write_blocks` writes it; None for any other file.
-
-    The numbers are the maximal runs of ASCII digits: none over 18 digits,
-    so each fits an int64, and none with a leading zero, which JSON forbids.
-    The first is the format, 1, the second m; the bytes between them must
-    be the layout's for m and the count of blocks the other numbers make.
+    BlockMismatch, and no file, unless the blocks could tile a square: K
+    blocks of m cells with K*m = n*n, n >= 1, and every column, symbol and
+    row in [0, n).
     """
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    starts, stops = _digit_runs(buf)
-    sizes = stops - starts
-    if starts.size < 2 or sizes.max() > 18 or ((buf[starts] == ord("0")) & (sizes > 1)).any():
+    Path(path).write_bytes(_blocks_text(blocks))
+
+
+def _written_layout(raw: bytes) -> BlockStructure | None:
+    """The blocks in raw if :func:`write_blocks` writes exactly raw for them,
+    parsed without a Python object per number; None for any other file.
+
+    The second number is m, and the rest make blocks of m + 2 numbers.  A
+    leading zero, a token too long for an int64, or any byte out of
+    write_blocks' place changes the bytes the blocks render to.
+    """
+    # Spaces for every other byte leave only numbers to parse, so no warning.
+    numbers = np.fromstring(raw.translate(_SPACE_OUT), dtype=np.int64, sep=" ")
+    m = int(numbers[1]) if numbers.size >= 2 else 0
+    count, extra = divmod(numbers.size - 2, m + 2) if m >= 1 else (0, 0)
+    if count < 1 or extra:
         return None
-    m = int(raw[starts[1]:stops[1]])
-    count, extra = divmod(starts.size - 2, m + 2)
-    if raw[starts[0]:stops[0]] != b"1" or m < 1 or count < 1 or extra:
+    fields = numbers[2:].reshape(count, m + 2)
+    blocks = BlockStructure(m=m, cols=fields[:, 0].copy(), symbols=fields[:, 1].copy(),
+                            rows=fields[:, 2:].copy())
+    try:
+        return blocks if _blocks_text(blocks) == raw else None
+    except BlockMismatch:
         return None
-    # Each gap between numbers has the layout's length, and all the gaps
-    # together the layout's bytes; so each gap has the layout's bytes.
-    head, pieces = _SIDECAR.split(b"%b"), _block_pieces(m)
-    lengths = [len(p) for p in pieces]
-    # After a block's last row come its end and the next block's start.
-    block_gaps = [*lengths[1:-1], lengths[-1] + lengths[0]]
-    gaps = starts[1:] - stops[:-1]
-    if (starts[0] != len(head[0]) or gaps[0] != len(head[1]) or gaps[1] != len(head[2]) + lengths[0]
-            or not np.array_equal(gaps[2:], np.tile(block_gaps, count)[:-1])
-            or raw.translate(None, _DIGITS) != _SIDECAR % (b"", b"", (b"".join(pieces) * count)[:-2])):
-        return None
-    return m, count
 
 
 def read_blocks(path) -> BlockStructure:
     """Read a blocks sidecar; BlockMismatch if it is not format-1 JSON.
 
-    A file in write_blocks' layout is parsed by array passes, any other
-    through json.loads and :meth:`BlockStructure.from_json`; both accept
-    and refuse the same files.
+    A file that write_blocks would write byte for byte is parsed by array
+    passes, any other through json.loads and :meth:`BlockStructure.from_json`;
+    both accept and refuse the same files.
     """
     raw = Path(path).read_bytes()
-    layout = _written_layout(raw)
-    if layout is not None:
-        m, count = layout
-        # Spaces for every other byte leave only numbers to parse, so no warning.
-        numbers = np.fromstring(raw.translate(_SPACE_OUT), dtype=np.int64, sep=" ")
-        fields = numbers[2:].reshape(count, m + 2)
-        return BlockStructure(m=m, cols=fields[:, 0].copy(), symbols=fields[:, 1].copy(),
-                              rows=fields[:, 2:].copy())
-    try:
-        # Decoded as Path.read_text decodes, universal newlines included.
-        data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError included
-        raise BlockMismatch(f"blocks sidecar is not JSON: {exc}") from None
-    return BlockStructure.from_json(data)
+    blocks = _written_layout(raw)
+    if blocks is None:
+        return BlockStructure.from_json(_json_document(raw, BlockMismatch, "blocks"))
+    return blocks
 
 
 def validate_block_structure(square: EquiNSquare, blocks: BlockStructure) -> None:

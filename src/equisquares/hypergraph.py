@@ -205,7 +205,10 @@ class EdgeColouring:
 
 
 def is_proper(h: TripartiteHypergraph, colouring: EdgeColouring) -> bool:
-    """True iff edges sharing a vertex always have different colours."""
+    """True iff edges sharing a vertex always have different colours;
+    InvalidParam unless the colouring has one colour per edge."""
+    if len(colouring.colours) != len(h.edges):
+        raise InvalidParam("colouring size does not match edge count")
     for v, inc in h._incidence.items():
         seen = set()
         for i in inc:

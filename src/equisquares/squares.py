@@ -187,9 +187,9 @@ def write_square(square: EquiNSquare, path) -> None:
     # One row of bytes per symbol: its digits and a space, zero-padded to a
     # common width; zero is no byte of the text, so dropping zeros leaves it.
     width = len(str(n - 1)) + 1
-    table = np.array([f"{s} " for s in range(n)], dtype=f"S{width}").view(np.uint8)
-    text = table.reshape(n, width)[square.grid]
-    row_ends = text[:, -1]
+    table = np.array([f"{s} " for s in range(n)], dtype=f"S{width}")
+    text = table[square.grid].view(np.uint8)
+    row_ends = text[:, -width:]  # the last symbol of each row
     row_ends[row_ends == ord(" ")] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(b"%d\n" % n)

@@ -721,6 +721,10 @@ SIDECAR_LAYOUTS = {  # each from the text of a generated sidecar at n = 8, m = 2
     "token 07": lambda text: text.replace('"col": 7', '"col": 07', 1),
     "token -0": lambda text: text.replace('"col": 0', '"col": -0', 1),
     "negative row": lambda text: _with_first_block(text, "rows", [-1, 3]),
+    # In generate's layout, but blocks that write_blocks refuses to write.
+    "row out of range": lambda text: _with_first_block(text, "rows", [8, 3]),
+    "first block twice": lambda text: json.dumps(
+        {**(data := json.loads(text)), "blocks": data["blocks"] + data["blocks"][:1]}) + "\n",
     "true as a column": lambda text: _with_first_block(text, "col", True),
     "float symbol": lambda text: _with_first_block(text, "symbol", 1.0),
     "doubled space": lambda text: text.replace(", ", ",  ", 1),

@@ -343,6 +343,13 @@ def test_is_proper_rejects_a_colour_repeated_at_a_vertex():
     assert not is_proper(h, EdgeColouring((0, 0, 0)))
 
 
+@pytest.mark.parametrize("size", [1, 7], ids=["short", "long"])
+def test_is_proper_rejects_a_colouring_of_another_length(size):
+    h = alon_kim(1)  # 6 edges
+    with pytest.raises(InvalidParam, match="colouring size does not match edge count"):
+        is_proper(h, EdgeColouring(tuple(range(size))))
+
+
 def test_greedy_colouring_classes_are_matchings_random():
     rng = np.random.default_rng(8)
     for _ in range(10):
