@@ -5,14 +5,16 @@ matching unions, and component capping.
 An edge's label is its index 0 ... E-1; the graph stores the left and right
 endpoint of every edge as two parallel arrays.  Matchings are frozensets of
 labels only at the public boundary; inside they are int64 label arrays.
-`matching_pairs_from_arrays` is the one maximum-matching entry point: a
-Hopcroft-Karp (HK) matching of a graph given as edge arrays.  `_decompose`
-sorts the edges by (left, right, label), cuts them into runs of parallel
-edges and runs HK on one edge per live run, once per round; it returns
-the k perfect matchings of a k-regular graph as one (k, n) label array,
-and `decompose_regular` wraps it.  The components of the unions of many
-matching pairs, a whole halving level, come from one array pass
-(`_walks`) and are capped by another (`_cut`); `union_components` is the
+Maximum matching is scipy's Hopcroft-Karp (HK), through two wrappers:
+`matching_pairs_from_arrays` for a graph given as edge arrays, and
+`_hopcroft_karp` for one given in CSR form.  `_decompose` sorts the edges
+by (left, right, label), cuts them into runs of parallel edges and runs
+HK on one edge per live run, once per round, keeping the live runs
+compacted; it returns the k perfect matchings of a k-regular graph as one
+(k, n) label array, and `decompose_regular` wraps it.  The components of
+the unions of many matching pairs, a whole halving level, come from one
+array pass (`_walks`) and are capped by another (`_cut`); both order
+their output by scatters, not sorts.  `union_components` is the
 one-pair form of `_walks`.  `Component`, `PathCycleDecomposition` and
 `CapResult` are plain views with no serializer: the JSON form of a
 halving run is `halving.HalvingTrace.to_json`.  All operations are pure
@@ -128,21 +130,18 @@ def matching_pairs_from_arrays(
     return list(zip(matched.tolist(), match[matched].tolist()))
 
 
-def _hopcroft_karp(u: np.ndarray, v: np.ndarray, left_size: int, right_size: int) -> np.ndarray:
+def _hopcroft_karp(indptr: np.ndarray, v: np.ndarray, left_size: int, right_size: int) -> np.ndarray:
     """Right vertex matched to each left vertex, or -1, in a maximum matching.
 
-    The edges (u[i], v[i]) must be sorted by (u, v) with no repeats.  The
-    CSR matrix is built directly; it is the canonical one (rows in order,
-    columns ascending, no duplicates) that the COO route would build.
+    The graph is given in CSR form: left vertex u's neighbours are
+    v[indptr[u]:indptr[u + 1]], ascending with no repeats, so the matrix is
+    the canonical one the COO route would build.  Both arrays are int32,
+    the index type the matching code takes, so scipy copies nothing.
     """
     import scipy.sparse as sp
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    # int32 indices are what the matching code takes, so scipy copies nothing
-    indptr = np.zeros(left_size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(u, minlength=left_size), out=indptr[1:])
-    mat = sp.csr_matrix((np.ones(v.size, dtype=np.int8), v.astype(np.int32, copy=False), indptr),
-                        shape=(left_size, right_size))
+    mat = sp.csr_matrix((np.ones(v.size, dtype=np.int8), v, indptr), shape=(left_size, right_size))
     return maximum_bipartite_matching(mat, perm_type="column")
 
 
@@ -155,7 +154,10 @@ def _decompose(graph: BipartiteMultigraph, k: int) -> np.ndarray:
     first one it has left, so what a run has left is always a suffix of
     it: a round's graph is one edge per live run, the runs in order, which
     is the CSR matrix of the live edges with parallel edges collapsed to
-    their smallest label.
+    their smallest label.  The live runs are kept compacted, with a count
+    per left vertex, so a round's row pointers are one cumsum; a run drops
+    out when its last edge is taken.  After k - 1 rounds the graph left is
+    1-regular, its own only perfect matching, and is taken whole.
     """
     for side, deg in zip(("left", "right"), graph.degrees()):
         bad = np.flatnonzero(deg != k)
@@ -170,18 +172,32 @@ def _decompose(graph: BipartiteMultigraph, k: int) -> np.ndarray:
     opens = np.ones(by_ends.size, dtype=bool)
     opens[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
     start = np.flatnonzero(opens)
-    run_u, run_v = u[start], v[start].astype(np.int32)
-    size = np.diff(np.append(start, by_ends.size))
-    taken = np.zeros(start.size, dtype=np.int64)  # edges each run has lost
-    live = np.arange(start.size)
-    for t in range(k):
-        lu, lv = run_u[live], run_v[live]
-        runs = live[_hopcroft_karp(lu, lv, nl, nr)[lu] == lv]
-        if runs.size != nl:
+    last = np.append(opens[1:], True)  # the last edge of its run
+    # The live runs, compacted in (left, right) order: their (left, right)
+    # keys, right ends, and the position in by_ends of the next edge each
+    # gives; count[u] of them at left vertex u.
+    key, run_v, nxt = u[start] * nr + v[start], v[start].astype(np.int32), start
+    count = np.bincount(u[start], minlength=nl)
+    indptr = np.zeros(nl + 1, dtype=np.int32)
+    lefts = np.arange(nl) * nr
+    for t in range(k - 1):
+        np.cumsum(count, out=indptr[1:])
+        match = _hopcroft_karp(indptr, run_v, nl, nr)
+        if (match < 0).any():
             raise AssertionError("extraction round lacked a perfect matching")
-        out[t] = by_ends[start[runs] + taken[runs]]
-        taken[runs] += 1
-        live = live[taken[live] < size[live]]
+        runs = np.searchsorted(key, lefts + match)  # the run each left vertex matched
+        taken = nxt[runs]
+        out[t] = by_ends[taken]
+        nxt[runs] = taken + 1
+        done = last[taken]
+        if done.any():
+            count -= done
+            live = np.ones(key.size, dtype=bool)
+            live[runs[done]] = False
+            key, run_v, nxt = key[live], run_v[live], nxt[live]
+    if nxt.size != nl:
+        raise AssertionError("the last round is not a perfect matching")
+    out[k - 1] = by_ends[nxt]
     return out
 
 
@@ -302,8 +318,8 @@ def _walks(graph: BipartiteMultigraph, labels: np.ndarray, sizes: list[int]) -> 
     hop, reach, best = pred, (pred != pos).astype(np.int64), pos << _SHIFT
     longest = max((a + b for a, b in zip(sizes[::2], sizes[1::2])), default=1)
     for _ in range((longest - 1).bit_length()):
-        best = np.minimum(best, best[hop] + reach)
-        reach = reach + reach[hop]
+        np.minimum(best, best[hop] + reach, out=best)
+        reach += reach[hop]
         hop = hop[hop]
 
     cycle = reach[hop] > 0  # a path's edges hop to its first edge, which reaches nothing
@@ -319,11 +335,16 @@ def _walks(graph: BipartiteMultigraph, labels: np.ndarray, sizes: list[int]) -> 
     low[first] = low[last]
     forward = in_a.copy()
     forward[first] = enter[first] < leave[last]
-    back = size - step
-    back[cycle & (step == 0)] = 0  # walked backwards, a cycle still starts at its anchor
     comp = low[anchor]
-    order = np.argsort(comp * (size + 1) + np.where(forward[anchor], step, back))
     count = np.bincount(comp, minlength=1)
+    length = count[comp]
+    # Rank in the traversal: walked backwards, a path starts at its last
+    # edge, and a cycle at its anchor and then the edge before it.
+    back = length - 1 - step
+    back[cycle] += 1
+    back[cycle & (step == 0)] = 0
+    order = np.empty(size, dtype=np.int64)
+    order[(np.cumsum(count) - count)[comp] + np.where(forward[anchor], step, back)] = pos
     mins = np.flatnonzero(count)
     return _Walks(label, pair, in_a, in_b, order, count[mins], cycle[mins])
 
@@ -381,9 +402,16 @@ def _cut(seq: np.ndarray, lengths: np.ndarray, cycle: np.ndarray, s: int):
     kept = np.flatnonzero(~cut)
     opens = opens[kept]
     starts = np.flatnonzero(opens)
-    low = np.minimum.reduceat(seq[kept], starts)
-    rank = np.argsort(low)
+    # seq holds distinct values, so the pieces' smallest values are distinct
+    # and a scatter by value sorts the pieces.
+    by_low = np.full(seq.size, -1)
+    by_low[np.minimum.reduceat(seq[kept], starts)] = np.arange(starts.size)
+    rank = by_low[by_low >= 0]  # pieces in increasing order of their smallest value
     piece_lengths = np.diff(np.append(starts, kept.size))[rank]
     piece_cycle = np.repeat(cycle & ~long, lengths)[kept[starts]][rank]
-    pieces = kept[np.argsort(low[np.cumsum(opens) - 1], kind="stable")]
+    # Each kept entry goes to its piece's new offset plus its place in the piece.
+    offset = np.empty(starts.size, dtype=np.int64)
+    offset[rank] = np.cumsum(piece_lengths) - piece_lengths - starts[rank]
+    pieces = np.empty(kept.size, dtype=np.int64)
+    pieces[offset[np.cumsum(opens) - 1] + np.arange(kept.size)] = kept
     return cut, pieces, piece_lengths, piece_cycle

@@ -435,7 +435,14 @@ def read_blocks(path) -> BlockStructure:
 
 
 def validate_block_structure(square: EquiNSquare, blocks: BlockStructure) -> None:
-    """Check blocks are size m, monochrome, single-column, and tile the square."""
+    """Check blocks are size m, monochrome, single-column, and tile the square.
+
+    Each block writes its symbol onto a canvas of the n*n cells that starts
+    at n, which is no symbol.  The blocks have n*n cells in all, so the
+    canvas equals the grid exactly when they cover every cell once, each
+    with the grid's symbol there.  Only a failure gathers the grid at every
+    block's cells, to name the first block that does not match.
+    """
     n = square.n
     m = blocks.m
     rows, cols, syms = blocks.rows, blocks.cols, blocks.symbols
@@ -447,20 +454,20 @@ def validate_block_structure(square: EquiNSquare, blocks: BlockStructure) -> Non
                             f"for {count} columns and {syms.size} symbols")
     if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
         raise BlockMismatch("block cell out of range")
-    # Cell (r, c) is entry c*n + r of the grid in column-major order, so
-    # each block reads from one contiguous column.
-    cells = n * cols[:, None] + rows
-    mism = square.grid.T.ravel()[cells] != syms[:, None]
+    # A symbol outside [0, n) matches no cell; written onto the narrow
+    # canvas it could wrap onto one that it matches.
+    if syms.min() >= 0 and syms.max() < n:
+        # Cell (r, c) is entry c*n + r, so each block writes one column run.
+        canvas = np.full(n * n, n, dtype=np.min_scalar_type(n))
+        canvas[n * cols[:, None] + rows] = syms.astype(canvas.dtype)[:, None]
+        if np.array_equal(canvas.reshape(n, n).T, square.grid):
+            return
+    mism = square.grid[rows, cols[:, None]] != syms[:, None]
     if mism.any():
         bad = int(np.flatnonzero(mism.any(axis=1))[0])
         raise BlockMismatch(f"block {bad} (column {cols[bad]}, symbol {syms[bad]}, "
                             f"rows {rows[bad].tolist()}) does not match the grid symbols")
-    # The blocks have n*n cells in all, so they partition the grid exactly
-    # when they cover every cell.
-    covered = np.zeros(n * n, dtype=bool)
-    covered[cells] = True
-    if not covered.all():
-        raise BlockMismatch("blocks do not partition the cells")
+    raise BlockMismatch("blocks do not partition the cells")
 
 
 def block_structured_square(n: int, m: int, seed) -> tuple[EquiNSquare, BlockStructure]:

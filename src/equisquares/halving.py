@@ -38,7 +38,7 @@ from .bipartite import (  # union_components is also importable from here
 )
 from .constructions import BlockStructure, validate_block_structure
 from .hypergraph import InvalidParam  # one class, importable from here too
-from .squares import Cell, EquiNSquare, Transversal, validate_transversal
+from .squares import EquiNSquare, Transversal, validate_transversal
 
 
 class NotPowerOfTwo(ValueError):
@@ -313,8 +313,7 @@ def block_transversal(
     rows = blocks.rows[selected].ravel()
     cols = np.repeat(blocks.cols[selected], blocks.m)
     pairs = bipartite.matching_pairs_from_arrays(rows, cols, n, n)
-    cells = [Cell(i, j) for i, j in pairs]
-    transversal = validate_transversal(square, cells)
+    transversal = validate_transversal(square, pairs)
     loads = row_loads(blocks, trace._final_labels(), n)
     return transversal, trace, loads
 

@@ -207,16 +207,12 @@ class EdgeColouring:
 def is_proper(h: TripartiteHypergraph, colouring: EdgeColouring) -> bool:
     """True iff edges sharing a vertex always have different colours;
     InvalidParam unless the colouring has one colour per edge."""
-    if len(colouring.colours) != len(h.edges):
+    colours = colouring.colours
+    if len(colours) != len(h.edges):
         raise InvalidParam("colouring size does not match edge count")
-    for v, inc in h._incidence.items():
-        seen = set()
-        for i in inc:
-            c = colouring.colours[i]
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
+    # Proper: in each class, no (vertex, colour) pair is on two edges.
+    return all(len(set(zip((e[cls] for e in h.edges), colours))) == len(colours)
+               for cls in range(3))
 
 
 def greedy_edge_colouring(h: TripartiteHypergraph) -> EdgeColouring:

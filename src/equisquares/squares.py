@@ -147,14 +147,22 @@ def validate_square(n: int, grid) -> EquiNSquare:
 
 
 def validate_transversal(square: EquiNSquare, cells: Iterable[tuple[int, int]]) -> Transversal:
-    """Check that no two cells share a row, column, or symbol."""
+    """Check that no two cells share a row, column, or symbol.
+
+    CellOutOfRange names a cell that is not a (row, col) pair of integers
+    in [0, n).
+    """
     n = square.n
     normed = []
     for rc in cells:
         try:
-            cell = Cell(operator.index(rc[0]), operator.index(rc[1]))
+            row, col = rc
+        except (TypeError, ValueError):
+            raise CellOutOfRange(f"cell {rc!r} is not a (row, col) pair") from None
+        try:
+            cell = Cell(operator.index(row), operator.index(col))
         except TypeError:
-            raise CellOutOfRange(f"cell {tuple(rc)} has a non-integer index") from None
+            raise CellOutOfRange(f"cell {(row, col)} has a non-integer index") from None
         if not (0 <= cell.row < n and 0 <= cell.col < n):
             raise CellOutOfRange(f"cell {tuple(cell)} outside [0, {n})^2")
         normed.append(cell)

@@ -290,6 +290,79 @@ def test_block_validation_rejects_a_block_listed_twice():
         validate_block_structure(square, _with_blocks(blocks, cols=cols, symbols=symbols, rows=rows))
 
 
+def reference_validate_block_structure(square, blocks):
+    """The gather check validate_block_structure made before its canvas:
+    read every block's cells from a transposed copy of the grid, then
+    scatter a coverage array."""
+    n, m = square.n, blocks.m
+    rows, cols, syms = blocks.rows, blocks.cols, blocks.symbols
+    count = len(cols)
+    if m < 1 or n * n != m * count:
+        raise BlockMismatch(f"{count} blocks of size {m} cannot tile n={n}")
+    if cols.ndim != 1 or syms.shape != cols.shape or rows.shape != (count, m):
+        raise BlockMismatch(f"block rows have shape {rows.shape}, expected ({count}, {m}) "
+                            f"for {count} columns and {syms.size} symbols")
+    if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
+        raise BlockMismatch("block cell out of range")
+    cells = n * cols[:, None] + rows
+    mism = square.grid.T.ravel()[cells] != syms[:, None]
+    if mism.any():
+        bad = int(np.flatnonzero(mism.any(axis=1))[0])
+        raise BlockMismatch(f"block {bad} (column {cols[bad]}, symbol {syms[bad]}, "
+                            f"rows {rows[bad].tolist()}) does not match the grid symbols")
+    covered = np.zeros(n * n, dtype=bool)
+    covered[cells] = True
+    if not covered.all():
+        raise BlockMismatch("blocks do not partition the cells")
+
+
+def _changed_symbol(cols, symbols, rows, n):
+    symbols[5] = (symbols[5] + 1) % n
+
+
+def _swapped_rows(cols, symbols, rows, n):
+    rows[[2, 3 * n // 2]] = rows[[3 * n // 2, 2]]
+
+
+def _twice_and_a_mismatch(cols, symbols, rows, n):
+    cols[1], symbols[1], rows[1] = cols[0], symbols[0], rows[0]
+    symbols[-1] = (symbols[-1] + 1) % n
+
+
+def _uncovered_cell(cols, symbols, rows, n):
+    rows[3] = rows[3, 0]  # block 3 matches, but covers one cell m times
+
+
+def _wrapping_symbol(cols, symbols, rows, n):
+    symbols[4] += 1 << 16  # wraps to the same symbol on an 8- or 16-bit canvas
+
+
+def _negative_symbol(cols, symbols, rows, n):
+    symbols[0] -= 1 << 16
+
+
+@pytest.mark.parametrize("corrupt", [None, _changed_symbol, _swapped_rows, _twice_and_a_mismatch,
+                                     _uncovered_cell, _wrapping_symbol, _negative_symbol])
+def test_block_validation_matches_reference_gather(corrupt):
+    # The canvas check must accept what the gather accepted and refuse the
+    # rest with the gather's message, on squares of both canvas widths.
+    for n, m, seed in ((8, 2, 1), (12, 3, 4), (16, 4, 2), (32, 8, 0), (256, 16, 3), (512, 64, 5)):
+        square, blocks = block_structured_square(n, m, seed)
+        cols, symbols, rows = blocks.cols.copy(), blocks.symbols.copy(), blocks.rows.copy()
+        if corrupt is not None:
+            corrupt(cols, symbols, rows, n)
+        blocks = _with_blocks(blocks, cols=cols, symbols=symbols, rows=rows)
+        outcomes = []
+        for check in (validate_block_structure, reference_validate_block_structure):
+            try:
+                check(square, blocks)
+                outcomes.append(None)
+            except BlockMismatch as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (corrupt is None)
+
+
 def test_certificate_rejects_a_square_or_pairing_it_was_not_built_with():
     square, pairing = counterexample_square(12)
     _, other_pairing = counterexample_square(18)

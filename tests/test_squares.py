@@ -129,9 +129,12 @@ def test_validate_transversal_rejects_cells_outside_the_grid(cell):
         validate_transversal(sq, [cell])
 
 
-@pytest.mark.parametrize("cell", [(0.9, 0.2), ("1", "1"), (2.5, 2.99), (1, None)])
+@pytest.mark.parametrize("cell", [(0.9, 0.2), ("1", "1"), (2.5, 2.99), (1, None),
+                                  (1,), 5, None, (1, 2, 3)])
 def test_validate_transversal_refuses_non_integer_cells(cell):
-    with pytest.raises(CellOutOfRange, match="non-integer index"):
+    pair = isinstance(cell, tuple) and len(cell) == 2
+    reason = "non-integer index" if pair else re.escape(f"cell {cell!r} is not a (row, col) pair")
+    with pytest.raises(CellOutOfRange, match=reason):
         validate_transversal(cyclic_latin(3), [(0, 0), cell])
     cells = [(np.int64(1), np.int32(1)), (np.uint8(0), 0)]
     assert validate_transversal(cyclic_latin(3), cells).cells == (Cell(0, 0), Cell(1, 1))
