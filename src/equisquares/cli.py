@@ -6,6 +6,10 @@ stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 All randomness flows from one seed through named per-site streams, and
 trial i of an experiment draws its own seed from (seed, i), so runs are
 reproducible even under --parallel and adjacent seeds share no trials.
+
+Each experiment is one entry of EXPERIMENTS, its jobs and its summary.  A
+trial function returns only its own CSV columns, and the runner puts trial,
+seed and n in front (bound-tightness: one row per order, without the first two).
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ import numpy as np
 from . import bipartite, constructions, halving, solvers, squares
 from .rng import stream, trial_seed
 
-EXPERIMENTS = ("missing-colour", "concentration", "greedy-baseline", "peel", "survival",
-               "bound-tightness")
 # Search nodes per order in bound-tightness: orders 8 to 24 are proved well
 # within it, and an order left unproved costs a few seconds.
 BOUND_TIGHTNESS_BUDGET = 3 * 10**5
@@ -181,40 +183,45 @@ def _survival_ctx(n: int, m: int, square_seed: int):
     return graph, matchings
 
 
-def _trial_missing_colour(params: tuple) -> dict:
-    n, base_seed, trial = params
-    square, pairing = constructions.counterexample_square(n)
-    rng = stream(trial_seed(base_seed, trial), "missing-colour")
+def _trial_row(job: tuple) -> dict:
+    """Trial t's CSV row: t, its seed = trial_seed(--seed, t) and n, then the columns
+    that trial_fn(args, t, seed, rng) returns, rng being the experiment's stream on seed."""
+    trial_fn, args, trial = job
+    seed = trial_seed(args.seed, trial)
+    return {"trial": trial, "seed": seed, "n": args.n,
+            **trial_fn(args, trial, seed, stream(seed, args.name))}
+
+
+def _trials(trial_fn):
+    """The jobs of an experiment of --trials seeded trials of trial_fn."""
+    return lambda args: (_trial_row, [(trial_fn, args, t) for t in range(args.trials)])
+
+
+def _trial_missing_colour(args, trial, seed, rng) -> dict:
+    square, pairing = constructions.counterexample_square(args.n)
     t = solvers.random_greedy(square, rng)
-    method = "greedy"
     if trial % 2 == 1:
-        t = solvers.local_search(square, t, rng, 40 * n)
-        method = "greedy+local"
+        t = solvers.local_search(square, t, rng, 40 * args.n)
     try:
         cert = constructions.missing_colour_certificate(square, pairing, t)
         violations = 0 if cert.passed else 1
         min_missing = min(len(s) for s in cert.missing)
     except constructions.CertificateViolation:
         violations, min_missing = 1, 0
-    return {"trial": trial, "seed": trial_seed(base_seed, trial), "n": n,
-            "method": method, "size": t.size, "violations": violations,
-            "min_missing": min_missing}
+    return {"method": "greedy+local" if trial % 2 == 1 else "greedy", "size": t.size,
+            "violations": violations, "min_missing": min_missing}
 
 
-def _trial_survival(params: tuple) -> dict:
-    n, m, s, square_seed, base_seed, trial = params
-    graph, matchings = _survival_ctx(n, m, square_seed)
-    rng = stream(trial_seed(base_seed, trial), "survival")
-    final, _ = halving.iterated_halving(graph, matchings, s, rng)
-    return {"trial": trial, "seed": trial_seed(base_seed, trial), "n": n,
-            "edge_label": 0, "survived": int(0 in final)}
+def _trial_survival(args, trial, seed, rng) -> dict:
+    # The square is drawn from --seed itself, so every trial halves the same graph.
+    graph, matchings = _survival_ctx(args.n, args.m, args.seed)
+    final, _ = halving.iterated_halving(graph, matchings, args.s, rng)
+    return {"edge_label": 0, "survived": int(0 in final)}
 
 
-def _trial_concentration(params: tuple) -> dict:
-    n, m, s, base_seed, trial = params
-    seed = trial_seed(base_seed, trial)
+def _trial_concentration(args, trial, seed, rng) -> dict:
+    n, m, s = args.n, args.m, args.s
     square, blocks = constructions.block_structured_square(n, m, seed=seed)
-    rng = stream(seed, "concentration")
     _, trace, loads = halving.block_transversal(square, blocks, s, rng)
     # Centre m: a perfect matching of n blocks of m cells over n rows has mean row load m.
     dev = np.abs(loads.astype(np.float64) - m)
@@ -222,29 +229,20 @@ def _trial_concentration(params: tuple) -> dict:
     sumsq = halving.realized_effect_squares(trace, blocks, n)
     with np.errstate(divide="ignore"):
         bounds = np.minimum(1.0, 2.0 * np.exp(-((m / 2) ** 2) / sumsq))
-    return {"trial": trial, "seed": seed, "n": n, "m": m, "s": s,
-            "rows_within": within, "frac_within": within / n,
-            "p99_abs_dev": float(np.percentile(dev, 99)),
-            "mcdiarmid_worst_row": float(bounds.max())}
+    return {"m": m, "s": s, "rows_within": within, "frac_within": within / n,
+            "p99_abs_dev": float(np.percentile(dev, 99)), "mcdiarmid_worst_row": float(bounds.max())}
 
 
-def _trial_greedy_baseline(params: tuple) -> dict:
-    n, base_seed, trial = params
-    seed = trial_seed(base_seed, trial)
-    square = constructions.random_equi_square(n, seed=seed)
-    t = solvers.random_greedy(square, stream(seed, "greedy-baseline"))
-    return {"trial": trial, "seed": seed, "n": n, "size": t.size}
+def _trial_greedy_baseline(args, trial, seed, rng) -> dict:
+    square = constructions.random_equi_square(args.n, seed=seed)
+    return {"size": solvers.random_greedy(square, rng).size}
 
 
-def _trial_peel(params: tuple) -> dict:
-    n, min_size, base_seed, trial = params
-    seed = trial_seed(base_seed, trial)
-    square = constructions.random_equi_square(n, seed=seed)
-    layers = solvers.peel_decomposition(square, stream(seed, "peel"), min_size)
-    return {"trial": trial, "seed": seed, "n": n, "min_size": min_size,
-            "layers": len(layers),
-            "total_cells": sum(t.size for t in layers),
-            "smallest": min((t.size for t in layers), default=0)}
+def _trial_peel(args, trial, seed, rng) -> dict:
+    square = constructions.random_equi_square(args.n, seed=seed)
+    sizes = [t.size for t in solvers.peel_decomposition(square, rng, args.min_size)]
+    return {"min_size": args.min_size, "layers": len(sizes), "total_cells": sum(sizes),
+            "smallest": min(sizes, default=0)}
 
 
 def _order_bound_tightness(n: int) -> dict | None:
@@ -259,6 +257,29 @@ def _order_bound_tightness(n: int) -> dict | None:
             "proved": "true" if proved else "false"}
 
 
+def _mean(rows: list[dict], column: str) -> float:
+    return sum(r[column] for r in rows) / len(rows)
+
+
+# name -> (jobs, summary), in the parser's order.  jobs(args) gives a row function and
+# its inputs, one per CSV row; summary(rows) the JSON fields after "experiment" and "trials".
+EXPERIMENTS = {
+    "missing-colour": (_trials(_trial_missing_colour), lambda rows: {
+        "violations": sum(r["violations"] for r in rows), "mean_size": _mean(rows, "size")}),
+    "concentration": (_trials(_trial_concentration), lambda rows: {
+        "frac_within_min": min(r["frac_within"] for r in rows),
+        "frac_within_mean": _mean(rows, "frac_within"),
+        "p99_abs_dev_max": max(r["p99_abs_dev"] for r in rows)}),
+    "greedy-baseline": (_trials(_trial_greedy_baseline), lambda rows: {"mean_size": _mean(rows, "size")}),
+    "peel": (_trials(_trial_peel), lambda rows: {"mean_layers": _mean(rows, "layers")}),
+    "survival": (_trials(_trial_survival), lambda rows: {"survival_frequency": _mean(rows, "survived")}),
+    # One row per order; best = bound is optimal by the missing-colour certificate, proved or not.
+    "bound-tightness": (lambda args: (_order_bound_tightness, range(8, args.n + 1)), lambda rows: {
+        "tight": [r["n"] for r in rows if r["best"] == r["bound"]],
+        "unproved": [r["n"] for r in rows if r["proved"] == "false" and r["best"] < r["bound"]]}),
+}
+
+
 def _run_trials(fn, param_list, workers: int) -> list[dict]:
     """fn on each parameter, rows in parameter order; None results are dropped."""
     workers = min(workers, os.cpu_count() or 1)
@@ -271,67 +292,31 @@ def _run_trials(fn, param_list, workers: int) -> list[dict]:
 
 
 def cmd_experiment(args) -> int:
-    name = args.name
-    trials = range(args.trials)
-    if name == "missing-colour":
-        fn, params = _trial_missing_colour, [(args.n, args.seed, t) for t in trials]
-    elif name == "survival":
-        if args.m is None:
-            return _fail_usage("--m is required for the survival experiment")
-        s = 2 * args.n if args.s is None else args.s  # no deletions: every edge survives capping
-        fn, params = _trial_survival, [(args.n, args.m, s, args.seed, args.seed, t) for t in trials]
-    elif name == "concentration":
-        if args.m is None:
-            return _fail_usage("--m is required for the concentration experiment")
-        s = int(np.ceil(np.sqrt(args.n))) if args.s is None else args.s
-        fn, params = _trial_concentration, [(args.n, args.m, s, args.seed, t) for t in trials]
-    elif name == "greedy-baseline":
-        fn, params = _trial_greedy_baseline, [(args.n, args.seed, t) for t in trials]
-    elif name == "bound-tightness":
-        if args.n < 8:
-            return _fail_usage(f"--n {args.n}: bound-tightness runs the orders from 8 up")
-        fn, params = _order_bound_tightness, list(range(8, args.n + 1))
-    else:  # peel
-        min_size = int(np.ceil(0.9 * args.n)) if args.min_size is None else args.min_size
-        if min_size > args.n:
-            return _fail_usage(f"--min-size {min_size} exceeds --n {args.n}")
-        fn, params = _trial_peel, [(args.n, min_size, args.seed, t) for t in trials]
+    name, n = args.name, args.n
+    # Usage errors, then the defaults that the trial functions read from args.
+    if args.m is None and name in ("survival", "concentration"):
+        return _fail_usage(f"--m is required for the {name} experiment")
+    if n < 8 and name == "bound-tightness":
+        return _fail_usage(f"--n {n}: bound-tightness runs the orders from 8 up")
+    if args.min_size is not None and args.min_size > n and name == "peel":
+        return _fail_usage(f"--min-size {args.min_size} exceeds --n {n}")
+    if args.s is None:  # survival: no deletions, so every edge survives capping
+        args.s = 2 * n if name == "survival" else int(np.ceil(np.sqrt(n)))
+    if args.min_size is None:
+        args.min_size = int(np.ceil(0.9 * n))
+    jobs, summary = EXPERIMENTS[name]
     try:
-        rows = _run_trials(fn, params, args.parallel)
+        rows = _run_trials(*jobs(args), args.parallel)
     except (constructions.NotDivisible, constructions.TooSmall, halving.NotPowerOfTwo) as exc:
-        sizes = f"--n {args.n}" if args.m is None else f"--n {args.n} --m {args.m}"
+        sizes = f"--n {n}" if args.m is None else f"--n {n} --m {args.m}"
         return _fail_usage(f"{sizes}: {exc}")
-
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    summary = _summarize(name, rows)
     _say(f"{name}: {len(rows)} rows -> {args.csv}")
-    print(json.dumps(summary))
+    print(json.dumps({"experiment": name, "trials": len(rows), **summary(rows)}))
     return 0
-
-
-def _summarize(name: str, rows: list[dict]) -> dict:
-    out: dict = {"experiment": name, "trials": len(rows)}
-    if name == "survival":
-        out["survival_frequency"] = sum(r["survived"] for r in rows) / len(rows)
-    elif name == "missing-colour":
-        out["violations"] = sum(r["violations"] for r in rows)
-        out["mean_size"] = sum(r["size"] for r in rows) / len(rows)
-    elif name == "concentration":
-        out["frac_within_min"] = min(r["frac_within"] for r in rows)
-        out["frac_within_mean"] = sum(r["frac_within"] for r in rows) / len(rows)
-        out["p99_abs_dev_max"] = max(r["p99_abs_dev"] for r in rows)
-    elif name == "greedy-baseline":
-        out["mean_size"] = sum(r["size"] for r in rows) / len(rows)
-    elif name == "peel":
-        out["mean_layers"] = sum(r["layers"] for r in rows) / len(rows)
-    elif name == "bound-tightness":
-        # best = bound is optimal by the missing-colour certificate, proved or not.
-        out["tight"] = [r["n"] for r in rows if r["best"] == r["bound"]]
-        out["unproved"] = [r["n"] for r in rows if r["proved"] == "false" and r["best"] < r["bound"]]
-    return out
 
 
 # -------------------------------------------------------------------- main

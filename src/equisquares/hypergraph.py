@@ -34,20 +34,28 @@ class InvalidParam(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TripartiteHypergraph:
-    """Edge list over three vertex classes; multi-edges allowed."""
+    """Edge list over three vertex classes; multi-edges allowed.  Each edge is
+    stored as a tuple of three Python ints; bools are refused as vertices."""
 
     class_sizes: tuple[int, int, int]
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
         a, b, c = self.class_sizes
+        edges = []
         for e in self.edges:
             try:
-                x, y, z = map(operator.index, e)
+                x, y, z = e
+                if not type(x) is type(y) is type(z) is int:  # numpy integers, say
+                    if bool in (type(x), type(y), type(z)):
+                        raise TypeError  # operator.index reads True as 1
+                    x, y, z = map(operator.index, (x, y, z))
             except (TypeError, ValueError):  # not three integers
                 x = y = z = -1
             if not (0 <= x < a and 0 <= y < b and 0 <= z < c):
                 raise ValueError(f"edge {e} out of range for classes {self.class_sizes}")
+            edges.append((x, y, z))
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def num_vertices(self) -> int:

@@ -159,13 +159,16 @@ def validate_transversal(square: EquiNSquare, cells: Iterable[tuple[int, int]]) 
             row, col = rc
         except (TypeError, ValueError):
             raise CellOutOfRange(f"cell {rc!r} is not a (row, col) pair") from None
-        try:
-            cell = Cell(operator.index(row), operator.index(col))
-        except TypeError:
-            raise CellOutOfRange(f"cell {(row, col)} has a non-integer index") from None
-        if not (0 <= cell.row < n and 0 <= cell.col < n):
-            raise CellOutOfRange(f"cell {tuple(cell)} outside [0, {n})^2")
-        normed.append(cell)
+        if not type(row) is type(col) is int:  # numpy integers, say
+            try:
+                if bool in (type(row), type(col)):
+                    raise TypeError  # operator.index reads True as 1
+                row, col = operator.index(row), operator.index(col)
+            except TypeError:
+                raise CellOutOfRange(f"cell {(row, col)} has a non-integer index") from None
+        if not (0 <= row < n and 0 <= col < n):
+            raise CellOutOfRange(f"cell {(row, col)} outside [0, {n})^2")
+        normed.append(Cell(row, col))
     normed.sort()
     # As many distinct rows, columns and symbols as cells: no clash.  Only a
     # clash needs the walk in row order below, which names its two cells.

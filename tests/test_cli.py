@@ -398,7 +398,7 @@ def test_experiment_bound_tightness_rows_and_parallel(tmp_path, capsys):
     assert summary["unproved"] == []
 
 
-def test_bound_tightness_summary_counts_certificate_optimal_orders():
+def test_bound_tightness_summary_counts_certificate_optimal_orders(tmp_path, capsys, monkeypatch):
     # best = bound is optimal by the certificate whether or not the search
     # proved it; an order stays open only when the budget ran out below it.
     rows = [
@@ -409,7 +409,11 @@ def test_bound_tightness_summary_counts_certificate_optimal_orders():
         {"n": 30, "bound": 28, "best": 28, "proved": "false"},    # tight by the certificate
         {"n": 31, "bound": 31, "best": 29, "proved": "false"},
     ]
-    summary = cli._summarize("bound-tightness", rows)
+    monkeypatch.setattr(cli, "_run_trials", lambda fn, params, workers: rows)
+    code, stdout, _ = run_cli(["experiment", "bound-tightness", "--n", "31",
+                               "--csv", str(tmp_path / "b.csv")], capsys)
+    assert code == 0
+    summary = json.loads(stdout)
     assert summary == {"experiment": "bound-tightness", "trials": 6,
                        "tight": [8, 30], "unproved": [25, 31]}
 
@@ -829,3 +833,36 @@ def _generate_record(args: str, tmp_path, capsys) -> tuple:
 @pytest.mark.parametrize("args", GENERATE_GOLDEN)
 def test_generate_outputs_are_pinned(args, tmp_path, capsys):
     assert _generate_record(args, tmp_path, capsys) == GENERATE_GOLDEN[args]
+
+
+EXPERIMENT_GOLDEN = {  # name: (argv, SHA-256 prefixes of the CSV, stdout and stderr)
+    "missing-colour": (["--n", "8", "--trials", "4", "--seed", "3"],
+                       ("54fce52220d61527", "d4ac712c7ac9d4a0", "61268d7bc395de34")),
+    "concentration": (["--n", "16", "--m", "4", "--trials", "3", "--seed", "1"],
+                      ("7c73f47dae6ef488", "5157169faf2bc5f6", "b9ea5ff48facb1a7")),
+    "greedy-baseline": (["--n", "10", "--trials", "4", "--seed", "2"],
+                        ("f1e84c5f347b19cd", "10b887df34ae1443", "3b25c0ddb5f1bc33")),
+    "peel": (["--n", "8", "--trials", "3", "--seed", "4"],
+             ("77669cd50eafbdd1", "70291861c970a3cb", "372113da98829ece")),
+    "survival": (["--n", "8", "--m", "2", "--trials", "6", "--seed", "1"],
+                 ("adbf561741ee8772", "ee69024dd1914c23", "5563f10e498b95eb")),
+    "bound-tightness": (["--n", "12"],
+                        ("30090a81be4f3891", "a546b87cf95271cf", "28ccfe679eb9332b")),
+}
+
+
+@pytest.mark.parametrize("name", cli.EXPERIMENTS)
+def test_experiment_outputs_are_pinned_serial_and_parallel(name, tmp_path, capsys, monkeypatch):
+    # Every experiment writes the same CSV, stdout and stderr on one process
+    # and on two; relative paths keep all three free of tmp_path.  A new
+    # experiment fails here until it has an entry in EXPERIMENT_GOLDEN.
+    monkeypatch.chdir(tmp_path)
+    argv, digests = EXPERIMENT_GOLDEN[name]
+    records = []
+    for workers in ("1", "2"):
+        code, stdout, err = run_cli(["experiment", name, *argv, "--parallel", workers,
+                                     "--csv", f"{name}.csv"], capsys)
+        assert code == 0
+        records.append((_sha((tmp_path / f"{name}.csv").read_bytes()),
+                        _sha(stdout.encode()), _sha(err.encode())))
+    assert records == [digests, digests]

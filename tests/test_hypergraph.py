@@ -424,11 +424,24 @@ def test_constructor_rejects_edges_outside_the_classes(edge):
         TripartiteHypergraph((1, 1, 1), ((0, 0, 0), edge))
 
 
-@pytest.mark.parametrize("edge", [(0.5, 0, 0), (1, 1.0, 1), (0, 0, "1"), (0, 0, None), 5],
-                         ids=repr)
+@pytest.mark.parametrize("edge", [(0.5, 0, 0), (1, 1.0, 1), (0, 0, "1"), (0, 0, None), 5,
+                                  (True, 0, 0), (0, 1, False), (np.True_, 1, 1)], ids=repr)
 def test_constructor_rejects_vertices_that_are_not_integers(edge):
     with pytest.raises(ValueError, match=re.escape(f"edge {edge} out of range")):
         TripartiteHypergraph((2, 2, 2), (edge, (1, 1, 1)))
+
+
+@pytest.mark.parametrize("edges", [
+    [[0, 0, 0], [1, 1, 1]],
+    (np.array([0, 0, 0]), np.array([1, 1, 1])),
+    np.array([[0, 0, 0], [1, 1, 1]]),
+    ((np.int64(0), np.uint8(0), 0), (1, np.int32(1), 1)),
+], ids=["lists", "arrays", "2-D array", "numpy ints"])
+def test_constructor_stores_edges_as_int_tuples(edges):
+    h = TripartiteHypergraph((2, 2, 2), edges)
+    assert h.edges == ((0, 0, 0), (1, 1, 1))
+    assert {type(v) for e in h.edges for v in e} == {int}
+    assert max_matching_exact(h) == ((0, 1), True)
 
 
 def test_max_matching_exact_on_no_edges():

@@ -130,7 +130,8 @@ def test_validate_transversal_rejects_cells_outside_the_grid(cell):
 
 
 @pytest.mark.parametrize("cell", [(0.9, 0.2), ("1", "1"), (2.5, 2.99), (1, None),
-                                  (1,), 5, None, (1, 2, 3)])
+                                  (1,), 5, None, (1, 2, 3),
+                                  (True, False), (1, True), (np.True_, 0)])
 def test_validate_transversal_refuses_non_integer_cells(cell):
     pair = isinstance(cell, tuple) and len(cell) == 2
     reason = "non-integer index" if pair else re.escape(f"cell {cell!r} is not a (row, col) pair")
