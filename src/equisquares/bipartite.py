@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .squares import _index
+
 
 class NotRegular(ValueError):
     def __init__(self, vertex, degree):
@@ -77,8 +79,13 @@ def make_graph(left_size: int, right_size: int, pairs) -> BipartiteMultigraph:
 
 
 def _labels(graph: BipartiteMultigraph, labels) -> np.ndarray:
-    """Labels as an int64 array; NotAMatching if one is not an edge of graph."""
-    arr = np.array(list(labels))
+    """Labels as an int64 array; NotAMatching if one is a bool, not an integer, or not an edge."""
+    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):
+        try:
+            labels = [x if type(x) is int else _index(x) for x in labels]
+        except TypeError:
+            raise NotAMatching("edge labels must be integers") from None
+    arr = np.array(labels)
     if arr.size == 0:
         return np.empty(0, dtype=np.int64)
     if arr.ndim != 1 or arr.dtype.kind not in "iu":
@@ -106,6 +113,7 @@ def _clash(graph: BipartiteMultigraph, labels: np.ndarray, group: np.ndarray, gr
 
 
 def is_matching(graph: BipartiteMultigraph, labels) -> bool:
+    """Whether no two labelled edges meet; NotAMatching for a bool, non-integer or non-edge label."""
     idx = _labels(graph, labels)
     return _clash(graph, idx, np.zeros_like(idx), 1) < 0
 

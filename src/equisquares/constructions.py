@@ -9,7 +9,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -20,6 +19,7 @@ from .squares import (
     DimensionMismatch,
     EquiNSquare,
     Transversal,
+    _index,
     validate_square,
     validate_transversal,
 )
@@ -289,7 +289,7 @@ class BlockStructure:
     rows: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", operator.index(self.m))
+        object.__setattr__(self, "m", _index(self.m))
         for name in ("cols", "symbols", "rows"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
@@ -310,7 +310,11 @@ class BlockStructure:
             fmt = data.get("format") if isinstance(data, dict) else None
             raise BlockMismatch(f"unsupported blocks format {fmt!r}")
         m, blocks = data.get("m"), data.get("blocks")
-        if not _is_int(m) or m < 1:
+        try:
+            positive = _index(m) >= 1
+        except TypeError:
+            positive = False
+        if not positive:
             raise BlockMismatch(f"blocks sidecar needs a positive integer 'm', got {m!r}")
         if not isinstance(blocks, list):
             raise BlockMismatch("blocks sidecar needs a list 'blocks'")
@@ -325,10 +329,6 @@ class BlockStructure:
         cols, symbols, rows = (_int_array(values, key, ndim)
                                for values, key, ndim in zip(fields, ("col", "symbol", "rows"), (1, 1, 2)))
         return cls(m=m, cols=cols, symbols=symbols, rows=rows.reshape(len(blocks), m))
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _int_array(values: list, key: str, ndim: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from .bipartite import (  # union_components is also importable from here
 )
 from .constructions import BlockStructure, validate_block_structure
 from .hypergraph import InvalidParam  # one class, importable from here too
-from .squares import EquiNSquare, Transversal, validate_transversal
+from .squares import EquiNSquare, Transversal, _index, validate_transversal
 
 
 class NotPowerOfTwo(ValueError):
@@ -353,7 +353,7 @@ def _block_rows(blocks: BlockStructure, labels: np.ndarray, n_rows: int) -> np.n
     bad = labels[(labels < 0) | (labels >= count)]
     if bad.size:
         raise InvalidParam(f"label {bad[0]} is not a block (labels are 0..{count - 1})")
-    rows = blocks.rows[labels]
+    rows = blocks.rows[labels.astype(np.int64, copy=False)]
     if rows.size and rows.max() >= n_rows:
         raise InvalidParam(f"a block covers a row >= n_rows = {n_rows}")
     return rows
@@ -363,16 +363,19 @@ def row_loads(blocks: BlockStructure, matching, n_rows: int) -> np.ndarray:
     """Per-row count of the blocks in `matching` that have a cell in that row, as int64.
 
     matching is an integer array or any collection of block labels.
-    InvalidParam if a label is not an integer or not a block, or a block
-    covers a row >= n_rows.
+    InvalidParam if a label is not an integer (bools are refused) or not a
+    block, or a block covers a row >= n_rows.
     """
     labels = matching
     if not (isinstance(matching, np.ndarray) and matching.dtype.kind in "iu"):
         labels = list(matching)
         for x in labels:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise InvalidParam(f"label {x!r} is not an integer")
-        labels = np.array(labels, dtype=np.int64)
+            try:
+                _index(x)
+            except TypeError:
+                raise InvalidParam(f"label {x!r} is not an integer") from None
+        # As objects, labels past int64 reach _block_rows, which names them as no block.
+        labels = np.array(labels, dtype=object)
     return np.bincount(_block_rows(blocks, labels, n_rows).ravel(), minlength=n_rows)
 
 

@@ -12,14 +12,13 @@ matchings/colourings refer to edge indices.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .bipartite import NotAMatching  # one class, importable from here too
 from .solvers import _max_tripartite_matching
-from .squares import EquiNSquare
+from .squares import EquiNSquare, _index
 
 Vertex = tuple[int, int]
 
@@ -47,9 +46,7 @@ class TripartiteHypergraph:
             try:
                 x, y, z = e
                 if not type(x) is type(y) is type(z) is int:  # numpy integers, say
-                    if bool in (type(x), type(y), type(z)):
-                        raise TypeError  # operator.index reads True as 1
-                    x, y, z = map(operator.index, (x, y, z))
+                    x, y, z = map(_index, (x, y, z))
             except (TypeError, ValueError):  # not three integers
                 x = y = z = -1
             if not (0 <= x < a and 0 <= y < b and 0 <= z < c):
@@ -75,10 +72,10 @@ class TripartiteHypergraph:
         return {v: tuple(ix) for v, ix in inc.items()}
 
     def incident(self, v: Vertex) -> tuple[int, ...]:
-        """Indices of the edges at v; InvalidParam unless v is a vertex of the
-        hypergraph: a pair of integers, a class in {0, 1, 2} and an index in it."""
+        """Indices of the edges at v; InvalidParam unless v is a vertex of the hypergraph:
+        a pair of integers, not bools, a class in {0, 1, 2} and an index in it."""
         try:
-            cls, idx = map(operator.index, v)
+            cls, idx = map(_index, v)
         except (TypeError, ValueError):  # not a pair, or not of integers
             cls = idx = -1
         if cls not in (0, 1, 2) or idx not in range(self.class_sizes[cls]):

@@ -146,6 +146,13 @@ def validate_square(n: int, grid) -> EquiNSquare:
     return EquiNSquare(n=n, grid=arr)
 
 
+def _index(x) -> int:
+    """operator.index(x), but a TypeError for a bool, Python's (read as 0 or 1) or numpy's."""
+    if isinstance(x, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(x)
+
+
 def validate_transversal(square: EquiNSquare, cells: Iterable[tuple[int, int]]) -> Transversal:
     """Check that no two cells share a row, column, or symbol.
 
@@ -161,9 +168,7 @@ def validate_transversal(square: EquiNSquare, cells: Iterable[tuple[int, int]]) 
             raise CellOutOfRange(f"cell {rc!r} is not a (row, col) pair") from None
         if not type(row) is type(col) is int:  # numpy integers, say
             try:
-                if bool in (type(row), type(col)):
-                    raise TypeError  # operator.index reads True as 1
-                row, col = operator.index(row), operator.index(col)
+                row, col = _index(row), _index(col)
             except TypeError:
                 raise CellOutOfRange(f"cell {(row, col)} has a non-integer index") from None
         if not (0 <= row < n and 0 <= col < n):

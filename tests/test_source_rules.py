@@ -123,3 +123,30 @@ def test_every_public_method_of_an_exported_class_has_a_caller():
     unused = [f"{cls}.{member.name}" for cls, member in members
               if not any(member.name in _names_used(tree, member) for tree in trees)]
     assert unused == []
+
+
+def _operator_index_uses(tree) -> list[str]:
+    """The enclosing function of every use of operator.index in tree: a
+    reference to `operator.index`, or an import of `index` from operator."""
+    uses = []
+    stack = [(tree, "<module>")]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "index"
+                and isinstance(node.value, ast.Name) and node.value.id == "operator"
+                or isinstance(node, ast.ImportFrom) and node.module == "operator"
+                and any(alias.name == "index" for alias in node.names)):
+            uses.append(func)
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return uses
+
+
+def test_operator_index_is_used_only_by_the_index_helper():
+    # squares._index is the one definition of an integer index.  It refuses
+    # bools, which operator.index reads as 0 and 1, so a use anywhere else
+    # would let a bool pass as a cell, vertex, label or block size.
+    uses = [f"{path.relative_to(SRC).as_posix()}:{func}"
+            for path, tree in _src_trees().items() for func in _operator_index_uses(tree)]
+    assert uses == ["equisquares/squares.py:_index"]
