@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .squares import _index
+from .squares import _int_array
 
 
 class NotRegular(ValueError):
@@ -46,6 +46,7 @@ class BipartiteMultigraph:
     """Multi-edges between a left and a right vertex class.
 
     Edge e joins left vertex left[e] to right vertex right[e]; its label is e.
+    ValueError if an endpoint is outside its class or refused by squares._int_array.
     """
 
     left_size: int
@@ -54,8 +55,8 @@ class BipartiteMultigraph:
     right: np.ndarray
 
     def __post_init__(self):
-        left = np.asarray(self.left, dtype=np.int64)
-        right = np.asarray(self.right, dtype=np.int64)
+        left = _int_array(self.left, _endpoint_error)
+        right = _int_array(self.right, _endpoint_error)
         if left.ndim != 1 or left.shape != right.shape:
             raise ValueError("left and right must be 1-D arrays of equal length")
         bad = np.flatnonzero((left < 0) | (left >= self.left_size)
@@ -72,29 +73,33 @@ class BipartiteMultigraph:
                 np.bincount(self.right, minlength=self.right_size))
 
 
+def _endpoint_error(index, x) -> ValueError:
+    return ValueError(f"endpoint {x!r} at {index} is not an integer within int64")
+
+
 def make_graph(left_size: int, right_size: int, pairs) -> BipartiteMultigraph:
     """Build a multigraph from (left, right) pairs, labelling edges 0, 1, ..."""
-    arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    arr = _int_array(list(pairs), _endpoint_error).reshape(-1, 2)
     return BipartiteMultigraph(left_size, right_size, arr[:, 0], arr[:, 1])
 
 
 def _labels(graph: BipartiteMultigraph, labels) -> np.ndarray:
     """Labels as an int64 array; NotAMatching if one is a bool, not an integer, or not an edge."""
-    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):
-        try:
-            labels = [x if type(x) is int else _index(x) for x in labels]
-        except TypeError:
-            raise NotAMatching("edge labels must be integers") from None
-    arr = np.array(labels)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+    edges = graph.left.size
+
+    def refuse(index, x) -> NotAMatching:  # an int is past int64 or no edge
+        return NotAMatching(f"label {x} is not an edge of the graph (labels are 0..{edges - 1})"
+                            if type(x) is int else "edge labels must be integers")
+
+    if not isinstance(labels, np.ndarray) and np.iterable(labels):
+        labels = list(labels)  # a set or an iterator, say
+    arr = _int_array(labels, refuse)
+    if arr.ndim != 1 and arr.size:
         raise NotAMatching("edge labels must be integers")
-    bad = np.flatnonzero((arr < 0) | (arr >= graph.left.size))
+    bad = (arr.view(np.uint64) >= edges).nonzero()[0]  # as unsigned, a negative label is past every edge
     if bad.size:
-        raise NotAMatching(f"label {arr[bad[0]]} is not an edge of the graph "
-                           f"(labels are 0..{graph.left.size - 1})")
-    return arr.astype(np.int64, copy=False)
+        raise refuse(None, int(arr[bad[0]]))
+    return arr.reshape(-1)
 
 
 def _clash(graph: BipartiteMultigraph, labels: np.ndarray, group: np.ndarray, groups: int) -> int:

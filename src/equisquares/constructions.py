@@ -20,6 +20,7 @@ from .squares import (
     EquiNSquare,
     Transversal,
     _index,
+    _int_array,
     validate_square,
     validate_transversal,
 )
@@ -280,7 +281,8 @@ class BlockStructure:
     """Partition of a square's cells into single-column monochrome blocks.
 
     Block b is the m cells (rows[b, i], cols[b]), i < m, all holding
-    symbols[b]; cols and symbols have shape (K,) and rows (K, m).
+    symbols[b]; cols and symbols have shape (K,) and rows (K, m).  An entry
+    that squares._int_array refuses is a BlockMismatch.
     """
 
     m: int
@@ -290,8 +292,8 @@ class BlockStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _index(self.m))
-        for name in ("cols", "symbols", "rows"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
+        for name, key in (("cols", "col"), ("symbols", "symbol"), ("rows", "rows")):
+            arr = _int_array(getattr(self, name), lambda _, entry: _not_integers(key, entry))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -326,28 +328,17 @@ class BlockStructure:
             if not isinstance(rows, list) or len(rows) != m:
                 got = f"{len(rows)} cells" if isinstance(rows, list) else repr(rows)
                 raise BlockMismatch(f"block {i} has {got}, expected a list of {m} rows")
-        cols, symbols, rows = (_int_array(values, key, ndim)
-                               for values, key, ndim in zip(fields, ("col", "symbol", "rows"), (1, 1, 2)))
-        return cls(m=m, cols=cols, symbols=symbols, rows=rows.reshape(len(blocks), m))
+        rows = fields[2] if blocks else np.empty((0, m))  # [] alone would read as 1-D
+        out = cls(m=m, cols=fields[0], symbols=fields[1], rows=rows)
+        for key, arr, ndim in zip(("col", "symbol", "rows"), (out.cols, out.symbols, out.rows), (1, 1, 2)):
+            if arr.ndim != ndim:  # a list where a number belongs
+                raise _not_integers(key, None)
+        return out
 
 
-def _int_array(values: list, key: str, ndim: int) -> np.ndarray:
-    """values as an ndim-D int64 array; BlockMismatch unless every entry is an integer."""
-    try:
-        arr = np.array(values)
-    except (ValueError, OverflowError):
-        arr = None
-    if arr is None or (arr.size and (arr.dtype.kind != "i" or arr.ndim != ndim)):
-        raise BlockMismatch(f"block '{key}' entries must be integers")
-    # Among integers numpy reads true and false as 1 and 0, so only the
-    # entries equal to 0 or 1 can be booleans.
-    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
-        entry = values
-        for i in index:
-            entry = entry[i]
-        if isinstance(entry, bool):
-            raise BlockMismatch(f"block '{key}' entries must be integers, not {entry!r}")
-    return arr.astype(np.int64)
+def _not_integers(key: str, entry) -> BlockMismatch:
+    named = f", not {entry!r}" if isinstance(entry, (bool, np.bool_)) else ""
+    return BlockMismatch(f"block '{key}' entries must be integers{named}")
 
 
 # The blocks sidecar, format 1, is json.dumps of {"format": 1, "m": m,

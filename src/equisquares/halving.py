@@ -38,7 +38,7 @@ from .bipartite import (  # union_components is also importable from here
 )
 from .constructions import BlockStructure, validate_block_structure
 from .hypergraph import InvalidParam  # one class, importable from here too
-from .squares import EquiNSquare, Transversal, _index, validate_transversal
+from .squares import EquiNSquare, Transversal, _int_array, validate_transversal
 
 
 class NotPowerOfTwo(ValueError):
@@ -347,13 +347,16 @@ def _complete(graph: BipartiteMultigraph, matching: np.ndarray, perfect: np.ndar
     return out
 
 
+def _not_a_block(blocks: BlockStructure, label) -> InvalidParam:
+    return InvalidParam(f"label {label} is not a block (labels are 0..{blocks.rows.shape[0] - 1})")
+
+
 def _block_rows(blocks: BlockStructure, labels: np.ndarray, n_rows: int) -> np.ndarray:
     """blocks.rows[labels]; InvalidParam unless every label is a block and every row < n_rows."""
-    count = blocks.rows.shape[0]
-    bad = labels[(labels < 0) | (labels >= count)]
+    bad = labels[(labels < 0) | (labels >= blocks.rows.shape[0])]
     if bad.size:
-        raise InvalidParam(f"label {bad[0]} is not a block (labels are 0..{count - 1})")
-    rows = blocks.rows[labels.astype(np.int64, copy=False)]
+        raise _not_a_block(blocks, bad[0])
+    rows = blocks.rows[labels]
     if rows.size and rows.max() >= n_rows:
         raise InvalidParam(f"a block covers a row >= n_rows = {n_rows}")
     return rows
@@ -363,20 +366,17 @@ def row_loads(blocks: BlockStructure, matching, n_rows: int) -> np.ndarray:
     """Per-row count of the blocks in `matching` that have a cell in that row, as int64.
 
     matching is an integer array or any collection of block labels.
-    InvalidParam if a label is not an integer (bools are refused) or not a
-    block, or a block covers a row >= n_rows.
+    InvalidParam if squares._int_array refuses a label (an int past int64 is
+    no block), a label is not a block, or a block covers a row >= n_rows.
     """
-    labels = matching
-    if not (isinstance(matching, np.ndarray) and matching.dtype.kind in "iu"):
-        labels = list(matching)
-        for x in labels:
-            try:
-                _index(x)
-            except TypeError:
-                raise InvalidParam(f"label {x!r} is not an integer") from None
-        # As objects, labels past int64 reach _block_rows, which names them as no block.
-        labels = np.array(labels, dtype=object)
-    return np.bincount(_block_rows(blocks, labels, n_rows).ravel(), minlength=n_rows)
+    def refuse(index, x) -> InvalidParam:  # an int here is past int64
+        return _not_a_block(blocks, x) if type(x) is int else InvalidParam(f"label {x!r} is not an integer")
+
+    labels = matching if isinstance(matching, np.ndarray) else list(matching)
+    arr = _int_array(labels, refuse)
+    if arr.ndim != 1 and labels is not matching:  # a list of lists
+        raise refuse(0, labels[0])
+    return np.bincount(_block_rows(blocks, arr, n_rows).ravel(), minlength=n_rows)
 
 
 def mcdiarmid_bound(c, t: float) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -122,18 +123,21 @@ class Transversal:
 
 
 def validate_square(n: int, grid) -> EquiNSquare:
-    """Check dimensions, integer symbols in range, and per-symbol counts; return the square."""
-    arr = np.asarray(grid)
+    """Check dimensions, integer symbols in range, and per-symbol counts; return the square.
+
+    DimensionMismatch for a ragged grid; an entry that :func:`_int_array` refuses
+    is a SymbolOutOfRange, or an OverflowError if it is an int past int64.
+    """
     if n < 1:
         raise DimensionMismatch(f"n must be positive, got {n}")
-    if arr.shape != (n, n):
-        raise DimensionMismatch(f"grid shape {arr.shape}, expected ({n}, {n})")
-    if arr.dtype.kind not in "iu":
-        # Check the given entries, not arr: Python ints past int64 make it float or object.
-        for cell, x in np.ndenumerate(np.asarray(grid, dtype=object)):
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise SymbolOutOfRange(x, Cell(*cell))
-    arr = arr if arr.dtype == np.int64 else np.asarray(grid, dtype=np.int64)
+    try:
+        shape = np.shape(grid)
+    except ValueError:
+        raise DimensionMismatch(f"grid is ragged, expected shape ({n}, {n})") from None
+    if shape != (n, n):
+        raise DimensionMismatch(f"grid shape {shape}, expected ({n}, {n})")
+    arr = _int_array(grid, lambda cell, x: SymbolOutOfRange(x, Cell(*cell)) if type(x) is not int
+                     else OverflowError(f"symbol {x} at cell {cell} does not fit in int64"))
     bad = (arr < 0) | (arr >= n)
     if bad.any():
         r, c = np.argwhere(bad)[0]
@@ -151,6 +155,34 @@ def _index(x) -> int:
     if isinstance(x, bool):
         raise TypeError("'bool' object cannot be interpreted as an integer")
     return operator.index(x)
+
+
+def _int_array(values, refuse) -> np.ndarray:
+    """values as an int64 array: the one gate for integer arrays from callers.
+
+    Raises refuse(index, entry) for the first entry, in row-major order,
+    that is not an integer within int64: a bool (Python's or numpy's), a
+    float, a str, None, an int past int64, or a sequence among numbers.  An
+    integer ndarray passes with no Python loop, and an int64 one uncopied.
+    A sequence of ints pays one np.asarray and a look at only its entries
+    of at most 1, since among ints numpy reads a bool as 1 or 0.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged: the walk below names the first sequence
+        arr = np.asarray(values, dtype=object)
+    if arr.dtype.kind in "iu" and not (arr.dtype.kind == "u" and arr.size and arr.max() >= 2**63):
+        if arr is not values and arr.ndim:  # a 0-d int array came from one int, not a bool
+            for index in zip(*[axis.tolist() for axis in (arr <= 1).nonzero()]):
+                entry = reduce(operator.getitem, index, values)
+                if isinstance(entry, (bool, np.bool_)):
+                    raise refuse(index, entry)
+        return arr.astype(np.int64, copy=False)
+    objects = np.asarray(values, dtype=object)
+    for index, entry in np.ndenumerate(objects):
+        if isinstance(entry, bool) or not (isinstance(entry, (int, np.integer)) and -2**63 <= entry < 2**63):
+            raise refuse(index, entry)
+    return objects.astype(np.int64)
 
 
 def validate_transversal(square: EquiNSquare, cells: Iterable[tuple[int, int]]) -> Transversal:

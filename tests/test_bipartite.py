@@ -49,6 +49,15 @@ def test_graph_rejects_endpoints_out_of_range(left, right):
         BipartiteMultigraph(2, 3, left, right)
 
 
+def test_graph_refuses_float_and_bool_endpoints_instead_of_truncating():
+    with pytest.raises(ValueError, match=r"endpoint 0\.5 at \(0,\) is not an integer"):
+        BipartiteMultigraph(2, 2, [0.5, 1.7], [0, 1])
+    with pytest.raises(ValueError, match=r"endpoint 0\.0 at \(0,\) is not an integer"):
+        BipartiteMultigraph(2, 2, [0, 1], np.array([0.0, 1.0]))  # integral floats too
+    with pytest.raises(ValueError, match=r"endpoint True at \(1, 0\) is not an integer"):
+        make_graph(2, 2, [(0, 0), (True, 1)])
+
+
 def test_perfect_matching_trivial():
     g = make_graph(3, 3, [(0, 1), (1, 2), (2, 0)])
     assert decompose_regular(g, 1)[0] == frozenset({0, 1, 2})

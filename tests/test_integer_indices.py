@@ -1,16 +1,30 @@
 """Every entry point that takes an integer index (a cell, a vertex, an edge
-label, a block size) refuses bools and non-integers with its own typed error."""
+label, a block size) or an integer array (a grid, block fields, graph
+endpoints, a label collection) refuses bools and non-integers with its own
+typed error."""
 
 import re
 
 import numpy as np
 import pytest
 
-from equisquares.bipartite import BipartiteMultigraph, NotAMatching, is_matching, union_components
+from equisquares.bipartite import (
+    BipartiteMultigraph,
+    NotAMatching,
+    is_matching,
+    make_graph,
+    union_components,
+)
 from equisquares.constructions import BlockMismatch, BlockStructure, block_structured_square, cyclic_latin
 from equisquares.halving import iterated_halving, row_loads
 from equisquares.hypergraph import InvalidParam, TripartiteHypergraph, codegree, from_square
-from equisquares.squares import CellOutOfRange, validate_transversal
+from equisquares.squares import (
+    CellOutOfRange,
+    DimensionMismatch,
+    SymbolOutOfRange,
+    validate_square,
+    validate_transversal,
+)
 
 SQUARE = cyclic_latin(3)
 H = from_square(SQUARE)
@@ -25,9 +39,10 @@ def _vertex(v):
     return InvalidParam, f"vertex {v!r} is not in classes (3, 3, 3)"
 
 
-def _labels(_v):
-    # Next to 0, BIG makes numpy build a float array, which is refused whole.
-    return NotAMatching, "edge labels must be integers"
+def _labels(v):
+    # BIG is an integer, only not an edge.
+    return NotAMatching, (f"label {BIG} is not an edge of the graph (labels are 0..5)" if v is BIG
+                          else "edge labels must be integers")
 
 
 # name -> (call with the value in an index position, its expected
@@ -83,3 +98,97 @@ def test_index_positions_refuse_bools_and_non_integers_with_a_typed_error(entry,
     with pytest.raises(error, match=re.escape(message)) as info:
         call(value)
     assert type(info.value) is error
+
+
+ARRAY_VALUES = [True, np.True_, 1.5, "1", None, BIG]
+
+
+def _plain(v):
+    """v as read back from an ndarray of v's own dtype: np.True_ comes back as True."""
+    return True if v is np.True_ else v
+
+
+def _symbol(v, cell):
+    if v is BIG:
+        return OverflowError, f"symbol {BIG} at cell {cell} does not fit in int64"
+    return SymbolOutOfRange, f"symbol {v!r} at cell {cell} not in [0, n)"
+
+
+def _block(key, v):
+    named = f", not {v!r}" if isinstance(v, (bool, np.bool_)) else ""
+    return BlockMismatch, f"block '{key}' entries must be integers{named}"
+
+
+def _fields(**change):
+    fields = {"m": 2, "cols": BLOCKS.cols, "symbols": BLOCKS.symbols, "rows": BLOCKS.rows}
+    return BlockStructure(**{**fields, **change})
+
+
+def _endpoint(v, index):
+    return ValueError, f"endpoint {v!r} at {index} is not an integer within int64"
+
+
+def _row_label(v):
+    if v is BIG:
+        return InvalidParam, f"label {BIG} is not a block (labels are 0..7)"
+    return InvalidParam, f"label {_plain(v)!r} is not an integer"
+
+
+# name -> (call with the value inside a list, or inside an ndarray of the
+# value's own dtype, and its expected (error type, message)).
+ARRAY_ENTRY_POINTS = {
+    "validate_square list": (lambda v: validate_square(2, [[0, v], [1, 0]]),
+                             lambda v: _symbol(v, (0, 1))),
+    "validate_square ndarray": (lambda v: validate_square(2, np.full((2, 2), v)),
+                                lambda v: _symbol(_plain(v), (0, 0))),
+    "BlockStructure cols list": (lambda v: _fields(cols=[0, v, *BLOCKS.cols[2:].tolist()]),
+                                 lambda v: _block("col", v)),
+    "BlockStructure cols ndarray": (lambda v: _fields(cols=np.full(8, v)),
+                                    lambda v: _block("col", _plain(v))),
+    "BlockStructure symbols list": (lambda v: _fields(symbols=[v, *BLOCKS.symbols[1:].tolist()]),
+                                    lambda v: _block("symbol", v)),
+    "BlockStructure symbols ndarray": (lambda v: _fields(symbols=np.full(8, v)),
+                                       lambda v: _block("symbol", _plain(v))),
+    "BlockStructure rows list": (lambda v: _fields(rows=[[0, v], *BLOCKS.rows[1:].tolist()]),
+                                 lambda v: _block("rows", v)),
+    "BlockStructure rows ndarray": (lambda v: _fields(rows=np.full((8, 2), v)),
+                                    lambda v: _block("rows", _plain(v))),
+    "BipartiteMultigraph list": (lambda v: BipartiteMultigraph(3, 3, [0, 1, 2], [0, v, 2]),
+                                 lambda v: _endpoint(v, (1,))),
+    "BipartiteMultigraph ndarray": (lambda v: BipartiteMultigraph(3, 3, np.full(3, v), [0, 1, 2]),
+                                    lambda v: _endpoint(_plain(v), (0,))),
+    "make_graph": (lambda v: make_graph(3, 3, [(0, 0), (1, v)]), lambda v: _endpoint(v, (1, 1))),
+    "row_loads ndarray": (lambda v: row_loads(BLOCKS, np.full(2, v), 4), _row_label),
+}
+
+
+@pytest.mark.parametrize("value", ARRAY_VALUES, ids=repr)
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_array_entries_refuse_bools_and_non_integers_with_a_typed_error(entry, value):
+    call, expected = ARRAY_ENTRY_POINTS[entry]
+    error, message = expected(value)
+    with pytest.raises(error, match=re.escape(message)) as info:
+        call(value)
+    assert type(info.value) is error
+
+
+def test_bipartite_multigraph_keeps_int_arrays_without_a_copy():
+    left = np.array([0, 1, 2])
+    graph = BipartiteMultigraph(3, 3, left, np.array([1, 2, 0], dtype=np.int32))
+    assert graph.left is left
+    assert graph.right.dtype == np.int64 and graph.right.tolist() == [1, 2, 0]
+
+
+def test_validate_square_calls_a_ragged_grid_a_dimension_mismatch():
+    for grid in ([[0, 1], [1]], [[0, 1], [1, [0, 1]]]):
+        with pytest.raises(DimensionMismatch, match=r"grid is ragged, expected shape \(2, 2\)"):
+            validate_square(2, grid)
+
+
+@pytest.mark.parametrize("key, value", [("col", [0, 0]), ("symbol", [1]), ("rows", [[0], [1]])])
+def test_blocks_sidecar_refuses_a_list_where_every_number_belongs(key, value):
+    # With a list in that place in every block, numpy reads the field as an
+    # integer array of one more dimension, which the gate lets pass.
+    blocks = [{"col": 0, "symbol": 0, "rows": [0, 1], key: value} for _ in range(2)]
+    with pytest.raises(BlockMismatch, match=f"^block '{key}' entries must be integers$"):
+        BlockStructure.from_json({"format": 1, "m": 2, "blocks": blocks})

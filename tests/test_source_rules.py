@@ -150,3 +150,30 @@ def test_operator_index_is_used_only_by_the_index_helper():
     uses = [f"{path.relative_to(SRC).as_posix()}:{func}"
             for path, tree in _src_trees().items() for func in _operator_index_uses(tree)]
     assert uses == ["equisquares/squares.py:_index"]
+
+
+def _int64_array_builds(tree) -> list[str]:
+    """The enclosing function of every np.array or np.asarray call in tree
+    whose dtype, by keyword or second argument, is np.int64 or object."""
+    builds = []
+    stack = [(tree, "<module>")]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("array", "asarray")):
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
+            if any(ast.unparse(dtype) in ("np.int64", "numpy.int64", "object") for dtype in dtypes):
+                builds.append(func)
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return builds
+
+
+def test_int64_arrays_are_built_only_by_the_integer_array_gate():
+    # squares._int_array is the one gate for integer arrays from caller
+    # input: it refuses bools, floats and ints past int64, which a cast to
+    # int64 reads as integers or truncates.
+    builds = {f"{path.relative_to(SRC).as_posix()}:{func}"
+              for path, tree in _src_trees().items() for func in _int64_array_builds(tree)}
+    assert builds == {"equisquares/squares.py:_int_array"}
