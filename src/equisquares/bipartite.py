@@ -47,6 +47,7 @@ class BipartiteMultigraph:
 
     Edge e joins left vertex left[e] to right vertex right[e]; its label is e.
     ValueError if an endpoint is outside its class or refused by squares._int_array.
+    The arrays are read-only: a writable int64 array of the caller's is copied, not frozen.
     """
 
     left_size: int
@@ -65,6 +66,8 @@ class BipartiteMultigraph:
             e = int(bad[0])
             raise ValueError(f"edge ({left[e]}, {right[e]}) endpoint out of range")
         for name, arr in (("left", left), ("right", right)):
+            if arr is getattr(self, name) and arr.flags.writeable:
+                arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -282,7 +282,8 @@ class BlockStructure:
 
     Block b is the m cells (rows[b, i], cols[b]), i < m, all holding
     symbols[b]; cols and symbols have shape (K,) and rows (K, m).  An entry
-    that squares._int_array refuses is a BlockMismatch.
+    that squares._int_array refuses is a BlockMismatch.  The arrays are
+    read-only: a writable int64 array of the caller's is copied, not frozen.
     """
 
     m: int
@@ -293,7 +294,10 @@ class BlockStructure:
     def __post_init__(self):
         object.__setattr__(self, "m", _index(self.m))
         for name, key in (("cols", "col"), ("symbols", "symbol"), ("rows", "rows")):
-            arr = _int_array(getattr(self, name), lambda _, entry: _not_integers(key, entry))
+            values = getattr(self, name)
+            arr = _int_array(values, lambda _, entry: _not_integers(key, entry))
+            if arr is values and arr.flags.writeable:
+                arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -328,7 +332,10 @@ class BlockStructure:
             if not isinstance(rows, list) or len(rows) != m:
                 got = f"{len(rows)} cells" if isinstance(rows, list) else repr(rows)
                 raise BlockMismatch(f"block {i} has {got}, expected a list of {m} rows")
-        rows = fields[2] if blocks else np.empty((0, m))  # [] alone would read as 1-D
+        try:
+            rows = fields[2] if blocks else np.empty((0, m))  # [] alone would read as 1-D
+        except ValueError:  # numpy caps every dimension, an empty one too
+            raise BlockMismatch(f"blocks sidecar 'm' = {m} is too large for an array") from None
         out = cls(m=m, cols=fields[0], symbols=fields[1], rows=rows)
         for key, arr, ndim in zip(("col", "symbol", "rows"), (out.cols, out.symbols, out.rows), (1, 1, 2)):
             if arr.ndim != ndim:  # a list where a number belongs
@@ -403,8 +410,7 @@ def _written_layout(raw: bytes) -> BlockStructure | None:
     if count < 1 or extra:
         return None
     fields = numbers[2:].reshape(count, m + 2)
-    blocks = BlockStructure(m=m, cols=fields[:, 0].copy(), symbols=fields[:, 1].copy(),
-                            rows=fields[:, 2:].copy())
+    blocks = BlockStructure(m=m, cols=fields[:, 0], symbols=fields[:, 1], rows=fields[:, 2:])
     try:
         return blocks if _blocks_text(blocks) == raw else None
     except BlockMismatch:
@@ -485,13 +491,11 @@ def block_structured_square(n: int, m: int, seed) -> tuple[EquiNSquare, BlockStr
     grid = np.empty((n, n), dtype=np.int64)  # (col, row) -> symbol
     np.put_along_axis(grid, row_orders, np.repeat(perms.T, m, axis=1), axis=1)
     square = validate_square(n, np.ascontiguousarray(grid.T))
-    structure = BlockStructure(
-        m=m,
-        cols=np.repeat(np.arange(n), k),
-        symbols=perms.T.ravel(),
-        rows=np.sort(row_orders.reshape(n, k, m), axis=2).reshape(n * k, m),
-    )
-    return square, structure
+    fields = (np.repeat(np.arange(n), k), perms.T.ravel(),
+              np.sort(row_orders.reshape(n, k, m), axis=2).reshape(n * k, m))
+    for arr in fields:
+        arr.setflags(write=False)  # so BlockStructure keeps them uncopied
+    return square, BlockStructure(m, *fields)
 
 
 def cyclic_latin(n: int) -> EquiNSquare:

@@ -246,7 +246,9 @@ def max_matching_exact(h: TripartiteHypergraph, budget: int | None = None):
     Class 0 plays the rows; the search state is one bitset of the usable
     edges, so a cell with several symbols is just several edges.  Twin
     vertices (two of one class on the same pairs of the other two, as the
-    copies in a `blow_up` are) are searched once per orbit; see
+    copies in a `blow_up` are) are searched once per orbit, and the search
+    stops once the incumbent reaches a parity bound on even vertex sets
+    computed at the root, which proves `alon_kim(2)` in one node; see
     `solvers._max_tripartite_matching`.  `budget` caps the search nodes, as
     `exact_max`'s node_budget does; the returned (edge_indices, optimal)
     flag reports whether the search completed, so `budget=0` never reports

@@ -11,6 +11,10 @@ symbols is just several edges.
 
 from __future__ import annotations
 
+from functools import reduce
+from math import comb
+from operator import xor
+
 import numpy as np
 
 from .squares import Cell, EquiNSquare, Transversal, validate_transversal
@@ -79,6 +83,127 @@ def _bitset(indices: list[int], size: int) -> int:
     for i in indices:
         buf[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(buf, "little")
+
+
+# The even-set bound keeps at most this many basis sets, so its transforms
+# have at most 2**16 entries, and it gives up after summing this many terms;
+# either cap only weakens the bound.
+_EVEN_SETS = 16
+_EVEN_SET_WORK = 1 << 20
+
+
+def _bits(x: int):
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _even_set_signatures(class_sizes: tuple[int, int, int], edges) -> tuple[list[int], int]:
+    """A basis of the even sets that avoid row 0 and column 0, as one
+    signature per vertex (rows, then columns, then symbols): bit i of sig[v]
+    says whether v lies in basis set i.  Returns (sig, number of sets), at
+    most _EVEN_SETS of them.  Every even set is one of these, plus the
+    union of two classes c and c' or nothing; such a union holds
+    size_c + size_c' - 2m of the vertices a size-m matching leaves, its own
+    parity, so it rules out no m."""
+    a, b, _ = class_sizes
+    # Even sets are the solutions x over GF(2) of x_r + x_j + x_s = 0, one
+    # equation per edge, here with x_0 = x_a = 0.  The solutions so far are
+    # a bit matrix kept both ways: bit i of sig[v] and bit v of has[i] say
+    # that v lies in solution i.  An edge that solutions d break is imposed
+    # by adding the lowest of them, p, to the others and dropping it.
+    sig = [1 << v for v in range(sum(class_sizes))]
+    sig[0] = sig[a] = 0
+    has = list(sig)
+    for r, j, s in edges:
+        d = sig[r] ^ sig[a + j] ^ sig[a + b + s]
+        if d:
+            p = (d & -d).bit_length() - 1
+            for v in _bits(has[p]):
+                sig[v] ^= d
+            for i in _bits(d & d - 1):
+                has[i] ^= has[p]
+            has[p] = 0
+    kept = [members for members in has if members][:_EVEN_SETS]
+    sig = [0] * len(sig)
+    for i, members in enumerate(kept):
+        for v in _bits(members):
+            sig[v] |= 1 << i
+    return sig, len(kept)
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """The Walsh-Hadamard transform of a length-2^k array: entry w of the
+    result is the sum over x of a[x] * (-1)^(popcount(w & x))."""
+    h = 1
+    while h < a.size:
+        a = a.reshape(-1, 2, h)
+        a = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1).reshape(-1)
+        h *= 2
+    return a
+
+
+def _krawtchouk(q: int, size: int, b: int) -> int:
+    """The coefficient of z^q in (1 - z)^b (1 + z)^(size - b)."""
+    if 2 * q > size:  # the polynomial is (-1)^b z^size times itself at 1/z
+        return (-1) ** b * _krawtchouk(size - q, size, b)
+    return sum((-1) ** j * comb(b, j) * comb(size - b, q - j) for j in range(q + 1))
+
+
+def _even_set_bound(class_sizes: tuple[int, int, int], edges) -> int:
+    """The largest m <= min(class_sizes) that parity on even sets allows a
+    matching; see `_max_tripartite_matching`.
+
+    With the signatures of `_even_set_signatures`, the parities of a vertex
+    set on the basis sets are the XOR of its signatures.  So m is allowed
+    when N(m), the number of ways to pick q_c = size_c - m vertices of each
+    class c whose signatures XOR to t, the XOR of all signatures, is
+    positive.  Fourier analysis over GF(2)^k counts them: at w, picking q
+    of a class's vertices transforms to the coefficient of z^q in
+    (1 - z)^b (1 + z)^(size - b), where b = b(w) counts the class's
+    vertices v with popcount(w & sig[v]) odd.  So 2^k N(m) is the sum over
+    w of (-1)^(popcount(w & t)) times the three classes' coefficients.  One
+    Walsh-Hadamard transform per class gives every b(w); the sum runs in
+    exact integers over the distinct tuples of the three b(w) and the sign.
+    Every m from min(class_sizes) down is tried until N(m) > 0; m = 0
+    always passes.  Keeping at most _EVEN_SETS basis sets, and stopping at
+    an untried m once _EVEN_SET_WORK terms are summed, both give a larger,
+    still sound bound.
+    """
+    low = min(class_sizes)
+    if low == 0:
+        return 0
+    sig, k = _even_set_signatures(class_sizes, edges)
+    # Per w: each class's b(w), then whether popcount(w & t) is odd.
+    per_w, first = [], 0
+    for size in class_sizes:
+        histogram = np.bincount(sig[first:first + size], minlength=1 << k)
+        per_w.append((size - _walsh_hadamard(histogram)) // 2)
+        first += size
+    target = np.zeros(1 << k, dtype=np.int64)
+    target[reduce(xor, sig, 0)] = 1
+    per_w.append(_walsh_hadamard(target) < 0)
+    shape = tuple(size + 1 for size in class_sizes) + (2,)
+    keys, counts = np.unique(np.ravel_multi_index(per_w, shape), return_counts=True)
+    groups = list(zip(*(axis.tolist() for axis in np.unravel_index(keys, shape)), counts.tolist()))
+    work = 0
+    for m in range(low, 0, -1):
+        work += len(groups)
+        if work > _EVEN_SET_WORK:
+            return m
+        coefficient = [{} for _ in class_sizes]
+        total = 0
+        for *bs, odd, count in groups:
+            for cache, size, b in zip(coefficient, class_sizes, bs):
+                if b not in cache:
+                    cache[b] = _krawtchouk(size - m, size, b)
+                count *= cache[b]
+            total += -count if odd else count
+        if total:
+            return m
+    return 0
 
 
 def _max_tripartite_matching(
@@ -152,6 +277,23 @@ def _max_tripartite_matching(
     only nodes with no extension larger than the incumbent, and a fitting
     maximum matching ends at a leaf as P itself.  Without twins every class
     is a singleton and no rule removes a branch.
+
+    Even sets.  A vertex set X is even when every edge meets it in 0 or 2
+    vertices.  A matching's edges are disjoint, so the vertices it leaves
+    uncovered meet X in as many vertices as all vertices do, mod 2; a
+    matching of size m leaves size_c - m of them in class c.  Once, at the
+    root, `_even_set_bound` finds the largest m for which some choice of
+    size_c - m vertices per class has that parity on a basis of the even
+    sets, and so on all of them: no matching is larger.  The easy half of
+    Hall-Paige is such a parity: in cyclic_latin(n) with n = 2 mod 4 the odd
+    rows, columns and symbols form an even set of odd size, so no full
+    transversal exists.  When the bound is below min(class_sizes), the
+    search stops as soon as the incumbent reaches it, at the root included;
+    otherwise it runs as above.  The incumbent only grows strictly, so the
+    first one to reach a sound upper bound is the one the full search
+    returns: the answer stays, and the tree is the full search's tree cut
+    at that node.  The root counts as one node either way, so budget=0
+    never reports optimal.
     """
     edges = sorted(set(edges))
     n_rows = class_sizes[0]
@@ -192,21 +334,28 @@ def _max_tripartite_matching(
             for v, vs in zip(edge, used):
                 vs.add(v)
 
+    # Below the trivial bound, an incumbent that reaches the even-set bound
+    # is a maximum matching, and the search stops there.
+    bound = _even_set_bound(class_sizes, edges)
+    goal = bound if bound < min(class_sizes) else None
     nodes = 0
-    out_of_budget = False
+    out_of_budget = reached = False
 
     def search(avail: int, open_cols: int, open_syms: int, chosen: list[tuple[int, int, int]],
                rows: list[int], cols: list[int], syms: list[int]):
         # rows: the rows with an edge in the parent's avail, in index order;
         # cols, syms: the edge bitsets of the columns and symbols with one,
         # in index order.  No other vertex has an edge in avail.
-        nonlocal best, nodes, out_of_budget
+        nonlocal best, nodes, out_of_budget, reached
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             out_of_budget = True
             return
         if len(chosen) > len(best):
             best = list(chosen)
+        if len(best) == goal:
+            reached = True
+            return
         gap = len(best) - len(chosen)
         # One pass: the live rows, and the one with the fewest usable edges,
         # lowest index on ties.
@@ -242,7 +391,7 @@ def _max_tripartite_matching(
             search(avail & ~(row_edges[row] | col_edges[j] | sym_edges[s]),
                    open_cols | next_col[j], open_syms | next_sym[s], chosen, live, cols, syms)
             chosen.pop()
-            if out_of_budget:
+            if out_of_budget or reached:
                 return
         # The skip child keeps every count but those of row and its later
         # twins; when they already rule it out, count it without the call.
@@ -266,11 +415,13 @@ def exact_max(
     """Maximum transversal: `_max_tripartite_matching` on the n^2 cells.
 
     Twin rows and twin columns (equal as sequences of symbols) are searched
-    once per orbit, as that function's docstring proves sound; box squares
-    such as `counterexample_square(18)`, with 6 distinct rows and columns,
-    are proved in about 10^5 nodes.  The budget counts search nodes, so
-    runs are deterministic; if it is exhausted the incumbent is returned
-    with optimal=False.
+    once per orbit, and the search stops once the incumbent reaches the
+    root's even-set bound, as that function's docstring proves sound.  That
+    bound equals the missing-colour bound on every `counterexample_square`
+    up to order 64, and it proves `counterexample_square(18)` (108 620
+    nodes by the twin rules alone) and `cyclic_latin(n)` for n = 2 mod 4 in
+    one node.  The budget counts search nodes, so runs are deterministic;
+    if it is exhausted the incumbent is returned with optimal=False.
     """
     n = square.n
     edges = [(i, j, s) for i, row in enumerate(square.grid.tolist()) for j, s in enumerate(row)]

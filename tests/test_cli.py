@@ -679,6 +679,19 @@ def test_unusable_path_exits_2_without_traceback(tmp_path, capsys, command):
     assert err.startswith("error: ") and str(tmp_path) in err
 
 
+@pytest.mark.parametrize("m", [2**62, 2**63])
+def test_block_solve_refuses_an_empty_sidecar_with_a_huge_m_without_traceback(tmp_path, capsys, m):
+    square_file = tmp_path / "b.txt"
+    run_cli(["generate", "--kind", "block", "--n", "8", "--m", "2", "--out", str(square_file)], capsys)
+    sidecar = tmp_path / "huge.json"
+    sidecar.write_text(json.dumps({"format": 1, "m": m, "blocks": []}) + "\n")
+    code, stdout, err = run_cli(["solve", "--method", "block", "--in", str(square_file),
+                                 "--blocks", str(sidecar)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: BlockMismatch: blocks sidecar 'm' = {m} is too large for an array\n"
+
+
 def _json_path(path):
     """The blocks sidecar read through json.loads and from_json alone."""
     try:

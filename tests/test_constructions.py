@@ -438,6 +438,8 @@ def test_write_blocks_refuses_blocks_that_tile_no_square(tmp_path, change, messa
     lambda d: d["blocks"][3]["rows"].__setitem__(1, [1]),
     lambda d: d["blocks"].__setitem__(0, [0, 0, [0, 1]]),
     lambda d: d.update(m=-1, blocks=[]),
+    lambda d: d.update(m=2**62, blocks=[]),  # numpy: "array is too big"
+    lambda d: d.update(m=2**63, blocks=[]),  # numpy: "Maximum allowed dimension exceeded"
     lambda d: d.update(m=0),
     lambda d: d["blocks"][3]["rows"].__setitem__(0, True),
     lambda d: d["blocks"][0].update(col=False),

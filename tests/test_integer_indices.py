@@ -172,11 +172,25 @@ def test_array_entries_refuse_bools_and_non_integers_with_a_typed_error(entry, v
     assert type(info.value) is error
 
 
-def test_bipartite_multigraph_keeps_int_arrays_without_a_copy():
-    left = np.array([0, 1, 2])
-    graph = BipartiteMultigraph(3, 3, left, np.array([1, 2, 0], dtype=np.int32))
-    assert graph.left is left
-    assert graph.right.dtype == np.int64 and graph.right.tolist() == [1, 2, 0]
+def test_stored_int_arrays_are_read_only_copies_and_the_callers_stay_writable():
+    left, right = np.array([0, 1, 2]), np.array([1, 2, 0], dtype=np.int32)
+    graph = BipartiteMultigraph(3, 3, left, right)
+    left[0] = right[0] = 2
+    assert graph.left.tolist() == [0, 1, 2] and graph.right.tolist() == [1, 2, 0]
+    assert graph.right.dtype == np.int64
+    fields = {"cols": np.array([0, 1]), "symbols": np.array([1, 0]), "rows": np.array([[0, 1], [1, 0]])}
+    blocks = BlockStructure(m=2, **fields)
+    for name, arr in fields.items():
+        arr[0] = 5
+        assert getattr(blocks, name).ravel()[0] != 5
+    for arr in (graph.left, graph.right, blocks.cols, blocks.symbols, blocks.rows):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    frozen = np.array([0, 1])
+    frozen.setflags(write=False)  # a read-only array is kept as it is
+    assert BipartiteMultigraph(2, 2, frozen, frozen).left is frozen
+    assert BlockStructure(m=1, cols=frozen, symbols=frozen, rows=np.array([[0], [1]])).cols is frozen
 
 
 def test_validate_square_calls_a_ragged_grid_a_dimension_mismatch():

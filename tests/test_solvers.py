@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,18 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from equisquares import solvers
 from equisquares.constructions import (
+    TooSmall,
     counterexample_square,
     cyclic_latin,
     random_equi_square,
 )
-from equisquares.hypergraph import alon_kim, blow_up, from_square, max_matching_exact
+from equisquares.hypergraph import (
+    TripartiteHypergraph,
+    alon_kim,
+    blow_up,
+    from_square,
+    max_matching_exact,
+)
 from equisquares.solvers import (
     TooLarge,
     _masked_greedy,
@@ -335,6 +343,126 @@ def test_exact_search_matches_milp_above_brute_force_orders():
         assert optimal and len(matching) == len(chosen)
 
 
+def random_hypergraph(rng, most):
+    """Class sizes in [1, most] and up to 3 * most edges, repeats allowed."""
+    sizes = tuple(int(x) for x in rng.integers(1, most + 1, size=3))
+    edges = [tuple(int(rng.integers(0, size)) for size in sizes)
+             for _ in range(int(rng.integers(0, 3 * most + 1)))]
+    return TripartiteHypergraph(sizes, tuple(edges))
+
+
+def enumerated_even_set_bound(class_sizes, edges):
+    """The even-set bound by enumeration: every vertex set that meets each
+    edge in 0 or 2 vertices, and every choice of size_c - m uncovered
+    vertices per class c."""
+    first = (0, class_sizes[0], class_sizes[0] + class_sizes[1])
+    masks = [sum(1 << (first[c] + v) for c, v in enumerate(edge)) for edge in edges]
+    even = [x for x in range(1 << sum(class_sizes))
+            if all((x & mask).bit_count() % 2 == 0 for mask in masks)]
+    for m in range(min(class_sizes), -1, -1):
+        choices = [itertools.combinations(range(f, f + size), size - m)
+                   for f, size in zip(first, class_sizes)]
+        for parts in itertools.product(*choices):
+            uncovered = sum(1 << v for part in parts for v in part)
+            if all((x & uncovered).bit_count() % 2 == x.bit_count() % 2 for x in even):
+                return m
+
+
+def brute_max_matching(h):
+    for size in range(min(h.class_sizes), 0, -1):
+        for chosen in itertools.combinations(h.edges, size):
+            if all(len({e[cls] for e in chosen}) == size for cls in range(3)):
+                return size
+    return 0
+
+
+def test_even_set_bound_is_the_missing_colour_bound_on_counterexample_squares():
+    orders = 0
+    for n in range(8, 65):
+        try:
+            square, pairing = counterexample_square(n)
+        except TooSmall:
+            continue
+        orders += 1
+        bound = solvers._even_set_bound((n, n, n), from_square(square).edges)
+        assert bound == min(n, pairing.transversal_bound())
+    assert orders == 56
+
+
+def test_even_set_basis_sets_meet_every_edge_evenly():
+    rng = np.random.default_rng(29)
+    graphs = [from_square(counterexample_square(n)[0]) for n in (8, 10, 16, 18, 64)]
+    graphs += [from_square(cyclic_latin(n)) for n in (6, 8, 10)]
+    graphs += [alon_kim(3), blow_up(alon_kim(2), 2)] + [random_hypergraph(rng, 4) for _ in range(50)]
+    for h in graphs:
+        a, b, _ = h.class_sizes
+        sig, k = solvers._even_set_signatures(h.class_sizes, h.edges)
+        assert k <= solvers._EVEN_SETS and sig[0] == sig[a] == 0
+        for r, j, s in h.edges:
+            assert sig[r] ^ sig[a + j] ^ sig[a + b + s] == 0
+        # k independent sets: none of them is a sum of others
+        pivots = {}
+        for i in range(k):
+            x = sum(1 << v for v, bits in enumerate(sig) if bits >> i & 1)
+            while x and x.bit_length() in pivots:
+                x ^= pivots[x.bit_length()]
+            assert x
+            pivots[x.bit_length()] = x
+    assert solvers._even_set_signatures((10, 10, 10), from_square(cyclic_latin(10)).edges)[1] == 1
+
+
+def test_even_set_bound_matches_enumeration_and_bounds_the_matching_number():
+    rng = np.random.default_rng(2029)
+    below = 0
+    for _ in range(300):
+        h = random_hypergraph(rng, 3)
+        bound = solvers._even_set_bound(h.class_sizes, h.edges)
+        assert bound == enumerated_even_set_bound(h.class_sizes, h.edges), h
+        best = brute_max_matching(h)
+        assert bound >= best
+        matching, optimal = max_matching_exact(h)
+        assert optimal and len(matching) == best
+        below += bound < min(h.class_sizes)
+    assert below >= 50
+
+
+@pytest.mark.parametrize("n", [6, 10, 14])
+def test_cyclic_latin_of_order_2_mod_4_is_proved_at_the_root(n):
+    # The odd rows, columns and symbols form an even set of 3n/2 vertices,
+    # an odd number, so a full transversal would leave it an even number.
+    t, optimal = exact_max(cyclic_latin(n), node_budget=1)
+    assert optimal and t.size == n - 1
+    assert not exact_max(cyclic_latin(n), node_budget=0)[1]
+
+
+def test_even_set_bound_caps_give_a_weaker_sound_bound(monkeypatch):
+    edges = from_square(counterexample_square(18)[0]).edges
+    assert solvers._even_set_bound((18, 18, 18), edges) == 16
+    for sets in range(6):  # the order-18 square has 5 basis sets
+        monkeypatch.setattr(solvers, "_EVEN_SETS", sets)
+        assert 16 <= solvers._even_set_bound((18, 18, 18), edges) <= 18
+    monkeypatch.setattr(solvers, "_EVEN_SETS", 0)  # no basis set: the trivial bound
+    assert solvers._even_set_bound((18, 18, 18), edges) == 18
+    monkeypatch.setattr(solvers, "_EVEN_SETS", 16)
+    monkeypatch.setattr(solvers, "_EVEN_SET_WORK", 0)  # m = 18 is left untried
+    assert solvers._even_set_bound((18, 18, 18), edges) == 18
+
+
+@pytest.mark.parametrize("solve,old,new", [
+    (lambda b: exact_max(counterexample_square(8)[0], node_budget=b), 79, 8),
+    (lambda b: exact_max(counterexample_square(10)[0], node_budget=b), 41, 1),
+    (lambda b: exact_max(counterexample_square(16)[0], node_budget=b), 614, 135),
+    (lambda b: exact_max(cyclic_latin(6), node_budget=b), 206, 1),
+    (lambda b: max_matching_exact(alon_kim(2), budget=b), 49, 1),
+], ids=["counterexample8", "counterexample10", "counterexample16", "cyclic6", "alon_kim2"])
+def test_the_even_set_stop_keeps_answers_and_shrinks_trees(monkeypatch, solve, old, new):
+    found, optimal = solve(new)
+    assert optimal and not solve(new - 1)[1]
+    monkeypatch.setattr(solvers, "_even_set_bound", lambda class_sizes, edges: min(class_sizes))
+    assert solve(old) == (found, True)  # the search with no even-set bound
+    assert not solve(old - 1)[1]
+
+
 def test_exact_max_counterexample8():
     sq, pairing = counterexample_square(8)
     t, optimal = exact_max(sq)
@@ -362,12 +490,12 @@ def test_exact_search_returns_pinned_answers():
 
 
 @pytest.mark.parametrize("square,nodes", [
-    (counterexample_square(8)[0], 79),
-    (counterexample_square(10)[0], 41),
-    (counterexample_square(16)[0], 614),
-    (counterexample_square(18)[0], 108620),
+    (counterexample_square(8)[0], 8),
+    (counterexample_square(10)[0], 1),
+    (counterexample_square(16)[0], 135),
+    (counterexample_square(18)[0], 1),
     (cyclic_latin(8), 2226),
-    (cyclic_latin(10), 44322),
+    (cyclic_latin(10), 1),
 ], ids=["counterexample8", "counterexample10", "counterexample16", "counterexample18", "cyclic8",
         "cyclic10"])
 def test_exact_search_tree_size_is_pinned(square, nodes):
@@ -387,12 +515,12 @@ def test_hypergraph_exact_search_tree_size_is_pinned(h, nodes):
 
 
 @pytest.mark.parametrize("solve,nodes,digest", [
-    (lambda b: exact_max(counterexample_square(8)[0], node_budget=b), 79, "1c0e9215b2ff01a3"),
+    (lambda b: exact_max(counterexample_square(8)[0], node_budget=b), 8, "a79bfed8bdda6546"),
     (lambda b: exact_max(random_equi_square(7, 3), node_budget=b), 26, "d75ad0c411a9bade"),
     (lambda b: exact_max(random_equi_square(7, 5), node_budget=b), 54, "5b47932ed8ba7610"),
-    (lambda b: exact_max(cyclic_latin(6), node_budget=b), 206, "3bd1540931e2f2fb"),
+    (lambda b: exact_max(cyclic_latin(6), node_budget=b), 1, "617255fb14efab7c"),
     (lambda b: max_matching_exact(blow_up(alon_kim(2), 2), budget=b), 58, "5b0d481f8643999f"),
-    (lambda b: max_matching_exact(alon_kim(2), budget=b), 49, "4f0928b5c48ea403"),
+    (lambda b: max_matching_exact(alon_kim(2), budget=b), 1, "5e78e591c7b9b9d3"),
 ], ids=["counterexample8", "random7_3", "random7_5", "cyclic6", "blow_up_alon_kim2", "alon_kim2"])
 def test_exact_search_result_at_every_budget_is_pinned(solve, nodes, digest):
     # (cells, optimal) for every budget from 1 to the full tree, digested.
