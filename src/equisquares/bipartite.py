@@ -46,8 +46,8 @@ class BipartiteMultigraph:
     """Multi-edges between a left and a right vertex class.
 
     Edge e joins left vertex left[e] to right vertex right[e]; its label is e.
-    ValueError if an endpoint is outside its class or refused by squares._int_array.
-    The arrays are read-only: a writable int64 array of the caller's is copied, not frozen.
+    ValueError if an endpoint is outside its class or refused by squares._int_array,
+    whose read-only arrays are stored.
     """
 
     left_size: int
@@ -65,11 +65,8 @@ class BipartiteMultigraph:
         if bad.size:
             e = int(bad[0])
             raise ValueError(f"edge ({left[e]}, {right[e]}) endpoint out of range")
-        for name, arr in (("left", left), ("right", right)):
-            if arr is getattr(self, name) and arr.flags.writeable:
-                arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.bincount(self.left, minlength=self.left_size),
@@ -96,12 +93,9 @@ def _labels(graph: BipartiteMultigraph, labels) -> np.ndarray:
 
     if not isinstance(labels, np.ndarray) and np.iterable(labels):
         labels = list(labels)  # a set or an iterator, say
-    arr = _int_array(labels, refuse)
+    arr = _int_array(labels, refuse, below=edges)
     if arr.ndim != 1 and arr.size:
         raise NotAMatching("edge labels must be integers")
-    bad = (arr.view(np.uint64) >= edges).nonzero()[0]  # as unsigned, a negative label is past every edge
-    if bad.size:
-        raise refuse(None, int(arr[bad[0]]))
     return arr.reshape(-1)
 
 
@@ -118,6 +112,14 @@ def _clash(graph: BipartiteMultigraph, labels: np.ndarray, group: np.ndarray, gr
     if not bad.size:
         return -1
     return int(np.where(bad < groups * nl, bad // nl, (bad - groups * nl) // nr).min())
+
+
+def _label_set(labels) -> frozenset:
+    """frozenset(labels); NotAMatching if labels is an int, a 0-d array, or holds unhashable entries."""
+    try:
+        return frozenset(labels)
+    except TypeError:
+        raise NotAMatching("edge labels must be integers") from None
 
 
 def is_matching(graph: BipartiteMultigraph, labels) -> bool:
@@ -377,8 +379,8 @@ def union_components(
     the left end of their minimum label.  Components are ordered by
     minimum edge label.
     """
-    m_a = frozenset(m_a)
-    m_b = frozenset(m_b)
+    m_a = _label_set(m_a)
+    m_b = _label_set(m_b)
     for name, m in (("m_a", m_a), ("m_b", m_b)):
         if not is_matching(graph, m):
             raise NotAMatching(f"{name} is not a matching")

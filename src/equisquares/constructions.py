@@ -161,6 +161,7 @@ def _counterexample(n: int) -> tuple[EquiNSquare, BoxPairing]:
     grid[outside] = queue  # boolean-mask assignment runs row-major
     rows, cols = np.nonzero(outside)
 
+    grid.setflags(write=False)  # so validate_square keeps it uncopied
     square = validate_square(n, grid)
     pairing = BoxPairing(n=n, m=m, r=r, a=a, b=b, pairs=tuple(pairs),
                          leftover_fill=tuple(zip(rows.tolist(), cols.tolist(), queue.tolist())))
@@ -269,6 +270,7 @@ def random_equi_square(n: int, seed) -> EquiNSquare:
     rng = np.random.default_rng(seed)
     symbols = np.repeat(np.arange(n, dtype=np.int64), n)
     rng.shuffle(symbols)
+    symbols.setflags(write=False)  # so validate_square keeps it uncopied
     return validate_square(n, symbols.reshape(n, n))
 
 
@@ -282,8 +284,8 @@ class BlockStructure:
 
     Block b is the m cells (rows[b, i], cols[b]), i < m, all holding
     symbols[b]; cols and symbols have shape (K,) and rows (K, m).  An entry
-    that squares._int_array refuses is a BlockMismatch.  The arrays are
-    read-only: a writable int64 array of the caller's is copied, not frozen.
+    that squares._int_array refuses is a BlockMismatch; the read-only arrays
+    it returns are stored.
     """
 
     m: int
@@ -294,11 +296,7 @@ class BlockStructure:
     def __post_init__(self):
         object.__setattr__(self, "m", _index(self.m))
         for name, key in (("cols", "col"), ("symbols", "symbol"), ("rows", "rows")):
-            values = getattr(self, name)
-            arr = _int_array(values, lambda _, entry: _not_integers(key, entry))
-            if arr is values and arr.flags.writeable:
-                arr = arr.copy()
-            arr.setflags(write=False)
+            arr = _int_array(getattr(self, name), lambda _, entry: _not_integers(key, entry))
             object.__setattr__(self, name, arr)
 
     def __eq__(self, other):
@@ -490,12 +488,12 @@ def block_structured_square(n: int, m: int, seed) -> tuple[EquiNSquare, BlockStr
     # Column j's row row_orders[j, i] gets the symbol of round i // m.
     grid = np.empty((n, n), dtype=np.int64)  # (col, row) -> symbol
     np.put_along_axis(grid, row_orders, np.repeat(perms.T, m, axis=1), axis=1)
-    square = validate_square(n, np.ascontiguousarray(grid.T))
+    grid = np.ascontiguousarray(grid.T)
     fields = (np.repeat(np.arange(n), k), perms.T.ravel(),
               np.sort(row_orders.reshape(n, k, m), axis=2).reshape(n * k, m))
-    for arr in fields:
-        arr.setflags(write=False)  # so BlockStructure keeps them uncopied
-    return square, BlockStructure(m, *fields)
+    for arr in (grid, *fields):
+        arr.setflags(write=False)  # so validate_square and BlockStructure keep them uncopied
+    return validate_square(n, grid), BlockStructure(m, *fields)
 
 
 def cyclic_latin(n: int) -> EquiNSquare:
@@ -504,4 +502,5 @@ def cyclic_latin(n: int) -> EquiNSquare:
         raise DimensionMismatch(f"n must be positive, got {n}")
     idx = np.arange(n)
     grid = (idx[:, None] + idx[None, :]) % n
+    grid.setflags(write=False)  # so validate_square keeps it uncopied
     return validate_square(n, grid)

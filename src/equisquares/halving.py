@@ -255,7 +255,7 @@ def iterated_halving(
     all its pairs (see _halve_level), and the matchings pass from level to
     level as label arrays, which the trace keeps.
     """
-    matchings = [frozenset(m) for m in matchings]
+    matchings = [bipartite._label_set(m) for m in matchings]
     labels = bipartite._labels(graph, itertools.chain.from_iterable(matchings))
     trace = _halve(graph, labels, [len(m) for m in matchings], s, rng)
     return trace.final, trace
@@ -347,36 +347,30 @@ def _complete(graph: BipartiteMultigraph, matching: np.ndarray, perfect: np.ndar
     return out
 
 
-def _not_a_block(blocks: BlockStructure, label) -> InvalidParam:
-    return InvalidParam(f"label {label} is not a block (labels are 0..{blocks.rows.shape[0] - 1})")
+def _block_rows(blocks: BlockStructure, labels, n_rows: int) -> np.ndarray:
+    """blocks.rows[labels]; InvalidParam unless labels is a 1-D collection that
+    squares._int_array takes as block labels, and every row < n_rows."""
+    count = blocks.rows.shape[0]
 
+    def refuse(index, x) -> InvalidParam:  # an int here is past int64 or no block
+        return InvalidParam(f"label {x} is not a block (labels are 0..{count - 1})" if type(x) is int
+                            else f"label {x!r} is not an integer")
 
-def _block_rows(blocks: BlockStructure, labels: np.ndarray, n_rows: int) -> np.ndarray:
-    """blocks.rows[labels]; InvalidParam unless every label is a block and every row < n_rows."""
-    bad = labels[(labels < 0) | (labels >= blocks.rows.shape[0])]
-    if bad.size:
-        raise _not_a_block(blocks, bad[0])
-    rows = blocks.rows[labels]
+    if not isinstance(labels, np.ndarray) and np.iterable(labels):
+        labels = list(labels)  # a set or an iterator, say
+    arr = _int_array(labels, refuse, below=count)
+    if arr.ndim != 1:
+        raise InvalidParam(f"block labels must be a 1-D collection, got shape {arr.shape}")
+    rows = blocks.rows[arr]
     if rows.size and rows.max() >= n_rows:
         raise InvalidParam(f"a block covers a row >= n_rows = {n_rows}")
     return rows
 
 
 def row_loads(blocks: BlockStructure, matching, n_rows: int) -> np.ndarray:
-    """Per-row count of the blocks in `matching` that have a cell in that row, as int64.
-
-    matching is an integer array or any collection of block labels.
-    InvalidParam if squares._int_array refuses a label (an int past int64 is
-    no block), a label is not a block, or a block covers a row >= n_rows.
-    """
-    def refuse(index, x) -> InvalidParam:  # an int here is past int64
-        return _not_a_block(blocks, x) if type(x) is int else InvalidParam(f"label {x!r} is not an integer")
-
-    labels = matching if isinstance(matching, np.ndarray) else list(matching)
-    arr = _int_array(labels, refuse)
-    if arr.ndim != 1 and labels is not matching:  # a list of lists
-        raise refuse(0, labels[0])
-    return np.bincount(_block_rows(blocks, arr, n_rows).ravel(), minlength=n_rows)
+    """Per-row count of the blocks in `matching` that have a cell in that row, as int64;
+    matching is a 1-D collection of block labels, refused as _block_rows refuses."""
+    return np.bincount(_block_rows(blocks, matching, n_rows).ravel(), minlength=n_rows)
 
 
 def mcdiarmid_bound(c, t: float) -> float:
@@ -404,6 +398,7 @@ def realized_effect_squares(trace: HalvingTrace, blocks: BlockStructure, n_rows:
     label is not a block or a block covers a row >= n_rows.
     """
     labels = np.concatenate([np.empty(0, dtype=np.int64), *(lv.pieces for lv in trace.steps)])
+    labels.setflags(write=False)  # so _block_rows keeps it uncopied
     sizes = np.concatenate([np.empty(0, dtype=np.int64), *(lv.lengths for lv in trace.steps)])
     comp = np.repeat(np.arange(sizes.size), sizes)
     # One key per (component, covered row) incidence; its multiplicity is the

@@ -86,9 +86,6 @@ class EquiNSquare:
     n: int
     grid: np.ndarray
 
-    def __post_init__(self):
-        self.grid.setflags(write=False)
-
     def symbol(self, cell: Cell) -> int:
         return int(self.grid[cell[0], cell[1]])
 
@@ -136,12 +133,8 @@ def validate_square(n: int, grid) -> EquiNSquare:
         raise DimensionMismatch(f"grid is ragged, expected shape ({n}, {n})") from None
     if shape != (n, n):
         raise DimensionMismatch(f"grid shape {shape}, expected ({n}, {n})")
-    arr = _int_array(grid, lambda cell, x: SymbolOutOfRange(x, Cell(*cell)) if type(x) is not int
-                     else OverflowError(f"symbol {x} at cell {cell} does not fit in int64"))
-    bad = (arr < 0) | (arr >= n)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise SymbolOutOfRange(int(arr[r, c]), Cell(int(r), int(c)))
+    arr = _int_array(grid, lambda at, x: OverflowError(f"symbol {x} at cell {at} does not fit in int64")
+                     if type(x) is int and not -2**63 <= x < 2**63 else SymbolOutOfRange(x, Cell(*at)), below=n)
     counts = np.bincount(arr.ravel(), minlength=n)
     off = np.nonzero(counts != n)[0]
     if off.size:
@@ -157,32 +150,42 @@ def _index(x) -> int:
     return operator.index(x)
 
 
-def _int_array(values, refuse) -> np.ndarray:
-    """values as an int64 array: the one gate for integer arrays from callers.
+def _int_array(values, refuse, below=None) -> np.ndarray:
+    """values as a read-only int64 array: the one gate for integer arrays from callers.
 
     Raises refuse(index, entry) for the first entry, in row-major order,
-    that is not an integer within int64: a bool (Python's or numpy's), a
-    float, a str, None, an int past int64, or a sequence among numbers.  An
-    integer ndarray passes with no Python loop, and an int64 one uncopied.
-    A sequence of ints pays one np.asarray and a look at only its entries
-    of at most 1, since among ints numpy reads a bool as 1 or 0.
+    that is not an integer within int64 (a bool, Python's or numpy's, a
+    float, a str, None, an int past int64, or a sequence among numbers),
+    then, with below given, for the first one outside [0, below), as a
+    Python int.  An integer ndarray passes with no Python loop; a sequence
+    of ints pays one np.asarray and a look at its entries of at most 1,
+    which numpy may have read from bools.  A writable int64 ndarray of the
+    caller's is copied, not frozen; a read-only one is returned as it is.
     """
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged: the walk below names the first sequence
         arr = np.asarray(values, dtype=object)
-    if arr.dtype.kind in "iu" and not (arr.dtype.kind == "u" and arr.size and arr.max() >= 2**63):
-        if arr is not values and arr.ndim:  # a 0-d int array came from one int, not a bool
-            for index in zip(*[axis.tolist() for axis in (arr <= 1).nonzero()]):
-                entry = reduce(operator.getitem, index, values)
-                if isinstance(entry, (bool, np.bool_)):
-                    raise refuse(index, entry)
-        return arr.astype(np.int64, copy=False)
-    objects = np.asarray(values, dtype=object)
-    for index, entry in np.ndenumerate(objects):
-        if isinstance(entry, bool) or not (isinstance(entry, (int, np.integer)) and -2**63 <= entry < 2**63):
-            raise refuse(index, entry)
-    return objects.astype(np.int64)
+    if arr.dtype.kind not in "iu" or arr.dtype.kind == "u" and arr.size and arr.max() >= 2**63:
+        arr = np.asarray(values, dtype=object)
+        for index, entry in np.ndenumerate(arr):
+            if isinstance(entry, bool) or not (isinstance(entry, (int, np.integer))
+                                               and -2**63 <= entry < 2**63):
+                raise refuse(index, entry)
+    elif arr is not values and arr.ndim:  # a 0-d int array came from one int, not a bool
+        for index in zip(*[axis.tolist() for axis in (arr <= 1).nonzero()]):
+            entry = reduce(operator.getitem, index, values)
+            if isinstance(entry, (bool, np.bool_)):
+                raise refuse(index, entry)
+    arr = arr.astype(np.int64, copy=False)
+    if below is not None:
+        outside = arr.view(np.uint64) >= below  # as unsigned, a negative entry is past every bound
+        if outside.any():
+            index = tuple(np.argwhere(outside)[0].tolist())
+            raise refuse(index, int(arr[index]))
+    arr = arr.copy() if arr is values and arr.flags.writeable else arr
+    arr.setflags(write=False)
+    return arr
 
 
 def validate_transversal(square: EquiNSquare, cells: Iterable[tuple[int, int]]) -> Transversal:
@@ -297,6 +300,7 @@ def _written_grid(raw: bytes) -> np.ndarray | None:
     values = np.fromstring(raw, dtype=np.int64, sep=" ")
     if values.size != n * n + 1 or values.max() >= 10**18:
         return None
+    values.setflags(write=False)  # so validate_square keeps the grid uncopied
     return values[1:].reshape(n, n)
 
 

@@ -15,15 +15,24 @@ from equisquares.bipartite import (
     make_graph,
     union_components,
 )
-from equisquares.constructions import BlockMismatch, BlockStructure, block_structured_square, cyclic_latin
+from equisquares.constructions import (
+    BlockMismatch,
+    BlockStructure,
+    block_structured_square,
+    counterexample_square,
+    cyclic_latin,
+    random_equi_square,
+)
 from equisquares.halving import iterated_halving, row_loads
 from equisquares.hypergraph import InvalidParam, TripartiteHypergraph, codegree, from_square
 from equisquares.squares import (
     CellOutOfRange,
     DimensionMismatch,
     SymbolOutOfRange,
+    read_square,
     validate_square,
     validate_transversal,
+    write_square,
 )
 
 SQUARE = cyclic_latin(3)
@@ -172,7 +181,7 @@ def test_array_entries_refuse_bools_and_non_integers_with_a_typed_error(entry, v
     assert type(info.value) is error
 
 
-def test_stored_int_arrays_are_read_only_copies_and_the_callers_stay_writable():
+def test_stored_int_arrays_are_read_only_copies_and_the_callers_stay_writable(tmp_path):
     left, right = np.array([0, 1, 2]), np.array([1, 2, 0], dtype=np.int32)
     graph = BipartiteMultigraph(3, 3, left, right)
     left[0] = right[0] = 2
@@ -191,6 +200,48 @@ def test_stored_int_arrays_are_read_only_copies_and_the_callers_stay_writable():
     frozen.setflags(write=False)  # a read-only array is kept as it is
     assert BipartiteMultigraph(2, 2, frozen, frozen).left is frozen
     assert BlockStructure(m=1, cols=frozen, symbols=frozen, rows=np.array([[0], [1]])).cols is frozen
+    for grid in (np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]], dtype=np.int32), [[0, 1], [1, 0]]):
+        square = validate_square(2, grid)
+        grid[0][0] = 1
+        assert square.grid.tolist() == [[0, 1], [1, 0]] and not square.grid.flags.writeable
+    frozen_grid = np.array([[0, 1], [1, 0]])
+    frozen_grid.setflags(write=False)
+    assert validate_square(2, frozen_grid).grid is frozen_grid
+    written = tmp_path / "square.txt"
+    write_square(SQUARE, written)
+    generated = [counterexample_square(8)[0], random_equi_square(4, 0), SQUARE,
+                 block_structured_square(4, 2, 0)[0], read_square(written)]
+    for square in generated:
+        with pytest.raises(ValueError, match="read-only"):
+            square.grid[0, 0] = 1
+
+
+# Label collections of the wrong shape: each holds labels that are edges of
+# G and blocks of BLOCKS, so only the shape is at fault.
+SHAPES = {"2-D ndarray": np.array([[0, 1], [2, 3]]), "0-d ndarray": np.array(3), "int": 3,
+          "list of lists": [[0, 1], [2, 3]]}
+_NOT_LABELS = NotAMatching, "edge labels must be integers"
+
+# name -> (call with the collection in a labels position, its expected (error type, message)).
+SHAPE_ENTRY_POINTS = {
+    "is_matching": (lambda v: is_matching(G, v), lambda v: _NOT_LABELS),
+    "union_components": (lambda v: union_components(G, v, [3, 4]), lambda v: _NOT_LABELS),
+    "iterated_halving": (
+        lambda v: iterated_halving(G, [v, [3, 4]], 2, np.random.default_rng(0)), lambda v: _NOT_LABELS),
+    "row_loads": (
+        lambda v: row_loads(BLOCKS, v, 4),
+        lambda v: (InvalidParam, f"block labels must be a 1-D collection, got shape {np.shape(v)}")),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("entry", SHAPE_ENTRY_POINTS)
+def test_label_collections_of_the_wrong_shape_are_refused_with_a_typed_error(entry, shape):
+    call, expected = SHAPE_ENTRY_POINTS[entry]
+    error, message = expected(SHAPES[shape])
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call(SHAPES[shape])
+    assert type(info.value) is error
 
 
 def test_validate_square_calls_a_ragged_grid_a_dimension_mismatch():

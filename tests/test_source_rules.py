@@ -177,3 +177,27 @@ def test_int64_arrays_are_built_only_by_the_integer_array_gate():
     builds = {f"{path.relative_to(SRC).as_posix()}:{func}"
               for path, tree in _src_trees().items() for func in _int64_array_builds(tree)}
     assert builds == {"equisquares/squares.py:_int_array"}
+
+
+def _writeable_reads(tree) -> list[str]:
+    """The enclosing function of every read of `.flags.writeable` in tree."""
+    reads = []
+    stack = [(tree, "<module>")]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "writeable"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "flags"):
+            reads.append(func)
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return reads
+
+
+def test_array_writeability_is_read_only_by_the_integer_array_gate():
+    # squares._int_array decides whether a caller's array is copied or kept:
+    # a writable one is copied, a read-only one kept.  A caller that reads
+    # the flag itself makes that decision a second time.
+    reads = [f"{path.relative_to(SRC).as_posix()}:{func}"
+             for path, tree in _src_trees().items() for func in _writeable_reads(tree)]
+    assert reads == ["equisquares/squares.py:_int_array"]
