@@ -413,9 +413,16 @@ def _cut(seq: np.ndarray, lengths: np.ndarray, cycle: np.ndarray, s: int):
     long = lengths > s
     if not long.any():
         return np.zeros(seq.size, dtype=bool), np.arange(seq.size), lengths, cycle
-    step = np.arange(seq.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    cut = np.repeat(long, lengths) & ((step + np.repeat(~cycle, lengths)) % (s + 1) == 0)
-    opens = step == 0
+    starts = np.cumsum(lengths) - lengths
+    # A long component's deletions sit every s + 1 steps from its first,
+    # at step s on a path and step 0 on a cycle.
+    first = starts[long] + np.where(cycle[long], 0, s)
+    counts = (starts[long] + lengths[long] - first + s) // (s + 1)
+    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    cut = np.zeros(seq.size, dtype=bool)
+    cut[np.repeat(first, counts) + (s + 1) * step] = True
+    opens = np.zeros(seq.size, dtype=bool)
+    opens[starts] = True
     opens[1:] |= cut[:-1]
     kept = np.flatnonzero(~cut)
     opens = opens[kept]

@@ -247,8 +247,9 @@ def max_matching_exact(h: TripartiteHypergraph, budget: int | None = None):
     edges, so a cell with several symbols is just several edges.  Twin
     vertices (two of one class on the same pairs of the other two, as the
     copies in a `blow_up` are) are searched once per orbit, and the search
-    stops once the incumbent reaches a parity bound on even vertex sets
-    computed at the root, which proves `alon_kim(2)` in one node; see
+    stops once the incumbent reaches a bound computed at the root, from
+    parity on even vertex sets and sums of vertex weights mod 2^k, which
+    proves `alon_kim(2)` and `from_square(cyclic_latin(8))` in one node; see
     `solvers._max_tripartite_matching`.  `budget` caps the search nodes, as
     `exact_max`'s node_budget does; the returned (edge_indices, optimal)
     flag reports whether the search completed, so `budget=0` never reports

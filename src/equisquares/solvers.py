@@ -12,6 +12,7 @@ symbols is just several edges.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import chain
 from math import comb
 from operator import xor
 
@@ -90,6 +91,9 @@ def _bitset(indices: list[int], size: int) -> int:
 # either cap only weakens the bound.
 _EVEN_SETS = 16
 _EVEN_SET_WORK = 1 << 20
+# The sum bound lifts its weights to at most mod 2**_SUM_LEVELS; the cap
+# only weakens it.
+_SUM_LEVELS = 12
 
 
 def _bits(x: int):
@@ -100,14 +104,17 @@ def _bits(x: int):
         x ^= low
 
 
-def _even_set_signatures(class_sizes: tuple[int, int, int], edges) -> tuple[list[int], int]:
+def _even_set_signatures(class_sizes: tuple[int, int, int], edges, fixes: list | None = None
+                         ) -> tuple[list[int], int]:
     """A basis of the even sets that avoid row 0 and column 0, as one
     signature per vertex (rows, then columns, then symbols): bit i of sig[v]
     says whether v lies in basis set i.  Returns (sig, number of sets), at
     most _EVEN_SETS of them.  Every even set is one of these, plus the
     union of two classes c and c' or nothing; such a union holds
     size_c + size_c' - 2m of the vertices a size-m matching leaves, its own
-    parity, so it rules out no m."""
+    parity, so it rules out no m.  A `fixes` list receives, in edge order,
+    (e, r, a + j, a + b + s, the solution p below) for each edge e = (r, j, s)
+    that breaks a solution; `_lifted_weights` replays them."""
     a, b, _ = class_sizes
     # Even sets are the solutions x over GF(2) of x_r + x_j + x_s = 0, one
     # equation per edge, here with x_0 = x_a = 0.  The solutions so far are
@@ -117,14 +124,23 @@ def _even_set_signatures(class_sizes: tuple[int, int, int], edges) -> tuple[list
     sig = [1 << v for v in range(sum(class_sizes))]
     sig[0] = sig[a] = 0
     has = list(sig)
-    for r, j, s in edges:
+    for e, (r, j, s) in enumerate(edges):
         d = sig[r] ^ sig[a + j] ^ sig[a + b + s]
         if d:
             p = (d & -d).bit_length() - 1
-            for v in _bits(has[p]):
-                sig[v] ^= d
-            for i in _bits(d & d - 1):
-                has[i] ^= has[p]
+            fix = has[p]
+            if fixes is not None:
+                fixes.append((e, r, a + j, a + b + s, fix))
+            x = fix
+            while x:  # for v in _bits(fix), inline: this loop is hot
+                low = x & -x
+                sig[low.bit_length() - 1] ^= d
+                x ^= low
+            x = d & d - 1
+            while x:
+                low = x & -x
+                has[low.bit_length() - 1] ^= fix
+                x ^= low
             has[p] = 0
     kept = [members for members in has if members][:_EVEN_SETS]
     sig = [0] * len(sig)
@@ -206,6 +222,124 @@ def _even_set_bound(class_sizes: tuple[int, int, int], edges) -> int:
     return 0
 
 
+def _orthogonal(vectors, width: int) -> list[int]:
+    """A basis, as ints, of the x in GF(2)^width with popcount(x & v) even
+    for every v in vectors."""
+    rows: dict[int, int] = {}  # reduced row echelon form: pivot bit -> row
+    for v in vectors:
+        for bit, row in rows.items():
+            if v >> bit & 1:
+                v ^= row
+        if v:
+            bit = (v & -v).bit_length() - 1
+            for other, row in rows.items():
+                if row >> bit & 1:
+                    rows[other] = row ^ v
+            rows[bit] = v
+    return [1 << free | sum(1 << bit for bit, row in rows.items() if row >> free & 1)
+            for free in range(width) if free not in rows]
+
+
+def _lifted_weights(class_sizes: tuple[int, int, int], edges):
+    """Yield (weights, k) for k = 2, 3, ...: the rows of the int64 matrix
+    are weights w on the vertices (rows, then columns, then symbols) with
+    w[r] + w[a + j] + w[a + b + s] = 0 mod 2^k on every edge (r, j, s),
+    lifted one power of two at a time from the basis of
+    `_even_set_signatures`.
+
+    Level 1 holds the basis sets as 0/1 vectors and level k > 1 holds
+    entries in [-2^(k-1), 2^(k-1)), so every edge sums to 0 or +-2^k, and
+    its bit k, the carry, marks where w fails mod 2^(k+1).  A weight with no
+    carry sums to 0 over the integers, would lift unchanged forever, and is
+    dropped.  A combination of the rest, plus 2^k x, holds mod 2^(k+1)
+    exactly when A x is the sum of their carries over GF(2), where A is the
+    edge-vertex incidence; x may avoid row 0 and column 0, as every A x has
+    such an x.  Replaying the elimination's fixes on a weight's carries
+    gives an x that meets every edge that broke a solution.  Every other
+    edge's equation is a sum of those, so a combination has a solution
+    exactly when its residuals (carry + A x, per edge) cancel.  Lifting
+    stops when no combination lifts, or at k = _SUM_LEVELS.
+    """
+    a, b, _ = class_sizes
+    fixes: list = []
+    sig, k = _even_set_signatures(class_sizes, edges, fixes)
+    # The vertex of each edge in rows, then in columns, then in symbols.
+    ends = (np.fromiter(chain.from_iterable(edges), np.int64, 3 * len(edges)).reshape(-1, 3).T
+            + [[0], [a], [a + b]]).ravel()
+    w = np.array(sig) >> np.arange(k)[:, None] & 1
+    for level in range(1, _SUM_LEVELS):
+        carry = w.take(ends, axis=1).reshape(len(w), 3, len(edges)).sum(axis=1) >> level & 1
+        moving = carry.any(axis=1)
+        w, carry = w[moving], carry[moving]
+        if not len(w):
+            return
+        ids = np.arange(len(w))[:, None]
+        # Bit i of flags[e] and of x[v]: weight i's carry on edge e, and
+        # whether its x holds vertex v.
+        flags = (carry << ids).sum(axis=0)
+        carries = flags.tolist()
+        x = [0] * len(sig)
+        for e, u, v, z, fix in fixes:
+            broken = carries[e] ^ x[u] ^ x[v] ^ x[z]
+            if broken:
+                for y in _bits(fix):
+                    x[y] ^= broken
+        x = np.array(x)
+        residual = np.bitwise_xor.reduce(x.take(ends).reshape(3, -1)) ^ flags
+        lifts = _orthogonal(set(residual.tolist()), len(w))
+        if not lifts:
+            return
+        # 2^level (x_i + x_i') = 2^level (x_i XOR x_i') mod 2^(level + 1).
+        take = np.array([[lift >> i & 1 for i in range(len(w))] for lift in lifts])
+        w = take @ (w + ((x >> ids & 1) << level))
+        w = (w + (1 << level)) % (2 << level) - (1 << level)
+        yield w, level + 1
+
+
+def _turn(x: int, shift: int, q: int) -> int:
+    """x, a set of residues mod q as a q-bit int, shifted by `shift` mod q."""
+    return (x << shift | x >> (q - shift)) & ((1 << q) - 1)
+
+
+def _residue_sums(counts: list[int], j: int, q: int) -> int:
+    """The residues mod q of the sums of j of some values, as a q-bit int;
+    counts[x] of the values are x mod q."""
+    reach = [1] + [0] * j  # reach[t]: the sums of t values of the residues so far
+    for x, count in enumerate(counts):
+        if count:
+            for t in range(j, 0, -1):
+                for u in range(1, min(count, t) + 1):
+                    reach[t] |= _turn(reach[t - u], u * x % q, q)
+    return reach[j]
+
+
+def _sum_bound(class_sizes: tuple[int, int, int], edges, start: int, floor: int = 0) -> int:
+    """The largest m <= start for which, for every weight w mod q of
+    `_lifted_weights`, some size_c - m vertices of each class c have weights
+    summing to the sum of all weights, mod q; see `_max_tripartite_matching`.
+    m = 0 always passes.  Lifting stops early once the bound is at most
+    `floor`, the size of a known matching, which no sound bound goes below.
+    """
+    classes = np.repeat(np.arange(3), class_sizes)
+    for weights, k in _lifted_weights(class_sizes, edges) if start > floor else ():
+        q = 1 << k
+        # counts[i][c][x]: the vertices of class c whose weight i is x mod q.
+        keys = (np.arange(len(weights))[:, None] * 3 + classes) * q + weights % q
+        counts = np.bincount(keys.ravel(), minlength=3 * q * len(weights)).reshape(-1, 3, q).tolist()
+        for per_class, total in zip(counts, (weights.sum(axis=1) % q).tolist()):
+            for m in range(start, -1, -1):
+                r0, r1, r2 = (_residue_sums(c, size - m, q) for c, size in zip(per_class, class_sizes))
+                pairs = 0
+                for x in _bits(r0):
+                    pairs |= _turn(r1, x, q)
+                if any(pairs >> (total - x) % q & 1 for x in _bits(r2)):
+                    break
+            start = m
+        if start <= floor:
+            break
+    return start
+
+
 def _max_tripartite_matching(
     class_sizes: tuple[int, int, int],
     edges,
@@ -278,16 +412,24 @@ def _max_tripartite_matching(
     maximum matching ends at a leaf as P itself.  Without twins every class
     is a singleton and no rule removes a branch.
 
-    Even sets.  A vertex set X is even when every edge meets it in 0 or 2
-    vertices.  A matching's edges are disjoint, so the vertices it leaves
-    uncovered meet X in as many vertices as all vertices do, mod 2; a
-    matching of size m leaves size_c - m of them in class c.  Once, at the
-    root, `_even_set_bound` finds the largest m for which some choice of
-    size_c - m vertices per class has that parity on a basis of the even
-    sets, and so on all of them: no matching is larger.  The easy half of
-    Hall-Paige is such a parity: in cyclic_latin(n) with n = 2 mod 4 the odd
-    rows, columns and symbols form an even set of odd size, so no full
-    transversal exists.  When the bound is below min(class_sizes), the
+    Even sets and sums mod 2^k.  A vertex set X is even when every edge
+    meets it in 0 or 2 vertices.  A matching's edges are disjoint, so the
+    vertices it leaves uncovered meet X in as many vertices as all vertices
+    do, mod 2; a matching of size m leaves size_c - m of them in class c.
+    Once, at the root, `_even_set_bound` finds the largest m for which some
+    choice of size_c - m vertices per class has that parity on a basis of
+    the even sets, and so on all of them: no matching is larger.  The same
+    holds for weights w with w(r) + w(j) + w(s) = 0 mod 2^k on every edge
+    (r, j, s), of which an even set is the case k = 1: each edge of a
+    matching sums to 0, so the vertices it leaves uncovered sum to the sum
+    of all vertices, mod 2^k.  Unless the incumbent already reaches the
+    even-set bound, `_sum_bound` lowers it to the largest m for which each
+    weight of `_lifted_weights`, taken alone, has some choice of size_c - m
+    vertices per class with that sum.  The easy half of Hall-Paige is such
+    a sum: in cyclic_latin(n) with n even, w = (r, j, -s) mod 2^v, where 2^v
+    is the 2-part of n, sums to 2^(v-1) over all vertices, not 0, so no full
+    transversal exists; at n = 2 mod 4 this is the even set of the odd
+    rows, columns and symbols.  When the bound is below min(class_sizes), the
     search stops as soon as the incumbent reaches it, at the root included;
     otherwise it runs as above.  The incumbent only grows strictly, so the
     first one to reach a sound upper bound is the one the full search
@@ -334,9 +476,12 @@ def _max_tripartite_matching(
             for v, vs in zip(edge, used):
                 vs.add(v)
 
-    # Below the trivial bound, an incumbent that reaches the even-set bound
-    # is a maximum matching, and the search stops there.
+    # Below the trivial bound, an incumbent that reaches the even-set bound,
+    # or the sum bound under it, is a maximum matching, and the search stops
+    # there.  An incumbent already at the even-set bound needs no sum bound.
     bound = _even_set_bound(class_sizes, edges)
+    if len(best) < bound:
+        bound = _sum_bound(class_sizes, edges, bound, len(best))
     goal = bound if bound < min(class_sizes) else None
     nodes = 0
     out_of_budget = reached = False
@@ -416,12 +561,15 @@ def exact_max(
 
     Twin rows and twin columns (equal as sequences of symbols) are searched
     once per orbit, and the search stops once the incumbent reaches the
-    root's even-set bound, as that function's docstring proves sound.  That
-    bound equals the missing-colour bound on every `counterexample_square`
-    up to order 64, and it proves `counterexample_square(18)` (108 620
-    nodes by the twin rules alone) and `cyclic_latin(n)` for n = 2 mod 4 in
-    one node.  The budget counts search nodes, so runs are deterministic;
-    if it is exhausted the incumbent is returned with optimal=False.
+    root's bound, from parity on even sets and sums mod 2^k, as that
+    function's docstring proves sound.  The even-set bound equals the
+    missing-colour bound on every `counterexample_square` up to order 64,
+    and it proves `counterexample_square(18)` (108 620 nodes by the twin
+    rules alone) in one node; with the sums mod 2^k, `cyclic_latin(n)` is
+    proved in one node at every even n (tested up to 16; n = 8 took 2 226
+    nodes without them).  The budget counts search nodes, so runs are
+    deterministic; if it is exhausted the incumbent is returned with
+    optimal=False.
     """
     n = square.n
     edges = [(i, j, s) for i, row in enumerate(square.grid.tolist()) for j, s in enumerate(row)]

@@ -157,10 +157,11 @@ def _int_array(values, refuse, below=None) -> np.ndarray:
     that is not an integer within int64 (a bool, Python's or numpy's, a
     float, a str, None, an int past int64, or a sequence among numbers),
     then, with below given, for the first one outside [0, below), as a
-    Python int.  An integer ndarray passes with no Python loop; a sequence
-    of ints pays one np.asarray and a look at its entries of at most 1,
-    which numpy may have read from bools.  A writable int64 ndarray of the
-    caller's is copied, not frozen; a read-only one is returned as it is.
+    Python int.  An integer ndarray, of any subclass, passes with no Python
+    loop; a sequence of ints pays one np.asarray and a look at its entries
+    of at most 1, which numpy may have read from bools.  A caller's
+    writable ndarray, or view of one, is copied, not frozen; a read-only
+    int64 one is returned as it is.
     """
     try:
         arr = np.asarray(values)
@@ -172,7 +173,7 @@ def _int_array(values, refuse, below=None) -> np.ndarray:
             if isinstance(entry, bool) or not (isinstance(entry, (int, np.integer))
                                                and -2**63 <= entry < 2**63):
                 raise refuse(index, entry)
-    elif arr is not values and arr.ndim:  # a 0-d int array came from one int, not a bool
+    elif not isinstance(values, np.ndarray) and arr.ndim:  # a 0-d int array came from one int, not a bool
         for index in zip(*[axis.tolist() for axis in (arr <= 1).nonzero()]):
             entry = reduce(operator.getitem, index, values)
             if isinstance(entry, (bool, np.bool_)):
@@ -183,7 +184,8 @@ def _int_array(values, refuse, below=None) -> np.ndarray:
         if outside.any():
             index = tuple(np.argwhere(outside)[0].tolist())
             raise refuse(index, int(arr[index]))
-    arr = arr.copy() if arr is values and arr.flags.writeable else arr
+    if isinstance(values, np.ndarray) and values.flags.writeable and np.may_share_memory(arr, values):
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 

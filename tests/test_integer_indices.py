@@ -216,6 +216,27 @@ def test_stored_int_arrays_are_read_only_copies_and_the_callers_stay_writable(tm
             square.grid[0, 0] = 1
 
 
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+def test_ndarray_subclasses_and_views_are_read_as_arrays_and_copied(tmp_path):
+    # An ndarray subclass is an array, not nested lists: a matrix row is
+    # still 2-D, so indexing it as a list of rows fails.
+    square = validate_square(2, np.matrix([[0, 1], [1, 0]]))
+    assert type(square.grid) is np.ndarray and square.grid.tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(SymbolOutOfRange):
+        validate_square(2, np.matrix([[True, False], [False, True]]))
+    # A writable memmap, or a view of a caller's array, is copied: writing
+    # it afterwards leaves the validated square as it was.
+    mm = np.memmap(tmp_path / "grid.bin", dtype=np.int64, mode="w+", shape=(2, 2))
+    mm[:] = [[0, 1], [1, 0]]
+    base = np.array([[0, 1, 5], [1, 0, 5]])
+    squares = [validate_square(2, mm), validate_square(2, base[:, :2])]
+    mm[0, 0] = base[0, 0] = 1
+    for square in squares:
+        assert square.grid.tolist() == [[0, 1], [1, 0]] and not square.grid.flags.writeable
+    assert mm.flags.writeable and base.flags.writeable
+    del mm
+
+
 # Label collections of the wrong shape: each holds labels that are edges of
 # G and blocks of BLOCKS, so only the shape is at fault.
 SHAPES = {"2-D ndarray": np.array([[0, 1], [2, 3]]), "0-d ndarray": np.array(3), "int": 3,

@@ -426,13 +426,67 @@ def test_even_set_bound_matches_enumeration_and_bounds_the_matching_number():
     assert below >= 50
 
 
-@pytest.mark.parametrize("n", [6, 10, 14])
-def test_cyclic_latin_of_order_2_mod_4_is_proved_at_the_root(n):
-    # The odd rows, columns and symbols form an even set of 3n/2 vertices,
-    # an odd number, so a full transversal would leave it an even number.
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_even_cyclic_latin_is_proved_at_the_root(n):
+    # At n = 2 mod 4 the odd rows, columns and symbols form an even set of
+    # 3n/2 vertices, an odd number, so a full transversal would leave it an
+    # even number.  At every even n the weights (r, c, -s) mod 2^v, with 2^v
+    # the 2-part of n, sum to 2^(v-1) over all vertices, not 0.
     t, optimal = exact_max(cyclic_latin(n), node_budget=1)
     assert optimal and t.size == n - 1
     assert not exact_max(cyclic_latin(n), node_budget=0)[1]
+
+
+def test_lifted_weights_hold_mod_their_power_of_two():
+    rng = np.random.default_rng(31)
+    graphs = [from_square(counterexample_square(n)[0]) for n in (8, 10, 16, 18)]
+    graphs += [from_square(cyclic_latin(n)) for n in (4, 8, 12, 16)]
+    graphs += [alon_kim(3), blow_up(alon_kim(2), 2)] + [random_hypergraph(rng, 4) for _ in range(100)]
+    levels = []
+    for h in graphs:
+        a, b, _ = h.class_sizes
+        edges = np.array(h.edges, dtype=np.int64).reshape(-1, 3) + (0, a, a + b)
+        found = []
+        for weights, k in solvers._lifted_weights(h.class_sizes, h.edges):
+            assert 2 <= k <= solvers._SUM_LEVELS and weights.any(axis=1).all()
+            assert not (weights[:, edges].sum(axis=2) % (1 << k)).any()
+            assert (weights[:, [0, a]] == 0).all()  # row 0 and column 0 carry no weight
+            assert (-(1 << k - 1) <= weights).all() and (weights < 1 << k - 1).all()
+            found.append((k, len(weights)))
+        levels.append(found)
+    # Two of counterexample_square(16)'s level-2 weights, and its level-3
+    # weight, sum to 0 over the integers on every cell; they are dropped,
+    # not lifted on to 2^_SUM_LEVELS.
+    assert levels[2] == [(2, 3), (3, 1)]
+    # cyclic_latin(n) keeps one weight up to the 2-part of n
+    assert levels[4:8] == [[(2, 1)], [(2, 1), (3, 1)], [(2, 1)], [(2, 1), (3, 1), (4, 1)]]
+
+
+def test_sum_bound_never_cuts_below_the_matching_number():
+    rng = np.random.default_rng(2029)  # the hypergraphs of the even-set enumeration test
+    below = sharper = 0
+    for _ in range(300):
+        h = random_hypergraph(rng, 3)
+        bound = solvers._sum_bound(h.class_sizes, h.edges, min(h.class_sizes))
+        assert bound >= brute_max_matching(h), h
+        below += bound < min(h.class_sizes)
+        sharper += bound < solvers._even_set_bound(h.class_sizes, h.edges)
+    assert below >= 10 and sharper >= 1
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_sum_bound_matches_milp_on_cyclic_latin(n):
+    # Parity proves nothing at n = 0 mod 4; the weights mod 2^k prove n - 1.
+    h = from_square(cyclic_latin(n))
+    assert solvers._even_set_bound(h.class_sizes, h.edges) == n
+    assert solvers._sum_bound(h.class_sizes, h.edges, n) == len(milp_max_matching(h)) == n - 1
+
+
+def test_sum_bound_caps_give_a_weaker_sound_bound(monkeypatch):
+    h = from_square(cyclic_latin(16))  # its weight reaches mod 16
+    for levels, bound in [(4, 15), (3, 16), (1, 16)]:
+        monkeypatch.setattr(solvers, "_SUM_LEVELS", levels)
+        assert solvers._sum_bound(h.class_sizes, h.edges, 16) == bound
 
 
 def test_even_set_bound_caps_give_a_weaker_sound_bound(monkeypatch):
@@ -454,12 +508,16 @@ def test_even_set_bound_caps_give_a_weaker_sound_bound(monkeypatch):
     (lambda b: exact_max(counterexample_square(16)[0], node_budget=b), 614, 135),
     (lambda b: exact_max(cyclic_latin(6), node_budget=b), 206, 1),
     (lambda b: max_matching_exact(alon_kim(2), budget=b), 49, 1),
-], ids=["counterexample8", "counterexample10", "counterexample16", "cyclic6", "alon_kim2"])
+    (lambda b: exact_max(cyclic_latin(8), node_budget=b), 2226, 1),
+    (lambda b: max_matching_exact(from_square(cyclic_latin(8)), budget=b), 2226, 1),
+], ids=["counterexample8", "counterexample10", "counterexample16", "cyclic6", "alon_kim2", "cyclic8",
+        "from_square_cyclic8"])
 def test_the_even_set_stop_keeps_answers_and_shrinks_trees(monkeypatch, solve, old, new):
     found, optimal = solve(new)
     assert optimal and not solve(new - 1)[1]
     monkeypatch.setattr(solvers, "_even_set_bound", lambda class_sizes, edges: min(class_sizes))
-    assert solve(old) == (found, True)  # the search with no even-set bound
+    monkeypatch.setattr(solvers, "_sum_bound", lambda class_sizes, edges, start, floor: start)
+    assert solve(old) == (found, True)  # the search with no root bound
     assert not solve(old - 1)[1]
 
 
@@ -494,7 +552,7 @@ def test_exact_search_returns_pinned_answers():
     (counterexample_square(10)[0], 1),
     (counterexample_square(16)[0], 135),
     (counterexample_square(18)[0], 1),
-    (cyclic_latin(8), 2226),
+    (cyclic_latin(8), 1),
     (cyclic_latin(10), 1),
 ], ids=["counterexample8", "counterexample10", "counterexample16", "counterexample18", "cyclic8",
         "cyclic10"])
@@ -507,7 +565,7 @@ def test_exact_search_tree_size_is_pinned(square, nodes):
 
 @pytest.mark.parametrize("h,nodes", [
     (alon_kim(3), 544),
-    (from_square(cyclic_latin(8)), 2226),
+    (from_square(cyclic_latin(8)), 1),
 ], ids=["alon_kim3", "from_square_cyclic8"])
 def test_hypergraph_exact_search_tree_size_is_pinned(h, nodes):
     assert max_matching_exact(h, budget=nodes)[1]
