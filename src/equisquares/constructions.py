@@ -407,6 +407,7 @@ def _written_layout(raw: bytes) -> BlockStructure | None:
     count, extra = divmod(numbers.size - 2, m + 2) if m >= 1 else (0, 0)
     if count < 1 or extra:
         return None
+    numbers.setflags(write=False)  # read-only views: the BlockStructure keeps them uncopied
     fields = numbers[2:].reshape(count, m + 2)
     blocks = BlockStructure(m=m, cols=fields[:, 0], symbols=fields[:, 1], rows=fields[:, 2:])
     try:

@@ -104,15 +104,14 @@ def _bits(x: int):
         x ^= low
 
 
-def _even_set_signatures(class_sizes: tuple[int, int, int], edges, fixes: list | None = None
-                         ) -> tuple[list[int], int]:
+def _even_set_signatures(class_sizes: tuple[int, int, int], edges) -> tuple[list[int], int, list]:
     """A basis of the even sets that avoid row 0 and column 0, as one
     signature per vertex (rows, then columns, then symbols): bit i of sig[v]
-    says whether v lies in basis set i.  Returns (sig, number of sets), at
-    most _EVEN_SETS of them.  Every even set is one of these, plus the
-    union of two classes c and c' or nothing; such a union holds
+    says whether v lies in basis set i.  Returns (sig, number of sets,
+    fixes), at most _EVEN_SETS sets.  Every even set is one of these, plus
+    the union of two classes c and c' or nothing; such a union holds
     size_c + size_c' - 2m of the vertices a size-m matching leaves, its own
-    parity, so it rules out no m.  A `fixes` list receives, in edge order,
+    parity, so it rules out no m.  `fixes` lists, in edge order,
     (e, r, a + j, a + b + s, the solution p below) for each edge e = (r, j, s)
     that breaks a solution; `_lifted_weights` replays them."""
     a, b, _ = class_sizes
@@ -124,13 +123,13 @@ def _even_set_signatures(class_sizes: tuple[int, int, int], edges, fixes: list |
     sig = [1 << v for v in range(sum(class_sizes))]
     sig[0] = sig[a] = 0
     has = list(sig)
+    fixes = []
     for e, (r, j, s) in enumerate(edges):
         d = sig[r] ^ sig[a + j] ^ sig[a + b + s]
         if d:
             p = (d & -d).bit_length() - 1
             fix = has[p]
-            if fixes is not None:
-                fixes.append((e, r, a + j, a + b + s, fix))
+            fixes.append((e, r, a + j, a + b + s, fix))
             x = fix
             while x:  # for v in _bits(fix), inline: this loop is hot
                 low = x & -x
@@ -147,7 +146,7 @@ def _even_set_signatures(class_sizes: tuple[int, int, int], edges, fixes: list |
     for i, members in enumerate(kept):
         for v in _bits(members):
             sig[v] |= 1 << i
-    return sig, len(kept)
+    return sig, len(kept), fixes
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
@@ -168,9 +167,9 @@ def _krawtchouk(q: int, size: int, b: int) -> int:
     return sum((-1) ** j * comb(b, j) * comb(size - b, q - j) for j in range(q + 1))
 
 
-def _even_set_bound(class_sizes: tuple[int, int, int], edges) -> int:
+def _even_set_bound(class_sizes: tuple[int, int, int], sig: list[int], k: int) -> int:
     """The largest m <= min(class_sizes) that parity on even sets allows a
-    matching; see `_max_tripartite_matching`.
+    matching; see `_root_bound`.
 
     With the signatures of `_even_set_signatures`, the parities of a vertex
     set on the basis sets are the XOR of its signatures.  So m is allowed
@@ -188,24 +187,19 @@ def _even_set_bound(class_sizes: tuple[int, int, int], edges) -> int:
     an untried m once _EVEN_SET_WORK terms are summed, both give a larger,
     still sound bound.
     """
-    low = min(class_sizes)
-    if low == 0:
-        return 0
-    sig, k = _even_set_signatures(class_sizes, edges)
-    # Per w: each class's b(w), then whether popcount(w & t) is odd.
+    # Per w: each class's b(w), then the parity of popcount(w & t).
     per_w, first = [], 0
     for size in class_sizes:
         histogram = np.bincount(sig[first:first + size], minlength=1 << k)
         per_w.append((size - _walsh_hadamard(histogram)) // 2)
         first += size
-    target = np.zeros(1 << k, dtype=np.int64)
-    target[reduce(xor, sig, 0)] = 1
-    per_w.append(_walsh_hadamard(target) < 0)
+    w_bits_in_t = (np.arange(1 << k) >> i & 1 for i in _bits(reduce(xor, sig, 0)))
+    per_w.append(sum(w_bits_in_t, np.zeros(1 << k, dtype=np.int64)) & 1)
     shape = tuple(size + 1 for size in class_sizes) + (2,)
     keys, counts = np.unique(np.ravel_multi_index(per_w, shape), return_counts=True)
     groups = list(zip(*(axis.tolist() for axis in np.unravel_index(keys, shape)), counts.tolist()))
     work = 0
-    for m in range(low, 0, -1):
+    for m in range(min(class_sizes), 0, -1):
         work += len(groups)
         if work > _EVEN_SET_WORK:
             return m
@@ -240,12 +234,12 @@ def _orthogonal(vectors, width: int) -> list[int]:
             for free in range(width) if free not in rows]
 
 
-def _lifted_weights(class_sizes: tuple[int, int, int], edges):
+def _lifted_weights(class_sizes: tuple[int, int, int], edges, sig: list[int], k: int, fixes: list):
     """Yield (weights, k) for k = 2, 3, ...: the rows of the int64 matrix
     are weights w on the vertices (rows, then columns, then symbols) with
     w[r] + w[a + j] + w[a + b + s] = 0 mod 2^k on every edge (r, j, s),
-    lifted one power of two at a time from the basis of
-    `_even_set_signatures`.
+    lifted one power of two at a time from the basis (sig, k, fixes) that
+    `_even_set_signatures` found for these edges.
 
     Level 1 holds the basis sets as 0/1 vectors and level k > 1 holds
     entries in [-2^(k-1), 2^(k-1)), so every edge sums to 0 or +-2^k, and
@@ -261,8 +255,6 @@ def _lifted_weights(class_sizes: tuple[int, int, int], edges):
     stops when no combination lifts, or at k = _SUM_LEVELS.
     """
     a, b, _ = class_sizes
-    fixes: list = []
-    sig, k = _even_set_signatures(class_sizes, edges, fixes)
     # The vertex of each edge in rows, then in columns, then in symbols.
     ends = (np.fromiter(chain.from_iterable(edges), np.int64, 3 * len(edges)).reshape(-1, 3).T
             + [[0], [a], [a + b]]).ravel()
@@ -313,15 +305,15 @@ def _residue_sums(counts: list[int], j: int, q: int) -> int:
     return reach[j]
 
 
-def _sum_bound(class_sizes: tuple[int, int, int], edges, start: int, floor: int = 0) -> int:
+def _sum_bound(class_sizes: tuple[int, int, int], lifted, start: int, floor: int) -> int:
     """The largest m <= start for which, for every weight w mod q of
-    `_lifted_weights`, some size_c - m vertices of each class c have weights
-    summing to the sum of all weights, mod q; see `_max_tripartite_matching`.
-    m = 0 always passes.  Lifting stops early once the bound is at most
-    `floor`, the size of a known matching, which no sound bound goes below.
+    `lifted`, the output of `_lifted_weights`, some size_c - m vertices of
+    each class c have weights summing to the sum of all weights, mod q; see
+    `_root_bound`.  m = 0 always passes.  No further weight is taken once
+    the bound is at most `floor`, the size of a known matching.
     """
     classes = np.repeat(np.arange(3), class_sizes)
-    for weights, k in _lifted_weights(class_sizes, edges) if start > floor else ():
+    for weights, k in lifted:
         q = 1 << k
         # counts[i][c][x]: the vertices of class c whose weight i is x mod q.
         keys = (np.arange(len(weights))[:, None] * 3 + classes) * q + weights % q
@@ -338,6 +330,37 @@ def _sum_bound(class_sizes: tuple[int, int, int], edges, start: int, floor: int 
         if start <= floor:
             break
     return start
+
+
+def _root_bound(class_sizes: tuple[int, int, int], edges, incumbent: int) -> int:
+    """An upper bound on every matching's size, computed once at the
+    search's root; `incumbent` is the size of a known matching.
+
+    Weights w on the vertices with w(r) + w(j) + w(s) = 0 mod 2^k on every
+    edge (r, j, s) sum to 0 on each edge of a matching, so the vertices a
+    size-m matching leaves uncovered, size_c - m of each class c, sum to
+    the sum of all vertices, mod 2^k.  No matching is larger than the
+    largest m with a choice of uncovered vertices that keeps every such
+    sum.  At k = 1 the weights are the even sets, which every edge meets in
+    0 or 2 vertices.  One elimination, `_even_set_signatures`, finds a
+    basis of them.  `_even_set_bound` counts the choices with the right
+    parity on the whole basis at once.  Only if the incumbent is below that
+    does `_sum_bound` lower it, until it reaches the incumbent, with the
+    weights that `_lifted_weights` lifts from the same elimination one
+    power of two at a time; parity is counted jointly, sums one weight at a
+    time.  The easy half of Hall-Paige is such a sum: in cyclic_latin(n)
+    with n even, w = (r, j, -s) mod 2^v, where 2^v is the 2-part of n, sums
+    to 2^(v-1) over all vertices, not 0, so no full transversal exists; at
+    n = 2 mod 4 this is the even set of the odd rows, columns and symbols.
+    """
+    if not min(class_sizes):
+        return 0
+    sig, k, fixes = _even_set_signatures(class_sizes, edges)
+    bound = _even_set_bound(class_sizes, sig, k)
+    if incumbent < bound:
+        lifted = _lifted_weights(class_sizes, edges, sig, k, fixes)
+        bound = _sum_bound(class_sizes, lifted, bound, incumbent)
+    return bound
 
 
 def _max_tripartite_matching(
@@ -412,30 +435,14 @@ def _max_tripartite_matching(
     maximum matching ends at a leaf as P itself.  Without twins every class
     is a singleton and no rule removes a branch.
 
-    Even sets and sums mod 2^k.  A vertex set X is even when every edge
-    meets it in 0 or 2 vertices.  A matching's edges are disjoint, so the
-    vertices it leaves uncovered meet X in as many vertices as all vertices
-    do, mod 2; a matching of size m leaves size_c - m of them in class c.
-    Once, at the root, `_even_set_bound` finds the largest m for which some
-    choice of size_c - m vertices per class has that parity on a basis of
-    the even sets, and so on all of them: no matching is larger.  The same
-    holds for weights w with w(r) + w(j) + w(s) = 0 mod 2^k on every edge
-    (r, j, s), of which an even set is the case k = 1: each edge of a
-    matching sums to 0, so the vertices it leaves uncovered sum to the sum
-    of all vertices, mod 2^k.  Unless the incumbent already reaches the
-    even-set bound, `_sum_bound` lowers it to the largest m for which each
-    weight of `_lifted_weights`, taken alone, has some choice of size_c - m
-    vertices per class with that sum.  The easy half of Hall-Paige is such
-    a sum: in cyclic_latin(n) with n even, w = (r, j, -s) mod 2^v, where 2^v
-    is the 2-part of n, sums to 2^(v-1) over all vertices, not 0, so no full
-    transversal exists; at n = 2 mod 4 this is the even set of the odd
-    rows, columns and symbols.  When the bound is below min(class_sizes), the
-    search stops as soon as the incumbent reaches it, at the root included;
-    otherwise it runs as above.  The incumbent only grows strictly, so the
-    first one to reach a sound upper bound is the one the full search
-    returns: the answer stays, and the tree is the full search's tree cut
-    at that node.  The root counts as one node either way, so budget=0
-    never reports optimal.
+    The root bound.  `_root_bound` bounds every matching by parity on even
+    sets and by sums mod 2^k.  When the bound is below min(class_sizes),
+    the search stops as soon as the incumbent reaches it, at the root
+    included; otherwise it runs as above.  The incumbent only grows
+    strictly, so the first one to reach a sound upper bound is the one the
+    full search returns: the answer stays, and the tree is the full
+    search's tree cut at that node.  The root counts as one node either
+    way, so budget=0 never reports optimal.
     """
     edges = sorted(set(edges))
     n_rows = class_sizes[0]
@@ -476,12 +483,9 @@ def _max_tripartite_matching(
             for v, vs in zip(edge, used):
                 vs.add(v)
 
-    # Below the trivial bound, an incumbent that reaches the even-set bound,
-    # or the sum bound under it, is a maximum matching, and the search stops
-    # there.  An incumbent already at the even-set bound needs no sum bound.
-    bound = _even_set_bound(class_sizes, edges)
-    if len(best) < bound:
-        bound = _sum_bound(class_sizes, edges, bound, len(best))
+    # Below the trivial bound, an incumbent that reaches the root bound is a
+    # maximum matching, and the search stops there.
+    bound = _root_bound(class_sizes, edges, len(best))
     goal = bound if bound < min(class_sizes) else None
     nodes = 0
     out_of_budget = reached = False
@@ -560,16 +564,11 @@ def exact_max(
     """Maximum transversal: `_max_tripartite_matching` on the n^2 cells.
 
     Twin rows and twin columns (equal as sequences of symbols) are searched
-    once per orbit, and the search stops once the incumbent reaches the
-    root's bound, from parity on even sets and sums mod 2^k, as that
-    function's docstring proves sound.  The even-set bound equals the
-    missing-colour bound on every `counterexample_square` up to order 64,
-    and it proves `counterexample_square(18)` (108 620 nodes by the twin
-    rules alone) in one node; with the sums mod 2^k, `cyclic_latin(n)` is
-    proved in one node at every even n (tested up to 16; n = 8 took 2 226
-    nodes without them).  The budget counts search nodes, so runs are
-    deterministic; if it is exhausted the incumbent is returned with
-    optimal=False.
+    once per orbit, and the search stops once the incumbent reaches
+    `_root_bound`, which proves `counterexample_square(18)` and every even
+    `cyclic_latin(n)` tested in one node.  The budget counts search nodes,
+    so runs are deterministic; if it is exhausted the incumbent is returned
+    with optimal=False.
     """
     n = square.n
     edges = [(i, j, s) for i, row in enumerate(square.grid.tolist()) for j, s in enumerate(row)]

@@ -393,6 +393,16 @@ def test_block_structure_json_round_trip(tmp_path):
     assert read_blocks(tmp_path / "b.blocks.json") == blocks
 
 
+def test_read_blocks_keeps_the_parsed_fields_uncopied(tmp_path):
+    # The three fields are read-only views of one parse buffer, not copies.
+    _, blocks = block_structured_square(256, 64, seed=1)
+    write_blocks(blocks, tmp_path / "b.json")
+    again = read_blocks(tmp_path / "b.json")
+    assert again == blocks
+    assert np.may_share_memory(again.rows, again.cols) and np.may_share_memory(again.rows, again.symbols)
+    assert not again.rows.flags.writeable
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (10, 2), (12, 4), (101, 1)])
 def test_write_blocks_writes_json_dumps_bytes(tmp_path, n, m):
     # Format 1 is json.dumps of the document and a newline, for every width

@@ -384,7 +384,7 @@ def test_even_set_bound_is_the_missing_colour_bound_on_counterexample_squares():
         except TooSmall:
             continue
         orders += 1
-        bound = solvers._even_set_bound((n, n, n), from_square(square).edges)
+        bound = solvers._root_bound((n, n, n), from_square(square).edges, n)
         assert bound == min(n, pairing.transversal_bound())
     assert orders == 56
 
@@ -396,7 +396,7 @@ def test_even_set_basis_sets_meet_every_edge_evenly():
     graphs += [alon_kim(3), blow_up(alon_kim(2), 2)] + [random_hypergraph(rng, 4) for _ in range(50)]
     for h in graphs:
         a, b, _ = h.class_sizes
-        sig, k = solvers._even_set_signatures(h.class_sizes, h.edges)
+        sig, k, _ = solvers._even_set_signatures(h.class_sizes, h.edges)
         assert k <= solvers._EVEN_SETS and sig[0] == sig[a] == 0
         for r, j, s in h.edges:
             assert sig[r] ^ sig[a + j] ^ sig[a + b + s] == 0
@@ -416,7 +416,7 @@ def test_even_set_bound_matches_enumeration_and_bounds_the_matching_number():
     below = 0
     for _ in range(300):
         h = random_hypergraph(rng, 3)
-        bound = solvers._even_set_bound(h.class_sizes, h.edges)
+        bound = solvers._root_bound(h.class_sizes, h.edges, min(h.class_sizes))
         assert bound == enumerated_even_set_bound(h.class_sizes, h.edges), h
         best = brute_max_matching(h)
         assert bound >= best
@@ -447,7 +447,8 @@ def test_lifted_weights_hold_mod_their_power_of_two():
         a, b, _ = h.class_sizes
         edges = np.array(h.edges, dtype=np.int64).reshape(-1, 3) + (0, a, a + b)
         found = []
-        for weights, k in solvers._lifted_weights(h.class_sizes, h.edges):
+        basis = solvers._even_set_signatures(h.class_sizes, h.edges)
+        for weights, k in solvers._lifted_weights(h.class_sizes, h.edges, *basis):
             assert 2 <= k <= solvers._SUM_LEVELS and weights.any(axis=1).all()
             assert not (weights[:, edges].sum(axis=2) % (1 << k)).any()
             assert (weights[:, [0, a]] == 0).all()  # row 0 and column 0 carry no weight
@@ -467,10 +468,10 @@ def test_sum_bound_never_cuts_below_the_matching_number():
     below = sharper = 0
     for _ in range(300):
         h = random_hypergraph(rng, 3)
-        bound = solvers._sum_bound(h.class_sizes, h.edges, min(h.class_sizes))
+        bound = solvers._root_bound(h.class_sizes, h.edges, 0)
         assert bound >= brute_max_matching(h), h
         below += bound < min(h.class_sizes)
-        sharper += bound < solvers._even_set_bound(h.class_sizes, h.edges)
+        sharper += bound < solvers._root_bound(h.class_sizes, h.edges, min(h.class_sizes))
     assert below >= 10 and sharper >= 1
 
 
@@ -478,28 +479,28 @@ def test_sum_bound_never_cuts_below_the_matching_number():
 def test_sum_bound_matches_milp_on_cyclic_latin(n):
     # Parity proves nothing at n = 0 mod 4; the weights mod 2^k prove n - 1.
     h = from_square(cyclic_latin(n))
-    assert solvers._even_set_bound(h.class_sizes, h.edges) == n
-    assert solvers._sum_bound(h.class_sizes, h.edges, n) == len(milp_max_matching(h)) == n - 1
+    assert solvers._root_bound(h.class_sizes, h.edges, n) == n
+    assert solvers._root_bound(h.class_sizes, h.edges, 0) == len(milp_max_matching(h)) == n - 1
 
 
 def test_sum_bound_caps_give_a_weaker_sound_bound(monkeypatch):
     h = from_square(cyclic_latin(16))  # its weight reaches mod 16
     for levels, bound in [(4, 15), (3, 16), (1, 16)]:
         monkeypatch.setattr(solvers, "_SUM_LEVELS", levels)
-        assert solvers._sum_bound(h.class_sizes, h.edges, 16) == bound
+        assert solvers._root_bound(h.class_sizes, h.edges, 0) == bound
 
 
 def test_even_set_bound_caps_give_a_weaker_sound_bound(monkeypatch):
     edges = from_square(counterexample_square(18)[0]).edges
-    assert solvers._even_set_bound((18, 18, 18), edges) == 16
+    assert solvers._root_bound((18, 18, 18), edges, 18) == 16
     for sets in range(6):  # the order-18 square has 5 basis sets
         monkeypatch.setattr(solvers, "_EVEN_SETS", sets)
-        assert 16 <= solvers._even_set_bound((18, 18, 18), edges) <= 18
+        assert 16 <= solvers._root_bound((18, 18, 18), edges, 18) <= 18
     monkeypatch.setattr(solvers, "_EVEN_SETS", 0)  # no basis set: the trivial bound
-    assert solvers._even_set_bound((18, 18, 18), edges) == 18
+    assert solvers._root_bound((18, 18, 18), edges, 18) == 18
     monkeypatch.setattr(solvers, "_EVEN_SETS", 16)
     monkeypatch.setattr(solvers, "_EVEN_SET_WORK", 0)  # m = 18 is left untried
-    assert solvers._even_set_bound((18, 18, 18), edges) == 18
+    assert solvers._root_bound((18, 18, 18), edges, 18) == 18
 
 
 @pytest.mark.parametrize("solve,old,new", [
@@ -515,10 +516,23 @@ def test_even_set_bound_caps_give_a_weaker_sound_bound(monkeypatch):
 def test_the_even_set_stop_keeps_answers_and_shrinks_trees(monkeypatch, solve, old, new):
     found, optimal = solve(new)
     assert optimal and not solve(new - 1)[1]
-    monkeypatch.setattr(solvers, "_even_set_bound", lambda class_sizes, edges: min(class_sizes))
-    monkeypatch.setattr(solvers, "_sum_bound", lambda class_sizes, edges, start, floor: start)
+    monkeypatch.setattr(solvers, "_root_bound", lambda class_sizes, edges, incumbent: min(class_sizes))
     assert solve(old) == (found, True)  # the search with no root bound
     assert not solve(old - 1)[1]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: exact_max(counterexample_square(16)[0]),
+    lambda: exact_max(cyclic_latin(8)),
+    lambda: max_matching_exact(alon_kim(3)),
+], ids=["counterexample16", "cyclic8", "alon_kim3"])
+def test_the_root_bound_eliminates_once_per_search(monkeypatch, solve):
+    # On these three the lift runs, from the same elimination as the parity count.
+    calls = []
+    eliminate = solvers._even_set_signatures
+    monkeypatch.setattr(solvers, "_even_set_signatures", lambda *args: calls.append(1) or eliminate(*args))
+    assert solve()[1]
+    assert len(calls) == 1
 
 
 def test_exact_max_counterexample8():
