@@ -15,6 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from .bipartite import NotAMatching  # one class, importable from here too
 from .solvers import _max_tripartite_matching
@@ -252,9 +255,12 @@ def max_matching_exact(h: TripartiteHypergraph, budget: int | None = None):
     `solvers._max_tripartite_matching`.  `budget` caps the search nodes, as
     `exact_max`'s node_budget does; the returned (edge_indices, optimal)
     flag reports whether the search completed, so `budget=0` never reports
-    optimal.  An edge listed several times is reported by its smallest index.
+    optimal; a negative budget is a ValueError, and a bool, float or str a
+    TypeError.  An edge listed several times is reported by its smallest
+    index.  Class sizes whose product reaches 2^63 are `solvers.TooLarge`.
     """
-    triples, optimal = _max_tripartite_matching(h.class_sizes, h.edges, budget)
+    edges = np.fromiter(chain.from_iterable(h.edges), np.int64, 3 * len(h.edges)).reshape(-1, 3)
+    triples, optimal = _max_tripartite_matching(h.class_sizes, edges, budget)
     index: dict[tuple[int, int, int], int] = {}
     for i, e in enumerate(h.edges):
         index.setdefault(e, i)

@@ -18,7 +18,7 @@ from operator import xor
 
 import numpy as np
 
-from .squares import Cell, EquiNSquare, Transversal, validate_transversal
+from .squares import Cell, EquiNSquare, Transversal, _index, validate_transversal
 
 
 class TooLarge(ValueError):
@@ -70,20 +70,15 @@ def _twin_classes(keys: list) -> tuple[list[int], list[int], int]:
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    ids, later = [0] * len(keys), [0] * len(keys)
+    ids, later, first = [0] * len(keys), [0] * len(keys), 0
     for k, group in enumerate(groups.values()):
-        for pos, i in enumerate(group):
+        mask = 0
+        for i in reversed(group):
             ids[i] = k
-            later[i] = sum(1 << g for g in group[pos + 1:])
-    return ids, later, sum(1 << group[0] for group in groups.values())
-
-
-def _bitset(indices: list[int], size: int) -> int:
-    """The int with exactly the bits `indices` set, in one pass over size/8 bytes."""
-    buf = bytearray((size + 7) // 8)
-    for i in indices:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
+            later[i] = mask
+            mask |= 1 << i
+        first |= 1 << group[0]
+    return ids, later, first
 
 
 # The even-set bound keeps at most this many basis sets, so its transforms
@@ -150,14 +145,15 @@ def _even_set_signatures(class_sizes: tuple[int, int, int], edges) -> tuple[list
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """The Walsh-Hadamard transform of a length-2^k array: entry w of the
-    result is the sum over x of a[x] * (-1)^(popcount(w & x))."""
+    """The Walsh-Hadamard transform of each row of a (rows, 2^k) array:
+    entry w of a row's result is the sum over x of a[x] * (-1)^(popcount(w & x))."""
+    rows, size = a.shape
     h = 1
-    while h < a.size:
-        a = a.reshape(-1, 2, h)
-        a = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1).reshape(-1)
+    while h < size:
+        a = a.reshape(rows, -1, 2, h)
+        a = np.stack((a[:, :, 0] + a[:, :, 1], a[:, :, 0] - a[:, :, 1]), axis=2)
         h *= 2
-    return a
+    return a.reshape(rows, size)
 
 
 def _krawtchouk(q: int, size: int, b: int) -> int:
@@ -180,19 +176,18 @@ def _even_set_bound(class_sizes: tuple[int, int, int], sig: list[int], k: int) -
     (1 - z)^b (1 + z)^(size - b), where b = b(w) counts the class's
     vertices v with popcount(w & sig[v]) odd.  So 2^k N(m) is the sum over
     w of (-1)^(popcount(w & t)) times the three classes' coefficients.  One
-    Walsh-Hadamard transform per class gives every b(w); the sum runs in
-    exact integers over the distinct tuples of the three b(w) and the sign.
+    batched Walsh-Hadamard transform of the three classes' histograms of
+    signatures gives every b(w); the sum runs in exact integers over the
+    distinct tuples of the three b(w) and the sign.
     Every m from min(class_sizes) down is tried until N(m) > 0; m = 0
     always passes.  Keeping at most _EVEN_SETS basis sets, and stopping at
     an untried m once _EVEN_SET_WORK terms are summed, both give a larger,
     still sound bound.
     """
     # Per w: each class's b(w), then the parity of popcount(w & t).
-    per_w, first = [], 0
-    for size in class_sizes:
-        histogram = np.bincount(sig[first:first + size], minlength=1 << k)
-        per_w.append((size - _walsh_hadamard(histogram)) // 2)
-        first += size
+    classes = np.repeat(np.arange(3), class_sizes)
+    histograms = np.bincount(classes << k | sig, minlength=3 << k).reshape(3, -1)
+    per_w = list((np.array(class_sizes)[:, None] - _walsh_hadamard(histograms)) // 2)
     w_bits_in_t = (np.arange(1 << k) >> i & 1 for i in _bits(reduce(xor, sig, 0)))
     per_w.append(sum(w_bits_in_t, np.zeros(1 << k, dtype=np.int64)) & 1)
     shape = tuple(size + 1 for size in class_sizes) + (2,)
@@ -363,9 +358,77 @@ def _root_bound(class_sizes: tuple[int, int, int], edges, incumbent: int) -> int
     return bound
 
 
+def _first_of_runs(x: np.ndarray) -> np.ndarray:
+    """The neighbour mask of a sorted array: True where an entry differs from the one before."""
+    mask = np.ones(len(x), dtype=bool)
+    mask[1:] = x[1:] != x[:-1]
+    return mask
+
+
+def _search_tables(class_sizes: tuple[int, int, int], edges: np.ndarray):
+    """The tables of `_max_tripartite_matching`, from an (E, 3) int64 array
+    of (row, column, symbol) edges, repeats allowed.
+
+    Returns (edges, masks, twins, slot, greedy):
+      edges:  the distinct edges as (r, j, s) tuples, in ascending order;
+      masks:  per class, per vertex, the bitset of the indices of its edges;
+      twins:  per class, `_twin_classes` of its vertices, keyed by the pairs
+              of the other two classes that their edges join them to;
+      slot:   per edge (r, j, s), (class of j) * (number of symbol classes)
+              + (class of s);
+      greedy: the greedy matching in edge order.
+    Each is built from the array with numpy: one sort of the keys
+    (r * b + j) * c + s dedupes and orders the edges, and one stable
+    argsort over the incidences of all three classes groups them by vertex,
+    each vertex's edges in ascending order.  A vertex's pairs, coded as the
+    key less the vertex's own term, are then ascending too, so the bytes of
+    their codes are its twin key.  TooLarge when the keys would leave int64.
+    """
+    a, b, c = class_sizes
+    if a * b * c >= 1 << 63:
+        raise TooLarge(f"class sizes {class_sizes} give edge keys past int64")
+    key = np.sort((edges[:, 0] * b + edges[:, 1]) * c + edges[:, 2])
+    key = key[_first_of_runs(key)]
+    rest, s = np.divmod(key, c)
+    r, j = np.divmod(rest, b)
+    # Incidence i is edge i % E at vertex vertex[i], numbered rows, then
+    # columns, then symbols; pairs[i] codes the other two ends.
+    cuts = (0, a, a + b, a + b + c)
+    vertex = np.concatenate((r, j + a, s + a + b))
+    pairs = np.concatenate((key - r * (b * c), r * c + s, rest))
+    order = np.argsort(vertex, kind="stable")
+    bounds = np.cumsum(np.bincount(vertex, minlength=cuts[3])).tolist()
+    raw = pairs[order].tobytes()
+    keys = [raw[8 * lo:8 * hi] for lo, hi in zip([0] + bounds, bounds)]
+    # Each vertex's bitset as n_bytes little-endian bytes: OR the bits that share a byte.
+    n_bytes = (len(key) + 7) >> 3
+    e = order % max(len(key), 1)
+    byte = vertex[order] * n_bytes + (e >> 3)
+    first = np.flatnonzero(_first_of_runs(byte))
+    buf = np.zeros(cuts[3] * n_bytes, np.uint8)
+    buf[byte[first]] = np.bitwise_or.reduceat((1 << (e & 7)).astype(np.uint8), first)
+    raw = memoryview(buf)
+    bitsets = [int.from_bytes(raw[v * n_bytes:(v + 1) * n_bytes], "little") for v in range(cuts[3])]
+    masks = [bitsets[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    twins = [_twin_classes(keys[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    col_class, sym_class = np.array(twins[1][0]), np.array(twins[2][0])
+    slot = (col_class[j] * (sym_class.max(initial=0) + 1) + sym_class[s]).tolist()
+    edges = list(zip(r.tolist(), j.tolist(), s.tolist()))
+    greedy = []
+    rows, cols, syms = set(), set(), set()
+    for edge in edges:
+        row, col, sym = edge
+        if row not in rows and col not in cols and sym not in syms:
+            greedy.append(edge)
+            rows.add(row)
+            cols.add(col)
+            syms.add(sym)
+    return edges, masks, twins, slot, greedy
+
+
 def _max_tripartite_matching(
     class_sizes: tuple[int, int, int],
-    edges,
+    edges: np.ndarray,
     node_budget: int | None,
 ) -> tuple[list[tuple[int, int, int]], bool]:
     """Branch-and-bound maximum matching of a 3-partite 3-uniform hypergraph.
@@ -381,7 +444,16 @@ def _max_tripartite_matching(
     edges in ascending order, then on skipping the row.  The incumbent
     starts as the greedy matching in edge order.  Returns (chosen (row, col,
     symbol) triples, optimal); the budget counts search nodes, and once it
-    is exhausted the incumbent is returned with optimal=False.
+    is exhausted the incumbent is returned with optimal=False.  A budget
+    that is not an integer (a bool, a float, a str) is a TypeError, and a
+    negative one a ValueError.
+
+    Tables.  `edges` is an (E, 3) int64 array, repeats allowed, and
+    `_search_tables` builds every table from it with numpy: the sorted
+    distinct edges, the bitset of each vertex's edges, the twin classes,
+    the slots and the greedy incumbent.  They are the tables that per-edge
+    loops over the sorted edge tuples give (`tests/test_solvers.py` keeps
+    those loops as the reference), so the search below sees the same input.
 
     Live lists.  A vertex with no edge in `avail` never gets one back, so a
     node tests only the rows, columns and symbols that still had an edge at
@@ -444,44 +516,25 @@ def _max_tripartite_matching(
     search's tree cut at that node.  The root counts as one node either
     way, so budget=0 never reports optimal.
     """
-    edges = sorted(set(edges))
+    if node_budget is not None:
+        node_budget = _index(node_budget)
+        if node_budget < 0:
+            raise ValueError(f"node budget {node_budget} is negative")
+    edges, (row_edges, col_edges, sym_edges), twins, slot, best = _search_tables(class_sizes, edges)
     n_rows = class_sizes[0]
-    # on[cls][v]: the indices of the edges on vertex v of class cls;
-    # keys[cls][v]: the pairs of the other two classes they join v to.
-    on = [[[] for _ in range(size)] for size in class_sizes]
-    keys = [[[] for _ in range(size)] for size in class_sizes]
-    for e, edge in enumerate(edges):
-        for cls, v in enumerate(edge):
-            on[cls][v].append(e)
-            keys[cls][v].append(edge[:cls] + edge[cls + 1:])
-    # The edges on each vertex as a bitset: 3 * (class size) ints of len(edges) bits.
-    row_edges, col_edges, sym_edges = ([_bitset(ix, len(edges)) for ix in cls_on] for cls_on in on)
-
     # Rules (C) and (S) as masks: a column (symbol) is open once its earlier
     # twins are all used, so taking one opens its next twin.
-    col_class, later_cols, first_cols = _twin_classes([tuple(k) for k in keys[1]])
-    sym_class, later_syms, first_syms = _twin_classes([tuple(k) for k in keys[2]])
+    (_, later_rows, _), (_, later_cols, first_cols), (_, later_syms, first_syms) = twins
     next_col = [m & -m for m in later_cols]
     next_sym = [m & -m for m in later_syms]
-    _, later_rows, _ = _twin_classes([tuple(k) for k in keys[0]])
     next_row = [(m & -m).bit_length() - 1 for m in later_rows]
     # skip[r]: the edges of row r and of its later twins.
     skip = list(row_edges)
     for r in reversed(range(n_rows)):
         if next_row[r] >= 0:
             skip[r] |= skip[next_row[r]]
-    n_sym_classes = max(sym_class, default=0) + 1
-    slot = [col_class[j] * n_sym_classes + sym_class[s] for _, j, s in edges]
     # floor[r]: the least slot row r may take, set when its previous twin is used.
     floor = [0] * n_rows
-
-    best: list[tuple[int, int, int]] = []
-    used: list[set[int]] = [set(), set(), set()]
-    for edge in edges:
-        if not any(v in vs for v, vs in zip(edge, used)):
-            best.append(edge)
-            for v, vs in zip(edge, used):
-                vs.add(v)
 
     # Below the trivial bound, an incumbent that reaches the root bound is a
     # maximum matching, and the search stops there.
@@ -568,10 +621,12 @@ def exact_max(
     `_root_bound`, which proves `counterexample_square(18)` and every even
     `cyclic_latin(n)` tested in one node.  The budget counts search nodes,
     so runs are deterministic; if it is exhausted the incumbent is returned
-    with optimal=False.
+    with optimal=False.  It is None or a count: a negative budget is a
+    ValueError, and a bool, float or str a TypeError.
     """
     n = square.n
-    edges = [(i, j, s) for i, row in enumerate(square.grid.tolist()) for j, s in enumerate(row)]
+    rows, cols = np.divmod(np.arange(n * n), n)
+    edges = np.stack((rows, cols, square.grid.ravel()), axis=1)
     triples, optimal = _max_tripartite_matching((n, n, n), edges, node_budget)
     return validate_transversal(square, [(r, c) for r, c, _ in triples]), optimal
 

@@ -616,6 +616,120 @@ def test_exact_max_budget_exhaustion_returns_incumbent():
     validate_transversal(sq, t.cells)
 
 
+BUDGET_SOLVES = [lambda b: exact_max(cyclic_latin(6), node_budget=b),
+                 lambda b: max_matching_exact(alon_kim(2), budget=b)]
+
+
+@pytest.mark.parametrize("solve", BUDGET_SOLVES, ids=["exact_max", "max_matching_exact"])
+@pytest.mark.parametrize("budget,error", [
+    (-1, ValueError),
+    (np.int64(-3), ValueError),
+    (True, TypeError),
+    (False, TypeError),
+    (np.True_, TypeError),
+    (1.5, TypeError),
+    (1.0, TypeError),
+    (np.float64(2), TypeError),
+    ("3", TypeError),
+], ids=["negative", "numpy-negative", "True", "False", "numpy-bool", "float", "integral-float",
+        "numpy-float", "str"])
+def test_exact_search_refuses_a_budget_that_is_not_a_count(solve, budget, error):
+    with pytest.raises(error):
+        solve(budget)
+
+
+@pytest.mark.parametrize("solve", BUDGET_SOLVES, ids=["exact_max", "max_matching_exact"])
+@pytest.mark.parametrize("budget,optimal", [
+    (0, False), (np.int64(0), False), (1, True), (np.int64(1), True), (np.uint8(1), True), (None, True),
+], ids=["zero", "numpy-zero", "one", "numpy-one", "numpy-uint8", "none"])
+def test_exact_search_takes_a_count_or_none_as_budget(solve, budget, optimal):
+    # Both instances are proved at the root, so one node reports optimal.
+    assert solve(budget)[1] is optimal
+
+
+def reference_search_tables(class_sizes, edges):
+    """The search's tables by per-edge loops, as `_max_tripartite_matching`
+    built them before `_search_tables`: (edges, masks, twins, slot, greedy)."""
+    edges = sorted(set(edges))
+    on = [[[] for _ in range(size)] for size in class_sizes]
+    keys = [[[] for _ in range(size)] for size in class_sizes]
+    for e, edge in enumerate(edges):
+        for cls, v in enumerate(edge):
+            on[cls][v].append(e)
+            keys[cls][v].append(edge[:cls] + edge[cls + 1:])
+    masks = []
+    for cls_on in on:
+        masks.append([])
+        for ix in cls_on:
+            buf = bytearray((len(edges) + 7) // 8)
+            for i in ix:
+                buf[i >> 3] |= 1 << (i & 7)
+            masks[-1].append(int.from_bytes(buf, "little"))
+    twins = []
+    for cls_keys in keys:
+        groups = {}
+        for i, key in enumerate(cls_keys):
+            groups.setdefault(tuple(key), []).append(i)
+        ids, later = [0] * len(cls_keys), [0] * len(cls_keys)
+        for k, group in enumerate(groups.values()):
+            for pos, i in enumerate(group):
+                ids[i] = k
+                later[i] = sum(1 << g for g in group[pos + 1:])
+        twins.append((ids, later, sum(1 << group[0] for group in groups.values())))
+    col_class, sym_class = twins[1][0], twins[2][0]
+    n_sym_classes = max(sym_class, default=0) + 1
+    slot = [col_class[j] * n_sym_classes + sym_class[s] for _, j, s in edges]
+    greedy = []
+    used = [set(), set(), set()]
+    for edge in edges:
+        if not any(v in vs for v, vs in zip(edge, used)):
+            greedy.append(edge)
+            for v, vs in zip(edge, used):
+                vs.add(v)
+    return edges, masks, twins, slot, greedy
+
+
+def test_search_tables_match_the_per_edge_reference():
+    rng = np.random.default_rng(33)
+    hypergraphs = [TripartiteHypergraph((0, 3, 2), ()), TripartiteHypergraph((2, 0, 0), ()),
+                   TripartiteHypergraph((1, 1, 1), ()), TripartiteHypergraph((4, 1, 3), ((3, 0, 2),) * 3),
+                   alon_kim(2), blow_up(alon_kim(1), 3), from_square(counterexample_square(10)[0])]
+    while len(hypergraphs) < 200:
+        h = random_hypergraph(rng, int(rng.integers(1, 9)))
+        if len(hypergraphs) % 4 == 0:  # every edge repeated, in a shuffled order
+            order = rng.permutation(2 * len(h.edges)) % max(len(h.edges), 1)
+            h = TripartiteHypergraph(h.class_sizes, tuple(h.edges[i] for i in order.tolist()))
+        elif len(hypergraphs) % 4 == 1:  # twins in every class
+            h = blow_up(h, int(rng.integers(2, 4)))
+        hypergraphs.append(h)
+    features = dict.fromkeys(["repeat", "unequal", "empty class", "isolated", "twins"], 0)
+    for h in hypergraphs:
+        edges = np.array(h.edges, dtype=np.int64).reshape(-1, 3)
+        tables = solvers._search_tables(h.class_sizes, edges)
+        assert tables == reference_search_tables(h.class_sizes, h.edges), h
+        degrees = [np.bincount(edges[:, cls], minlength=size) for cls, size in enumerate(h.class_sizes)]
+        features["repeat"] += len(set(h.edges)) < len(h.edges)
+        features["unequal"] += len(set(h.class_sizes)) > 1
+        features["empty class"] += min(h.class_sizes) == 0
+        features["isolated"] += any((d == 0).any() for d in degrees)
+        features["twins"] += any(len(set(ids)) < len(ids) for ids, _, _ in tables[2])
+    assert min(features.values()) >= 2, features
+
+
+def test_walsh_hadamard_transforms_each_row_by_its_definition():
+    rng = np.random.default_rng(5)
+    for k in range(5):
+        a = rng.integers(-9, 10, size=(3, 1 << k))
+        sign = np.array([[(-1) ** bin(w & x).count("1") for x in range(1 << k)] for w in range(1 << k)])
+        assert (solvers._walsh_hadamard(a) == a @ sign.T).all()
+
+
+def test_search_tables_refuse_keys_past_int64():
+    h = TripartiteHypergraph((2**21, 2**21, 2**21), ((0, 0, 0),))
+    with pytest.raises(TooLarge):
+        max_matching_exact(h)
+
+
 def test_budgeted_exact_max_stays_small_on_large_squares():
     # A table of one E-bit conflict mask per edge would take E^2/8 = 32 MiB
     # here (E = n^2 = 16 384); the search keeps O(n^3) bits of masks.

@@ -201,3 +201,30 @@ def test_array_writeability_is_read_only_by_the_integer_array_gate():
     reads = [f"{path.relative_to(SRC).as_posix()}:{func}"
              for path, tree in _src_trees().items() for func in _writeable_reads(tree)]
     assert reads == ["equisquares/squares.py:_int_array"]
+
+
+def _bare_unique_calls(tree) -> list[str]:
+    """The enclosing function of every np.unique call in tree that passes
+    no return_* keyword."""
+    calls = []
+    stack = [(tree, "<module>")]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and not any((kw.arg or "").startswith("return_") for kw in node.keywords)):
+            calls.append(func)
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return calls
+
+
+def test_every_unique_call_passes_a_return_keyword():
+    # On numpy 2.4 a bare np.unique of 16 384 int64 keys takes a hashing path
+    # about 17 times slower than np.sort, and return_counts=True about 1.5
+    # times.  A dedupe uses np.sort and a neighbour mask; np.unique is kept
+    # for what it returns beside the values.
+    calls = [f"{path.relative_to(SRC).as_posix()}:{func}"
+             for path, tree in _src_trees().items() for func in _bare_unique_calls(tree)]
+    assert calls == []
