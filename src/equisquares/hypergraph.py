@@ -74,16 +74,20 @@ class TripartiteHypergraph:
                 inc.setdefault((cls, e[cls]), []).append(i)
         return {v: tuple(ix) for v, ix in inc.items()}
 
-    def incident(self, v: Vertex) -> tuple[int, ...]:
-        """Indices of the edges at v; InvalidParam unless v is a vertex of the hypergraph:
-        a pair of integers, not bools, a class in {0, 1, 2} and an index in it."""
+    def _vertex(self, v) -> Vertex:
+        """v as a (class, index) tuple of ints; InvalidParam unless v is a vertex of the
+        hypergraph: a pair of integers, not bools, a class in {0, 1, 2} and an index in it."""
         try:
             cls, idx = map(_index, v)
         except (TypeError, ValueError):  # not a pair, or not of integers
             cls = idx = -1
         if cls not in (0, 1, 2) or idx not in range(self.class_sizes[cls]):
             raise InvalidParam(f"vertex {v!r} is not in classes {self.class_sizes}")
-        return self._incidence.get((cls, idx), ())
+        return cls, idx
+
+    def incident(self, v: Vertex) -> tuple[int, ...]:
+        """Indices of the edges at v; InvalidParam unless v is a vertex (see `_vertex`)."""
+        return self._incidence.get(self._vertex(v), ())
 
     def degree(self, v: Vertex) -> int:
         return len(self.incident(v))
@@ -103,10 +107,11 @@ def from_square(square: EquiNSquare) -> TripartiteHypergraph:
 
 def codegree(h: TripartiteHypergraph, x: Vertex, y: Vertex) -> int:
     """Number of edges containing both x and y; InvalidParam unless both are
-    vertices of h.  Edges hold one vertex per class, so two vertices of one
-    class share none."""
-    if x == y:
-        raise SameVertex(f"codegree needs distinct vertices, got {x} twice")
+    vertices of h, and SameVertex if they are one vertex, as read by
+    `incident`: [0, 1] and (0, 1) are one.  Edges hold one vertex per
+    class, so two vertices of one class share none."""
+    if x == y or h._vertex(x) == h._vertex(y):
+        raise SameVertex(f"codegree needs distinct vertices, got {x!r} and {y!r}")
     return len(set(h.incident(x)).intersection(h.incident(y)))
 
 
@@ -256,12 +261,10 @@ def max_matching_exact(h: TripartiteHypergraph, budget: int | None = None):
     `exact_max`'s node_budget does; the returned (edge_indices, optimal)
     flag reports whether the search completed, so `budget=0` never reports
     optimal; a negative budget is a ValueError, and a bool, float or str a
-    TypeError.  An edge listed several times is reported by its smallest
-    index.  Class sizes whose product reaches 2^63 are `solvers.TooLarge`.
+    TypeError.  The search answers with indices into `h.edges`, ascending;
+    an edge listed several times is reported by its smallest index.  Class
+    sizes whose product reaches 2^63 are `solvers.TooLarge`.
     """
     edges = np.fromiter(chain.from_iterable(h.edges), np.int64, 3 * len(h.edges)).reshape(-1, 3)
-    triples, optimal = _max_tripartite_matching(h.class_sizes, edges, budget)
-    index: dict[tuple[int, int, int], int] = {}
-    for i, e in enumerate(h.edges):
-        index.setdefault(e, i)
-    return tuple(sorted(index[t] for t in triples)), optimal
+    indices, optimal = _max_tripartite_matching(h.class_sizes, edges, budget)
+    return tuple(indices), optimal

@@ -12,7 +12,6 @@ symbols is just several edges.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain
 from math import comb
 from operator import xor
 
@@ -99,18 +98,20 @@ def _bits(x: int):
         x ^= low
 
 
-def _even_set_signatures(class_sizes: tuple[int, int, int], edges) -> tuple[list[int], int, list]:
+def _even_set_signatures(class_sizes: tuple[int, int, int], ends: np.ndarray) -> tuple[list[int], int, list]:
     """A basis of the even sets that avoid row 0 and column 0, as one
     signature per vertex (rows, then columns, then symbols): bit i of sig[v]
-    says whether v lies in basis set i.  Returns (sig, number of sets,
-    fixes), at most _EVEN_SETS sets.  Every even set is one of these, plus
-    the union of two classes c and c' or nothing; such a union holds
+    says whether v lies in basis set i.  `ends` holds the edges' vertices
+    so numbered, as `_search_tables` builds it: their rows, then their
+    columns, then their symbols.  Returns (sig, number of sets, fixes), at
+    most _EVEN_SETS sets.  Every even set is one of these, plus the union
+    of two classes c and c' or nothing; such a union holds
     size_c + size_c' - 2m of the vertices a size-m matching leaves, its own
     parity, so it rules out no m.  `fixes` lists, in edge order,
-    (e, r, a + j, a + b + s, the solution p below) for each edge e = (r, j, s)
+    (e, u, v, z, the solution p below) for each edge e on vertices u, v, z
     that breaks a solution; `_lifted_weights` replays them."""
-    a, b, _ = class_sizes
-    # Even sets are the solutions x over GF(2) of x_r + x_j + x_s = 0, one
+    a = class_sizes[0]
+    # Even sets are the solutions x over GF(2) of x_u + x_v + x_z = 0, one
     # equation per edge, here with x_0 = x_a = 0.  The solutions so far are
     # a bit matrix kept both ways: bit i of sig[v] and bit v of has[i] say
     # that v lies in solution i.  An edge that solutions d break is imposed
@@ -119,12 +120,12 @@ def _even_set_signatures(class_sizes: tuple[int, int, int], edges) -> tuple[list
     sig[0] = sig[a] = 0
     has = list(sig)
     fixes = []
-    for e, (r, j, s) in enumerate(edges):
-        d = sig[r] ^ sig[a + j] ^ sig[a + b + s]
+    for e, (u, v, z) in enumerate(zip(*ends.reshape(3, -1).tolist())):
+        d = sig[u] ^ sig[v] ^ sig[z]
         if d:
             p = (d & -d).bit_length() - 1
             fix = has[p]
-            fixes.append((e, r, a + j, a + b + s, fix))
+            fixes.append((e, u, v, z, fix))
             x = fix
             while x:  # for v in _bits(fix), inline: this loop is hot
                 low = x & -x
@@ -229,12 +230,12 @@ def _orthogonal(vectors, width: int) -> list[int]:
             for free in range(width) if free not in rows]
 
 
-def _lifted_weights(class_sizes: tuple[int, int, int], edges, sig: list[int], k: int, fixes: list):
+def _lifted_weights(ends: np.ndarray, sig: list[int], k: int, fixes: list):
     """Yield (weights, k) for k = 2, 3, ...: the rows of the int64 matrix
     are weights w on the vertices (rows, then columns, then symbols) with
-    w[r] + w[a + j] + w[a + b + s] = 0 mod 2^k on every edge (r, j, s),
-    lifted one power of two at a time from the basis (sig, k, fixes) that
-    `_even_set_signatures` found for these edges.
+    w[u] + w[v] + w[z] = 0 mod 2^k on every edge, whose vertices u, v, z
+    `ends` holds, lifted one power of two at a time from the basis
+    (sig, k, fixes) that `_even_set_signatures` found for these edges.
 
     Level 1 holds the basis sets as 0/1 vectors and level k > 1 holds
     entries in [-2^(k-1), 2^(k-1)), so every edge sums to 0 or +-2^k, and
@@ -249,13 +250,9 @@ def _lifted_weights(class_sizes: tuple[int, int, int], edges, sig: list[int], k:
     exactly when its residuals (carry + A x, per edge) cancel.  Lifting
     stops when no combination lifts, or at k = _SUM_LEVELS.
     """
-    a, b, _ = class_sizes
-    # The vertex of each edge in rows, then in columns, then in symbols.
-    ends = (np.fromiter(chain.from_iterable(edges), np.int64, 3 * len(edges)).reshape(-1, 3).T
-            + [[0], [a], [a + b]]).ravel()
     w = np.array(sig) >> np.arange(k)[:, None] & 1
     for level in range(1, _SUM_LEVELS):
-        carry = w.take(ends, axis=1).reshape(len(w), 3, len(edges)).sum(axis=1) >> level & 1
+        carry = w.take(ends, axis=1).reshape(len(w), 3, len(ends) // 3).sum(axis=1) >> level & 1
         moving = carry.any(axis=1)
         w, carry = w[moving], carry[moving]
         if not len(w):
@@ -327,9 +324,10 @@ def _sum_bound(class_sizes: tuple[int, int, int], lifted, start: int, floor: int
     return start
 
 
-def _root_bound(class_sizes: tuple[int, int, int], edges, incumbent: int) -> int:
+def _root_bound(class_sizes: tuple[int, int, int], ends: np.ndarray, incumbent: int) -> int:
     """An upper bound on every matching's size, computed once at the
-    search's root; `incumbent` is the size of a known matching.
+    search's root from the edges' vertices `ends` (see `_search_tables`);
+    `incumbent` is the size of a known matching.
 
     Weights w on the vertices with w(r) + w(j) + w(s) = 0 mod 2^k on every
     edge (r, j, s) sum to 0 on each edge of a matching, so the vertices a
@@ -350,10 +348,10 @@ def _root_bound(class_sizes: tuple[int, int, int], edges, incumbent: int) -> int
     """
     if not min(class_sizes):
         return 0
-    sig, k, fixes = _even_set_signatures(class_sizes, edges)
+    sig, k, fixes = _even_set_signatures(class_sizes, ends)
     bound = _even_set_bound(class_sizes, sig, k)
     if incumbent < bound:
-        lifted = _lifted_weights(class_sizes, edges, sig, k, fixes)
+        lifted = _lifted_weights(ends, sig, k, fixes)
         bound = _sum_bound(class_sizes, lifted, bound, incumbent)
     return bound
 
@@ -369,41 +367,50 @@ def _search_tables(class_sizes: tuple[int, int, int], edges: np.ndarray):
     """The tables of `_max_tripartite_matching`, from an (E, 3) int64 array
     of (row, column, symbol) edges, repeats allowed.
 
-    Returns (edges, masks, twins, slot, greedy):
-      edges:  the distinct edges as (r, j, s) tuples, in ascending order;
-      masks:  per class, per vertex, the bitset of the indices of its edges;
+    The distinct edges are numbered in ascending (row, column, symbol)
+    order, and every table names an edge by that number.  Returns
+    (origin, ends, col_of, sym_of, masks, twins, slot, greedy):
+      origin: per edge, the smallest row of the array that holds it;
+      ends:   an int64 array of the edges' rows, then their columns, then
+              their symbols, as vertices numbered rows, then columns (from
+              a), then symbols (from a + b);
+      col_of, sym_of: per edge, its column and its symbol;
+      masks:  per class, per vertex, the bitset of the numbers of its edges;
       twins:  per class, `_twin_classes` of its vertices, keyed by the pairs
               of the other two classes that their edges join them to;
       slot:   per edge (r, j, s), (class of j) * (number of symbol classes)
               + (class of s);
-      greedy: the greedy matching in edge order.
-    Each is built from the array with numpy: one sort of the keys
-    (r * b + j) * c + s dedupes and orders the edges, and one stable
-    argsort over the incidences of all three classes groups them by vertex,
-    each vertex's edges in ascending order.  A vertex's pairs, coded as the
-    key less the vertex's own term, are then ascending too, so the bytes of
-    their codes are its twin key.  TooLarge when the keys would leave int64.
+      greedy: the greedy matching in edge order, as edge numbers.
+    Each is built from the array with numpy: one stable argsort of the keys
+    (r * b + j) * c + s orders the edges and keeps the first row of each
+    run of equal keys, and one stable argsort over the incidences of all
+    three classes groups them by vertex, each vertex's edges in ascending
+    order.  A vertex's pairs, coded as the key less the vertex's own term,
+    are then ascending too, so the bytes of their codes are its twin key.
+    TooLarge when the keys would leave int64.
     """
     a, b, c = class_sizes
     if a * b * c >= 1 << 63:
         raise TooLarge(f"class sizes {class_sizes} give edge keys past int64")
-    key = np.sort((edges[:, 0] * b + edges[:, 1]) * c + edges[:, 2])
-    key = key[_first_of_runs(key)]
+    key = (edges[:, 0] * b + edges[:, 1]) * c + edges[:, 2]
+    origin = np.argsort(key, kind="stable")
+    key = key[origin]
+    distinct = _first_of_runs(key)
+    key, origin = key[distinct], origin[distinct]
     rest, s = np.divmod(key, c)
     r, j = np.divmod(rest, b)
-    # Incidence i is edge i % E at vertex vertex[i], numbered rows, then
-    # columns, then symbols; pairs[i] codes the other two ends.
+    # Incidence i is edge i % E at vertex ends[i]; pairs[i] codes the other two.
     cuts = (0, a, a + b, a + b + c)
-    vertex = np.concatenate((r, j + a, s + a + b))
+    ends = np.concatenate((r, j + a, s + a + b))
     pairs = np.concatenate((key - r * (b * c), r * c + s, rest))
-    order = np.argsort(vertex, kind="stable")
-    bounds = np.cumsum(np.bincount(vertex, minlength=cuts[3])).tolist()
+    order = np.argsort(ends, kind="stable")
+    bounds = np.cumsum(np.bincount(ends, minlength=cuts[3])).tolist()
     raw = pairs[order].tobytes()
     keys = [raw[8 * lo:8 * hi] for lo, hi in zip([0] + bounds, bounds)]
     # Each vertex's bitset as n_bytes little-endian bytes: OR the bits that share a byte.
     n_bytes = (len(key) + 7) >> 3
     e = order % max(len(key), 1)
-    byte = vertex[order] * n_bytes + (e >> 3)
+    byte = ends[order] * n_bytes + (e >> 3)
     first = np.flatnonzero(_first_of_runs(byte))
     buf = np.zeros(cuts[3] * n_bytes, np.uint8)
     buf[byte[first]] = np.bitwise_or.reduceat((1 << (e & 7)).astype(np.uint8), first)
@@ -413,24 +420,23 @@ def _search_tables(class_sizes: tuple[int, int, int], edges: np.ndarray):
     twins = [_twin_classes(keys[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     col_class, sym_class = np.array(twins[1][0]), np.array(twins[2][0])
     slot = (col_class[j] * (sym_class.max(initial=0) + 1) + sym_class[s]).tolist()
-    edges = list(zip(r.tolist(), j.tolist(), s.tolist()))
+    col_of, sym_of = j.tolist(), s.tolist()
     greedy = []
     rows, cols, syms = set(), set(), set()
-    for edge in edges:
-        row, col, sym = edge
+    for e, (row, col, sym) in enumerate(zip(r.tolist(), col_of, sym_of)):
         if row not in rows and col not in cols and sym not in syms:
-            greedy.append(edge)
+            greedy.append(e)
             rows.add(row)
             cols.add(col)
             syms.add(sym)
-    return edges, masks, twins, slot, greedy
+    return origin.tolist(), ends, col_of, sym_of, masks, twins, slot, greedy
 
 
 def _max_tripartite_matching(
     class_sizes: tuple[int, int, int],
     edges: np.ndarray,
     node_budget: int | None,
-) -> tuple[list[tuple[int, int, int]], bool]:
+) -> tuple[list[int], bool]:
     """Branch-and-bound maximum matching of a 3-partite 3-uniform hypergraph.
 
     Classes 0, 1 and 2 play rows, columns and symbols.  The distinct edges
@@ -442,18 +448,21 @@ def _max_tripartite_matching(
     to beat the incumbent.  Otherwise it branches on the live row with the
     fewest usable edges, lowest index on ties: first on each of the row's
     edges in ascending order, then on skipping the row.  The incumbent
-    starts as the greedy matching in edge order.  Returns (chosen (row, col,
-    symbol) triples, optimal); the budget counts search nodes, and once it
+    starts as the greedy matching in edge order.  Returns (indices,
+    optimal): the chosen edges as rows of `edges`, each by the smallest row
+    that holds it, ascending.  The budget counts search nodes, and once it
     is exhausted the incumbent is returned with optimal=False.  A budget
     that is not an integer (a bool, a float, a str) is a TypeError, and a
     negative one a ValueError.
 
     Tables.  `edges` is an (E, 3) int64 array, repeats allowed, and
-    `_search_tables` builds every table from it with numpy: the sorted
-    distinct edges, the bitset of each vertex's edges, the twin classes,
-    the slots and the greedy incumbent.  They are the tables that per-edge
-    loops over the sorted edge tuples give (`tests/test_solvers.py` keeps
-    those loops as the reference), so the search below sees the same input.
+    `_search_tables` builds every table from it with numpy: each distinct
+    edge's first row in the array, its column and its symbol, the bitset of
+    each vertex's edges, the twin classes, the slots and the greedy
+    incumbent.  An edge is named by its number in sorted order throughout,
+    from the tables to the answer.  They are the tables that per-edge loops
+    over the sorted edge tuples give (`tests/test_solvers.py` keeps those
+    loops as the reference), so the search below sees the same input.
 
     Live lists.  A vertex with no edge in `avail` never gets one back, so a
     node tests only the rows, columns and symbols that still had an edge at
@@ -462,10 +471,10 @@ def _max_tripartite_matching(
     over those rows counts each row's usable edges once and keeps the live
     rows and the branching row.  Columns and symbols travel as their edge
     bitsets, not their indices, so `filter(avail.__and__, ...)` keeps the
-    live ones in C; the branching reads j and s off the edge.  The skip
-    child keeps its parent's row counts, less the skipped row and its later
-    twins.  When those counts already rule it out, the parent counts it as
-    one node, against the budget as well, and makes no call.  None of this
+    live ones in C; the branching reads an edge's j and s from its tables.
+    The skip child keeps its parent's row counts, less the skipped row and
+    its later twins.  When those counts already rule it out, the parent
+    counts it as one node, against the budget as well, and makes no call.  None of this
     changes which nodes exist or the order they are met in, so the tree,
     the node counts, the result at every budget and the proof below are
     those of the search that tests every vertex at every node.
@@ -520,7 +529,8 @@ def _max_tripartite_matching(
         node_budget = _index(node_budget)
         if node_budget < 0:
             raise ValueError(f"node budget {node_budget} is negative")
-    edges, (row_edges, col_edges, sym_edges), twins, slot, best = _search_tables(class_sizes, edges)
+    tables = _search_tables(class_sizes, edges)
+    origin, ends, col_of, sym_of, (row_edges, col_edges, sym_edges), twins, slot, best = tables
     n_rows = class_sizes[0]
     # Rules (C) and (S) as masks: a column (symbol) is open once its earlier
     # twins are all used, so taking one opens its next twin.
@@ -538,12 +548,12 @@ def _max_tripartite_matching(
 
     # Below the trivial bound, an incumbent that reaches the root bound is a
     # maximum matching, and the search stops there.
-    bound = _root_bound(class_sizes, edges, len(best))
+    bound = _root_bound(class_sizes, ends, len(best))
     goal = bound if bound < min(class_sizes) else None
     nodes = 0
     out_of_budget = reached = False
 
-    def search(avail: int, open_cols: int, open_syms: int, chosen: list[tuple[int, int, int]],
+    def search(avail: int, open_cols: int, open_syms: int, chosen: list[int],
                rows: list[int], cols: list[int], syms: list[int]):
         # rows: the rows with an edge in the parent's avail, in index order;
         # cols, syms: the edge bitsets of the columns and symbols with one,
@@ -562,7 +572,7 @@ def _max_tripartite_matching(
         # One pass: the live rows, and the one with the fewest usable edges,
         # lowest index on ties.
         live = []
-        fewest = len(edges) + 1
+        fewest = len(origin) + 1
         for r in rows:
             k = (avail & row_edges[r]).bit_count()
             if k:
@@ -584,12 +594,12 @@ def _max_tripartite_matching(
             bit = mine & -mine
             mine ^= bit
             e = bit.bit_length() - 1
-            _, j, s = edges[e]
+            j, s = col_of[e], sym_of[e]
             if not open_cols >> j & open_syms >> s & 1 or slot[e] < floor[row]:
                 continue  # rules (C), (S) and (R)
             if twin >= 0:
                 floor[twin] = slot[e]
-            chosen.append(edges[e])
+            chosen.append(e)
             search(avail & ~(row_edges[row] | col_edges[j] | sym_edges[s]),
                    open_cols | next_col[j], open_syms | next_sym[s], chosen, live, cols, syms)
             chosen.pop()
@@ -606,15 +616,17 @@ def _max_tripartite_matching(
             if node_budget is not None and nodes > node_budget:
                 out_of_budget = True
 
-    search((1 << len(edges)) - 1, first_cols, first_syms, [],
+    search((1 << len(origin)) - 1, first_cols, first_syms, [],
            list(range(n_rows)), col_edges, sym_edges)
-    return best, not out_of_budget
+    return sorted(origin[e] for e in best), not out_of_budget
 
 
 def exact_max(
     square: EquiNSquare, node_budget: int | None = None
 ) -> tuple[Transversal, bool]:
-    """Maximum transversal: `_max_tripartite_matching` on the n^2 cells.
+    """Maximum transversal: `_max_tripartite_matching` on the n^2 cells,
+    cell (i, j) as edge i * n + j; the edge indices it returns are read
+    back as cells with divmod.
 
     Twin rows and twin columns (equal as sequences of symbols) are searched
     once per orbit, and the search stops once the incumbent reaches
@@ -627,8 +639,8 @@ def exact_max(
     n = square.n
     rows, cols = np.divmod(np.arange(n * n), n)
     edges = np.stack((rows, cols, square.grid.ravel()), axis=1)
-    triples, optimal = _max_tripartite_matching((n, n, n), edges, node_budget)
-    return validate_transversal(square, [(r, c) for r, c, _ in triples]), optimal
+    indices, optimal = _max_tripartite_matching((n, n, n), edges, node_budget)
+    return validate_transversal(square, [divmod(e, n) for e in indices]), optimal
 
 
 def _masked_greedy(

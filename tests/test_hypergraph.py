@@ -78,8 +78,10 @@ def test_codegree_counts_column_symbol_multiplicity():
 
 def test_codegree_same_vertex_rejected():
     h = from_square(cyclic_latin(2))
-    with pytest.raises(SameVertex):
-        codegree(h, (0, 0), (0, 0))
+    # A vertex is read as `incident` reads it, so a list or numpy ints name it too.
+    for x, y in (((0, 0), (0, 0)), ((0, 0), [0, 0]), ([1, 1], (1, 1)), ((np.int64(0), np.int64(1)), [0, 1])):
+        with pytest.raises(SameVertex):
+            codegree(h, x, y)
     assert codegree(h, (0, 0), (0, 1)) == 0  # same class, no shared edge
 
 

@@ -368,6 +368,13 @@ def enumerated_even_set_bound(class_sizes, edges):
                 return m
 
 
+def incidence(h):
+    """The vertices of h's edges, in h's edge order, as `_search_tables`
+    numbers them: their rows, then columns from a, then symbols from a + b."""
+    a, b, _ = h.class_sizes
+    return (np.array(h.edges, dtype=np.int64).reshape(-1, 3) + (0, a, a + b)).T.ravel()
+
+
 def brute_max_matching(h):
     for size in range(min(h.class_sizes), 0, -1):
         for chosen in itertools.combinations(h.edges, size):
@@ -384,7 +391,7 @@ def test_even_set_bound_is_the_missing_colour_bound_on_counterexample_squares():
         except TooSmall:
             continue
         orders += 1
-        bound = solvers._root_bound((n, n, n), from_square(square).edges, n)
+        bound = solvers._root_bound((n, n, n), incidence(from_square(square)), n)
         assert bound == min(n, pairing.transversal_bound())
     assert orders == 56
 
@@ -396,7 +403,7 @@ def test_even_set_basis_sets_meet_every_edge_evenly():
     graphs += [alon_kim(3), blow_up(alon_kim(2), 2)] + [random_hypergraph(rng, 4) for _ in range(50)]
     for h in graphs:
         a, b, _ = h.class_sizes
-        sig, k, _ = solvers._even_set_signatures(h.class_sizes, h.edges)
+        sig, k, _ = solvers._even_set_signatures(h.class_sizes, incidence(h))
         assert k <= solvers._EVEN_SETS and sig[0] == sig[a] == 0
         for r, j, s in h.edges:
             assert sig[r] ^ sig[a + j] ^ sig[a + b + s] == 0
@@ -408,7 +415,7 @@ def test_even_set_basis_sets_meet_every_edge_evenly():
                 x ^= pivots[x.bit_length()]
             assert x
             pivots[x.bit_length()] = x
-    assert solvers._even_set_signatures((10, 10, 10), from_square(cyclic_latin(10)).edges)[1] == 1
+    assert solvers._even_set_signatures((10, 10, 10), incidence(from_square(cyclic_latin(10))))[1] == 1
 
 
 def test_even_set_bound_matches_enumeration_and_bounds_the_matching_number():
@@ -416,7 +423,7 @@ def test_even_set_bound_matches_enumeration_and_bounds_the_matching_number():
     below = 0
     for _ in range(300):
         h = random_hypergraph(rng, 3)
-        bound = solvers._root_bound(h.class_sizes, h.edges, min(h.class_sizes))
+        bound = solvers._root_bound(h.class_sizes, incidence(h), min(h.class_sizes))
         assert bound == enumerated_even_set_bound(h.class_sizes, h.edges), h
         best = brute_max_matching(h)
         assert bound >= best
@@ -447,8 +454,8 @@ def test_lifted_weights_hold_mod_their_power_of_two():
         a, b, _ = h.class_sizes
         edges = np.array(h.edges, dtype=np.int64).reshape(-1, 3) + (0, a, a + b)
         found = []
-        basis = solvers._even_set_signatures(h.class_sizes, h.edges)
-        for weights, k in solvers._lifted_weights(h.class_sizes, h.edges, *basis):
+        basis = solvers._even_set_signatures(h.class_sizes, incidence(h))
+        for weights, k in solvers._lifted_weights(incidence(h), *basis):
             assert 2 <= k <= solvers._SUM_LEVELS and weights.any(axis=1).all()
             assert not (weights[:, edges].sum(axis=2) % (1 << k)).any()
             assert (weights[:, [0, a]] == 0).all()  # row 0 and column 0 carry no weight
@@ -468,10 +475,10 @@ def test_sum_bound_never_cuts_below_the_matching_number():
     below = sharper = 0
     for _ in range(300):
         h = random_hypergraph(rng, 3)
-        bound = solvers._root_bound(h.class_sizes, h.edges, 0)
+        bound = solvers._root_bound(h.class_sizes, incidence(h), 0)
         assert bound >= brute_max_matching(h), h
         below += bound < min(h.class_sizes)
-        sharper += bound < solvers._root_bound(h.class_sizes, h.edges, min(h.class_sizes))
+        sharper += bound < solvers._root_bound(h.class_sizes, incidence(h), min(h.class_sizes))
     assert below >= 10 and sharper >= 1
 
 
@@ -479,28 +486,28 @@ def test_sum_bound_never_cuts_below_the_matching_number():
 def test_sum_bound_matches_milp_on_cyclic_latin(n):
     # Parity proves nothing at n = 0 mod 4; the weights mod 2^k prove n - 1.
     h = from_square(cyclic_latin(n))
-    assert solvers._root_bound(h.class_sizes, h.edges, n) == n
-    assert solvers._root_bound(h.class_sizes, h.edges, 0) == len(milp_max_matching(h)) == n - 1
+    assert solvers._root_bound(h.class_sizes, incidence(h), n) == n
+    assert solvers._root_bound(h.class_sizes, incidence(h), 0) == len(milp_max_matching(h)) == n - 1
 
 
 def test_sum_bound_caps_give_a_weaker_sound_bound(monkeypatch):
     h = from_square(cyclic_latin(16))  # its weight reaches mod 16
     for levels, bound in [(4, 15), (3, 16), (1, 16)]:
         monkeypatch.setattr(solvers, "_SUM_LEVELS", levels)
-        assert solvers._root_bound(h.class_sizes, h.edges, 0) == bound
+        assert solvers._root_bound(h.class_sizes, incidence(h), 0) == bound
 
 
 def test_even_set_bound_caps_give_a_weaker_sound_bound(monkeypatch):
-    edges = from_square(counterexample_square(18)[0]).edges
-    assert solvers._root_bound((18, 18, 18), edges, 18) == 16
+    ends = incidence(from_square(counterexample_square(18)[0]))
+    assert solvers._root_bound((18, 18, 18), ends, 18) == 16
     for sets in range(6):  # the order-18 square has 5 basis sets
         monkeypatch.setattr(solvers, "_EVEN_SETS", sets)
-        assert 16 <= solvers._root_bound((18, 18, 18), edges, 18) <= 18
+        assert 16 <= solvers._root_bound((18, 18, 18), ends, 18) <= 18
     monkeypatch.setattr(solvers, "_EVEN_SETS", 0)  # no basis set: the trivial bound
-    assert solvers._root_bound((18, 18, 18), edges, 18) == 18
+    assert solvers._root_bound((18, 18, 18), ends, 18) == 18
     monkeypatch.setattr(solvers, "_EVEN_SETS", 16)
     monkeypatch.setattr(solvers, "_EVEN_SET_WORK", 0)  # m = 18 is left untried
-    assert solvers._root_bound((18, 18, 18), edges, 18) == 18
+    assert solvers._root_bound((18, 18, 18), ends, 18) == 18
 
 
 @pytest.mark.parametrize("solve,old,new", [
@@ -706,14 +713,37 @@ def test_search_tables_match_the_per_edge_reference():
     for h in hypergraphs:
         edges = np.array(h.edges, dtype=np.int64).reshape(-1, 3)
         tables = solvers._search_tables(h.class_sizes, edges)
+        origin, ends, col_of, sym_of, masks, twins, slot, greedy = tables
+        # In the reference's shape: an edge is its tuple, not its number.
+        distinct = [h.edges[o] for o in origin]
+        tables = (distinct, masks, twins, slot, [distinct[e] for e in greedy])
         assert tables == reference_search_tables(h.class_sizes, h.edges), h
+        assert [h.edges.index(e) for e in distinct] == origin  # the first row of each edge
+        assert [(j, s) for _, j, s in distinct] == list(zip(col_of, sym_of))
+        assert np.array_equal(ends, incidence(TripartiteHypergraph(h.class_sizes, tuple(distinct))))
         degrees = [np.bincount(edges[:, cls], minlength=size) for cls, size in enumerate(h.class_sizes)]
         features["repeat"] += len(set(h.edges)) < len(h.edges)
         features["unequal"] += len(set(h.class_sizes)) > 1
         features["empty class"] += min(h.class_sizes) == 0
         features["isolated"] += any((d == 0).any() for d in degrees)
-        features["twins"] += any(len(set(ids)) < len(ids) for ids, _, _ in tables[2])
+        features["twins"] += any(len(set(ids)) < len(ids) for ids, _, _ in twins)
     assert min(features.values()) >= 2, features
+
+
+def test_exact_search_answers_with_the_first_row_of_each_chosen_edge():
+    rng = np.random.default_rng(41)
+    for h in (alon_kim(3), blow_up(alon_kim(1), 2), from_square(counterexample_square(10)[0])):
+        # Every edge twice, in a shuffled order.
+        order = rng.permutation(2 * len(h.edges)) % len(h.edges)
+        twice = TripartiteHypergraph(h.class_sizes, tuple(h.edges[i] for i in order.tolist()))
+        edges = np.array(twice.edges, dtype=np.int64)
+        indices, optimal = solvers._max_tripartite_matching(h.class_sizes, edges, None)
+        assert optimal and all(type(i) is int for i in indices) and indices == sorted(indices)
+        assert [twice.edges.index(twice.edges[i]) for i in indices] == indices
+        for cls in range(3):
+            assert len({twice.edges[i][cls] for i in indices}) == len(indices)
+        assert len(indices) == len(max_matching_exact(h)[0])
+        assert max_matching_exact(twice) == (tuple(indices), True)
 
 
 def test_walsh_hadamard_transforms_each_row_by_its_definition():
