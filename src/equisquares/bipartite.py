@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .squares import _int_array
+from .squares import _index, _int_array
 
 
 class NotRegular(ValueError):
@@ -47,7 +47,8 @@ class BipartiteMultigraph:
 
     Edge e joins left vertex left[e] to right vertex right[e]; its label is e.
     ValueError if an endpoint is outside its class or refused by squares._int_array,
-    whose read-only arrays are stored.
+    whose read-only arrays are stored; the class sizes are read by
+    squares._index, so a bool or float is a TypeError.
     """
 
     left_size: int
@@ -56,6 +57,8 @@ class BipartiteMultigraph:
     right: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "left_size", _index(self.left_size))
+        object.__setattr__(self, "right_size", _index(self.right_size))
         left = _int_array(self.left, _endpoint_error)
         right = _int_array(self.right, _endpoint_error)
         if left.ndim != 1 or left.shape != right.shape:

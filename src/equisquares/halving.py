@@ -38,7 +38,7 @@ from .bipartite import (  # union_components is also importable from here
 )
 from .constructions import BlockStructure, validate_block_structure
 from .hypergraph import InvalidParam  # one class, importable from here too
-from .squares import EquiNSquare, Transversal, _int_array, validate_transversal
+from .squares import EquiNSquare, Transversal, _index, _int_array, validate_transversal
 
 
 class NotPowerOfTwo(ValueError):
@@ -220,10 +220,15 @@ def _halve_level(graph: BipartiteMultigraph, labels: np.ndarray, sizes: list[int
 
 def _halve(graph: BipartiteMultigraph, labels: np.ndarray, sizes: list[int], s: int,
            rng: np.random.Generator) -> HalvingTrace:
-    """iterated_halving on matchings given as labels back to back, sizes[g] for matching g."""
+    """iterated_halving on matchings given as labels back to back, sizes[g] for matching g.
+
+    The cap s is read by squares._index, so a bool or float is a TypeError;
+    below 1 it is InvalidParam.
+    """
     count = len(sizes)
     if count == 0 or count & (count - 1):
         raise NotPowerOfTwo(f"need a power of two matchings, got {count}")
+    s = _index(s)
     if s < 1:
         raise InvalidParam(f"cap must be >= 1, got {s}")
     group = np.repeat(np.arange(count), sizes)

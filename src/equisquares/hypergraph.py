@@ -5,9 +5,11 @@ maximum matching for small instances (by the bitset branch-and-bound in
 `solvers` that `exact_max` uses too; multi-symbol cells are plain edges).
 
 Vertices are addressed as (class, index) with class in {0, 1, 2}; for a
-square's hypergraph the classes are rows, columns, symbols.  Edge indices
-are stable: blow-ups and splits preserve or systematically extend them, and
-matchings/colourings refer to edge indices.
+square's hypergraph the classes are rows, columns, symbols.  A hypergraph
+is one read-only (E, 3) int64 edge array, and its incidence is one CSR
+table per class, built from that array with numpy on first use.  Edge
+indices are stable: blow-ups and splits preserve or systematically extend
+them, and matchings/colourings refer to edge indices.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .bipartite import NotAMatching  # one class, importable from here too
 from .solvers import _max_tripartite_matching
-from .squares import EquiNSquare, _index
+from .squares import EquiNSquare, _index, _int_array
 
 Vertex = tuple[int, int]
 
@@ -36,26 +37,39 @@ class InvalidParam(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TripartiteHypergraph:
-    """Edge list over three vertex classes; multi-edges allowed.  Each edge is
-    stored as a tuple of three Python ints; bools are refused as vertices."""
+    """Edges over three vertex classes, multi-edges allowed, stored as one
+    read-only (E, 3) int64 array, `edge_array`, row e holding edge e.
+
+    `TripartiteHypergraph(class_sizes, edges)` reads each class size by
+    `squares._index` (a bool or float is a TypeError), and InvalidParam
+    unless there are three, each >= 0.  The edges pass `squares._int_array`
+    and one range check; a ValueError names the first edge that is not
+    three integers, bools refused, inside the classes.  `edges` is the same
+    edges as tuples of Python ints, built on first read.
+    """
 
     class_sizes: tuple[int, int, int]
-    edges: tuple[tuple[int, int, int], ...]
+    edge_array: np.ndarray
 
-    def __post_init__(self):
-        a, b, c = self.class_sizes
-        edges = []
-        for e in self.edges:
-            try:
-                x, y, z = e
-                if not type(x) is type(y) is type(z) is int:  # numpy integers, say
-                    x, y, z = map(_index, (x, y, z))
-            except (TypeError, ValueError):  # not three integers
-                x = y = z = -1
-            if not (0 <= x < a and 0 <= y < b and 0 <= z < c):
-                raise ValueError(f"edge {e} out of range for classes {self.class_sizes}")
-            edges.append((x, y, z))
-        object.__setattr__(self, "edges", tuple(edges))
+    def __init__(self, class_sizes, edges):
+        sizes = tuple(map(_index, class_sizes))
+        if len(sizes) != 3 or min(sizes) < 0:
+            raise InvalidParam(f"class sizes must be three integers >= 0, got {class_sizes!r}")
+        try:
+            arr = _int_array(edges, lambda at, x: ValueError(), below=max(sizes))
+        except ValueError:  # not an integer within int64, or outside every class
+            raise _bad_edges(sizes, edges) from None
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 3)
+        if arr.ndim != 2 or arr.shape[1] != 3 or (arr >= sizes).any():
+            raise _bad_edges(sizes, edges)
+        object.__setattr__(self, "class_sizes", sizes)
+        object.__setattr__(self, "edge_array", arr)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """`edge_array` as a tuple of (x, y, z) tuples of Python ints, built on first read."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def num_vertices(self) -> int:
@@ -67,12 +81,12 @@ class TripartiteHypergraph:
                 yield (cls, idx)
 
     @cached_property
-    def _incidence(self) -> dict[Vertex, tuple[int, ...]]:
-        inc: dict[Vertex, list[int]] = {}
-        for i, e in enumerate(self.edges):
-            for cls in range(3):
-                inc.setdefault((cls, e[cls]), []).append(i)
-        return {v: tuple(ix) for v, ix in inc.items()}
+    def _incidence(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per class, CSR (order, starts): the edges at vertex v of the class
+        are order[starts[v]:starts[v + 1]], ascending."""
+        return [(np.argsort(ends, kind="stable"),
+                 np.concatenate(([0], np.bincount(ends, minlength=size).cumsum())))
+                for ends, size in zip(self.edge_array.T, self.class_sizes)]
 
     def _vertex(self, v) -> Vertex:
         """v as a (class, index) tuple of ints; InvalidParam unless v is a vertex of the
@@ -86,23 +100,43 @@ class TripartiteHypergraph:
         return cls, idx
 
     def incident(self, v: Vertex) -> tuple[int, ...]:
-        """Indices of the edges at v; InvalidParam unless v is a vertex (see `_vertex`)."""
-        return self._incidence.get(self._vertex(v), ())
+        """Indices of the edges at v, ascending; InvalidParam unless v is a vertex (see `_vertex`)."""
+        cls, idx = self._vertex(v)
+        order, starts = self._incidence[cls]
+        return tuple(order[starts[idx]:starts[idx + 1]].tolist())
 
     def degree(self, v: Vertex) -> int:
-        return len(self.incident(v))
+        cls, idx = self._vertex(v)
+        starts = self._incidence[cls][1]
+        return int(starts[idx + 1] - starts[idx])
 
     def max_degree(self) -> int:
-        if not self.edges:
-            return 0
-        return max(len(ix) for ix in self._incidence.values())
+        return max(int(np.diff(starts).max(initial=0)) for _, starts in self._incidence)
+
+
+def _bad_edges(sizes: tuple[int, int, int], edges) -> ValueError:
+    """A ValueError naming the first edge that is not three integers inside the classes."""
+    for e in edges:
+        try:
+            x, y, z = map(_index, e)
+        except (TypeError, ValueError):  # not three integers
+            x = y = z = -1
+        if not (0 <= x < sizes[0] and 0 <= y < sizes[1] and 0 <= z < sizes[2]):
+            return ValueError(f"edge {e} out of range for classes {sizes}")
+    return ValueError(f"edges must be an (E, 3) collection of integers, got shape {np.shape(edges)}")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr marked read-only, so the constructor's gate keeps it uncopied."""
+    arr.setflags(write=False)
+    return arr
 
 
 def from_square(square: EquiNSquare) -> TripartiteHypergraph:
-    """One edge (row, col, symbol) per cell; the result is n-regular."""
+    """One edge (row, col, symbol) per cell, in row-major order; the result is n-regular."""
     n = square.n
-    edges = tuple((i, j, s) for i, row in enumerate(square.grid.tolist()) for j, s in enumerate(row))
-    return TripartiteHypergraph((n, n, n), edges)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    return TripartiteHypergraph((n, n, n), _frozen(np.stack((rows, cols, square.grid.ravel()), axis=1)))
 
 
 def codegree(h: TripartiteHypergraph, x: Vertex, y: Vertex) -> int:
@@ -110,7 +144,7 @@ def codegree(h: TripartiteHypergraph, x: Vertex, y: Vertex) -> int:
     vertices of h, and SameVertex if they are one vertex, as read by
     `incident`: [0, 1] and (0, 1) are one.  Edges hold one vertex per
     class, so two vertices of one class share none."""
-    if x == y or h._vertex(x) == h._vertex(y):
+    if np.array_equal(x, y) or h._vertex(x) == h._vertex(y):
         raise SameVertex(f"codegree needs distinct vertices, got {x!r} and {y!r}")
     return len(set(h.incident(x)).intersection(h.incident(y)))
 
@@ -122,15 +156,15 @@ def alon_kim(t: int) -> TripartiteHypergraph:
     matching has at most 2t edges, so roughly a third of each class is
     always uncovered.
     """
+    t = _index(t)
     if t < 1:
         raise InvalidParam(f"t must be >= 1, got {t}")
-    edges = []
-    for i in range(2 * t):
-        for j in range(t):
-            edges.append((i, i, 2 * t + j))
-            edges.append((i, 2 * t + j, i))
-            edges.append((2 * t + j, i, i))
-    return TripartiteHypergraph((3 * t, 3 * t, 3 * t), tuple(edges))
+    # Per plain vertex i and primed vertex p, in that order, the edges
+    # (i, i, p), (i, p, i), (p, i, i): p sits on the anti-diagonal.
+    plain = np.repeat(np.arange(2 * t), t)[:, None, None]
+    primed = np.tile(np.arange(2 * t, 3 * t), 2 * t)[:, None, None]
+    edges = np.where(np.eye(3, dtype=bool)[::-1], primed, plain).reshape(-1, 3)
+    return TripartiteHypergraph((3 * t, 3 * t, 3 * t), _frozen(edges))
 
 
 def blow_up(h: TripartiteHypergraph, factor: int) -> TripartiteHypergraph:
@@ -138,16 +172,13 @@ def blow_up(h: TripartiteHypergraph, factor: int) -> TripartiteHypergraph:
 
     Vertex (c, v) becomes (c, v*factor + q); degrees multiply by factor^2.
     """
+    factor = _index(factor)
     if factor < 1:
         raise InvalidParam(f"factor must be >= 1, got {factor}")
     sizes = tuple(s * factor for s in h.class_sizes)
-    edges = []
-    for a, b, c in h.edges:
-        for qa in range(factor):
-            for qb in range(factor):
-                for qc in range(factor):
-                    edges.append((a * factor + qa, b * factor + qb, c * factor + qc))
-    return TripartiteHypergraph(sizes, tuple(edges))
+    copies = np.indices((factor,) * 3).reshape(3, -1).T  # (qa, qb, qc), lexicographic
+    edges = (h.edge_array[:, None, :] * factor + copies).reshape(-1, 3)
+    return TripartiteHypergraph(sizes, _frozen(edges))
 
 
 def split_high_codegree(h: TripartiteHypergraph, threshold: int):
@@ -168,6 +199,7 @@ def split_high_codegree(h: TripartiteHypergraph, threshold: int):
     all-or-none situation the transform is meant for), a proper colouring
     pulls back to a proper colouring.
     """
+    threshold = _index(threshold)
     if threshold < 1:
         raise InvalidParam(f"threshold must be >= 1, got {threshold}")
     # Codegrees of every pair some edge covers, in order of first appearance.
@@ -182,24 +214,21 @@ def split_high_codegree(h: TripartiteHypergraph, threshold: int):
             owner[v] = pair
 
     # The pairs are disjoint, so no edge holds two of them: each pair's
-    # edges are still unchanged in new_edges when its turn comes.
+    # edges are still unchanged in `edges` when its turn comes.  They take
+    # fresh vertices of x's class in edge order.
     sizes = list(h.class_sizes)
-    new_edges = list(h.edges)
-    for x_f, y_f in high:  # x_f is the lexicographically smaller vertex
-        cls = x_f[0]
-        for i in h.incident(x_f):
-            e = new_edges[i]
-            if e[y_f[0]] == y_f[1]:
-                fresh = sizes[cls]
-                sizes[cls] += 1
-                moved = list(e)
-                moved[cls] = fresh
-                new_edges[i] = tuple(moved)
-    h2 = TripartiteHypergraph(tuple(sizes), tuple(new_edges))
+    edges = h.edge_array.copy()
+    for (cls, x), (cy, y) in high:  # (cls, x) is the lexicographically smaller vertex
+        order, starts = h._incidence[cls]
+        at = order[starts[x]:starts[x + 1]]
+        at = at[edges[at, cy] == y]
+        edges[at, cls] = np.arange(sizes[cls], sizes[cls] + at.size)
+        sizes[cls] += at.size
+    h2 = TripartiteHypergraph(tuple(sizes), _frozen(edges))
 
     def pullback(colouring: "EdgeColouring") -> "EdgeColouring":
         # Edge indices are stable, so the colour assignment carries over.
-        if len(colouring.colours) != len(h.edges):
+        if len(colouring.colours) != len(h.edge_array):
             raise InvalidParam("colouring size does not match edge count")
         return EdgeColouring(colouring.colours)
 
@@ -221,7 +250,7 @@ def is_proper(h: TripartiteHypergraph, colouring: EdgeColouring) -> bool:
     """True iff edges sharing a vertex always have different colours;
     InvalidParam unless the colouring has one colour per edge."""
     colours = colouring.colours
-    if len(colours) != len(h.edges):
+    if len(colours) != len(h.edge_array):
         raise InvalidParam("colouring size does not match edge count")
     # Proper: in each class, no (vertex, colour) pair is on two edges.
     return all(len(set(zip((e[cls] for e in h.edges), colours))) == len(colours)
@@ -265,6 +294,5 @@ def max_matching_exact(h: TripartiteHypergraph, budget: int | None = None):
     an edge listed several times is reported by its smallest index.  Class
     sizes whose product reaches 2^63 are `solvers.TooLarge`.
     """
-    edges = np.fromiter(chain.from_iterable(h.edges), np.int64, 3 * len(h.edges)).reshape(-1, 3)
-    indices, optimal = _max_tripartite_matching(h.class_sizes, edges, budget)
+    indices, optimal = _max_tripartite_matching(h.class_sizes, h.edge_array, budget)
     return tuple(indices), optimal

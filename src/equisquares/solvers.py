@@ -813,8 +813,9 @@ def local_search(
     same state, as one call per iteration.  Python steps only through the
     draws whose row or column is free: with both taken, by the drawn cell
     itself or by two cells, no move applies.  A negative `iterations` is a
-    ValueError.
+    ValueError, and a bool, float or str a TypeError.
     """
+    iterations = _index(iterations)
     if iterations < 0:
         raise ValueError(f"iterations {iterations} is negative")
     validate_transversal(square, transversal.cells)
@@ -837,9 +838,11 @@ def peel_decomposition(
 
     Each layer is found by randomized greedy plus 40 n steps of local
     search restricted to cells unused by earlier layers; extraction stops
-    once 8 consecutive tries fail to reach min_size.
+    once 8 consecutive tries fail to reach min_size.  A min_size outside
+    [1, n] is a ValueError, and a bool, float or str a TypeError.
     """
     n = square.n
+    min_size = _index(min_size)
     if not 1 <= min_size <= n:
         raise ValueError(f"min_size {min_size} is outside [1, n={n}]")
     allowed = np.ones((n, n), dtype=bool)

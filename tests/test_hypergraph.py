@@ -79,15 +79,57 @@ def test_codegree_counts_column_symbol_multiplicity():
 def test_codegree_same_vertex_rejected():
     h = from_square(cyclic_latin(2))
     # A vertex is read as `incident` reads it, so a list or numpy ints name it too.
-    for x, y in (((0, 0), (0, 0)), ((0, 0), [0, 0]), ([1, 1], (1, 1)), ((np.int64(0), np.int64(1)), [0, 1])):
+    for x, y in (((0, 0), (0, 0)), ((0, 0), [0, 0]), ([1, 1], (1, 1)), ((np.int64(0), np.int64(1)), [0, 1]),
+                 ((1, 1), np.array([1, 1])), (np.array([0, 1]), np.array([0, 1]))):
         with pytest.raises(SameVertex):
             codegree(h, x, y)
+    # One vertex twice is one vertex, even outside the classes.
+    with pytest.raises(SameVertex):
+        codegree(h, (3, 0), (3, 0))
     assert codegree(h, (0, 0), (0, 1)) == 0  # same class, no shared edge
 
 
 def test_codegree_empty():
     h = TripartiteHypergraph((2, 2, 2), ())
     assert codegree(h, (0, 0), (1, 0)) == 0
+
+
+def incidence_reference(h: TripartiteHypergraph) -> dict:
+    """Vertex -> the indices of its edges, ascending, by one walk over the
+    edges; a vertex on no edge is missing."""
+    inc: dict = {}
+    for i, e in enumerate(h.edges):
+        for cls in range(3):
+            inc.setdefault((cls, e[cls]), []).append(i)
+    return {v: tuple(ix) for v, ix in inc.items()}
+
+
+def test_incidence_matches_the_edge_walk_reference():
+    rng = np.random.default_rng(35)
+    shapes = repeats = isolated = 0
+    for trial in range(60):
+        sizes = tuple(int(x) for x in rng.integers(0 if trial % 10 == 0 else 1, 6, size=3))
+        count = int(rng.integers(0, 16)) if min(sizes) else 0  # an empty class has no edges
+        edges = [tuple(int(rng.integers(0, s)) for s in sizes) for _ in range(count)]
+        edges += [edges[int(i)] for i in rng.integers(0, len(edges), size=3 * bool(edges))]
+        edges = [edges[int(i)] for i in rng.permutation(len(edges))]
+        h = TripartiteHypergraph(sizes, edges)
+        ref = incidence_reference(h)
+        assert h.edges == tuple(edges)
+        shapes += min(sizes) == 0
+        repeats += len(set(edges)) < len(edges)
+        isolated += len(ref) < h.num_vertices
+        for v in h.vertices():
+            incident = h.incident(v)
+            assert incident == ref.get(v, ()) and {type(i) for i in incident} <= {int}
+            degree = h.degree(v)
+            assert degree == len(ref.get(v, ())) and type(degree) is int
+        max_degree = h.max_degree()
+        assert max_degree == max(map(len, ref.values()), default=0) and type(max_degree) is int
+        for x, y in itertools.combinations(h.vertices(), 2):
+            shared = codegree(h, x, y)
+            assert shared == len(set(ref.get(x, ())) & set(ref.get(y, ()))) and type(shared) is int
+    assert shapes >= 3 and repeats >= 30 and isolated >= 30
 
 
 def test_vertices_outside_the_classes_are_rejected():
@@ -420,10 +462,29 @@ def test_max_matching_exact_oracle_blow_ups():
     assert greedy_short >= 25
 
 
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 1, 1), (-1, 1, 1), (1, 1, -2), ()], ids=repr)
+def test_constructor_wants_three_class_sizes_of_at_least_zero(sizes):
+    with pytest.raises(InvalidParam, match=re.escape(f"class sizes must be three integers >= 0, got {sizes}")):
+        TripartiteHypergraph(sizes, ())
+
+
+def test_constructor_stores_class_sizes_as_ints():
+    h = TripartiteHypergraph([np.int64(2), np.uint8(1), 1], np.empty((0, 3), dtype=np.int32))
+    assert h.class_sizes == (2, 1, 1) and {type(size) for size in h.class_sizes} == {int}
+    assert h.edges == () and h.edge_array.shape == (0, 3) and h.max_degree() == 0
+
+
 @pytest.mark.parametrize("edge", [(0, 0, 1), (0, -1, 0), (0, 0), (0, 0, 0, 0)])
 def test_constructor_rejects_edges_outside_the_classes(edge):
     with pytest.raises(ValueError, match="out of range"):
         TripartiteHypergraph((1, 1, 1), ((0, 0, 0), edge))
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (0, 3, 1)])
+def test_constructor_wants_an_e_by_3_edge_array(shape):
+    # No edge is out of range, yet the array is not (E, 3).
+    with pytest.raises(ValueError, match=re.escape(f"edges must be an (E, 3) collection of integers, got shape {shape}")):
+        TripartiteHypergraph((1, 1, 1), np.zeros(shape, dtype=np.int64))
 
 
 @pytest.mark.parametrize("edge", [(0.5, 0, 0), (1, 1.0, 1), (0, 0, "1"), (0, 0, None), 5,

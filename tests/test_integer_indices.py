@@ -23,8 +23,17 @@ from equisquares.constructions import (
     cyclic_latin,
     random_equi_square,
 )
-from equisquares.halving import iterated_halving, row_loads
-from equisquares.hypergraph import InvalidParam, TripartiteHypergraph, codegree, from_square
+from equisquares.halving import block_transversal, iterated_halving, row_loads
+from equisquares.hypergraph import (
+    InvalidParam,
+    TripartiteHypergraph,
+    alon_kim,
+    blow_up,
+    codegree,
+    from_square,
+    split_high_codegree,
+)
+from equisquares.solvers import local_search, peel_decomposition
 from equisquares.squares import (
     CellOutOfRange,
     DimensionMismatch,
@@ -39,13 +48,25 @@ SQUARE = cyclic_latin(3)
 H = from_square(SQUARE)
 # Two perfect matchings of a 2-regular graph: labels 0, 1, 2 and 3, 4, 5.
 G = BipartiteMultigraph(3, 3, [0, 1, 2, 0, 1, 2], [0, 1, 2, 1, 2, 0])
-_, BLOCKS = block_structured_square(4, 2, 0)
+BLOCK_SQUARE, BLOCKS = block_structured_square(4, 2, 0)
+# A transversal of a larger square: local_search refuses it once it has read its iterations.
+FOREIGN = validate_transversal(cyclic_latin(5), [(4, 4)])
 BIG = 2**63  # past int64
 VALUES = [True, False, np.True_, 1.0, "1", BIG]
 
 
 def _vertex(v):
     return InvalidParam, f"vertex {v!r} is not in classes (3, 3, 3)"
+
+
+def _size(v):
+    # BIG is an integer, so it is accepted as a size.
+    return None if v is BIG else (TypeError, "object cannot be interpreted as an integer")
+
+
+def _unallocatable(v):
+    # BIG is an integer; the arrays it sizes cannot be allocated.
+    return (ValueError, "Maximum allowed") if v is BIG else _size(v)
 
 
 def _labels(v):
@@ -66,11 +87,26 @@ ENTRY_POINTS = {
         lambda v: TripartiteHypergraph((3, 3, 3), ((0, 0, 0), (1, v, 1))),
         lambda v: (ValueError, f"edge {(1, v, 1)} out of range for classes (3, 3, 3)"),
     ),
+    "TripartiteHypergraph class size": (lambda v: TripartiteHypergraph((3, v, 3), ((0, 0, 0),)), _size),
     "incident class": (lambda v: H.incident((v, 0)), lambda v: _vertex((v, 0))),
     "incident index": (lambda v: H.incident((0, v)), lambda v: _vertex((0, v))),
     "degree": (lambda v: H.degree((2, v)), lambda v: _vertex((2, v))),
     # (1, 0) is not (True, 0) == (1, 0), so codegree reaches incident.
     "codegree": (lambda v: codegree(H, (0, v), (1, 0)), lambda v: _vertex((0, v))),
+    "alon_kim": (alon_kim, _unallocatable),
+    "blow_up": (lambda v: blow_up(H, v), _unallocatable),
+    "split_high_codegree": (lambda v: split_high_codegree(H, v), _size),
+    "local_search": (
+        lambda v: local_search(SQUARE, FOREIGN, np.random.default_rng(0), v),
+        lambda v: (CellOutOfRange, "cell (4, 4) outside [0, 3)^2") if v is BIG else _size(v)),
+    "peel_decomposition": (
+        lambda v: peel_decomposition(SQUARE, np.random.default_rng(0), v),
+        lambda v: (ValueError, f"min_size {BIG} is outside [1, n=3]") if v is BIG else _size(v)),
+    "block_transversal": (lambda v: block_transversal(BLOCK_SQUARE, BLOCKS, v, np.random.default_rng(0)), _size),
+    "iterated_halving cap": (
+        lambda v: iterated_halving(G, [[0, 1, 2], [3, 4, 5]], v, np.random.default_rng(0)), _size),
+    "BipartiteMultigraph left size": (lambda v: BipartiteMultigraph(v, 3, [0], [0]), _size),
+    "BipartiteMultigraph right size": (lambda v: BipartiteMultigraph(3, v, [0], [0]), _size),
     "is_matching": (lambda v: is_matching(G, [0, v]), _labels),
     # frozenset({True, 1}) is {True}: pair v with label 2, whose edge meets
     # neither edge 0 nor edge 1.

@@ -153,8 +153,9 @@ def test_operator_index_is_used_only_by_the_index_helper():
 
 
 def _int64_array_builds(tree) -> list[str]:
-    """The enclosing function of every np.array or np.asarray call in tree
-    whose dtype, by keyword or second argument, is np.int64 or object."""
+    """The enclosing function of every np.array, np.asarray or np.fromiter
+    call in tree whose dtype, by keyword or second argument, is np.int64 or
+    object."""
     builds = []
     stack = [(tree, "<module>")]
     while stack:
@@ -162,7 +163,7 @@ def _int64_array_builds(tree) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("array", "asarray")):
+                and node.func.attr in ("array", "asarray", "fromiter")):
             dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
             if any(ast.unparse(dtype) in ("np.int64", "numpy.int64", "object") for dtype in dtypes):
                 builds.append(func)
